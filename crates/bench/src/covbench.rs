@@ -24,6 +24,8 @@ use classfuzz_coverage::{baseline, SuiteIndex, TraceFile, UniquenessCriterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::median;
+
 /// How many distinct statement sites each synthetic trace hits.
 const SYNTH_STMTS: usize = 120;
 /// How many distinct branch `(site, direction)` pairs each trace hits.
@@ -105,11 +107,6 @@ pub struct CoverageBenchReport {
     /// Fraction of that campaign's `[tr]` offers settled by the
     /// fingerprint fast path alone.
     pub fingerprint_fast_path_rate: f64,
-}
-
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
 }
 
 /// Times `op()` (which performs `ops` operations) over `repeats` runs and

@@ -24,6 +24,7 @@ use classfuzz_vm::preparse;
 
 use crate::covbench::json_number;
 use crate::harnessbench::snapshot_batch;
+use crate::median;
 
 /// The `BENCH_exec.json` payload: five-VM evaluation throughput with and
 /// without the execution-differencing observer.
@@ -44,11 +45,6 @@ pub struct ExecBenchReport {
     /// exec / startup — the observer's machine-independent overhead
     /// ratio (1.0 = free, 0.5 = doubles the evaluation cost).
     pub exec_overhead_ratio: f64,
-}
-
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
 }
 
 fn classes_per_sec(repeats: usize, classes: usize, mut op: impl FnMut()) -> f64 {

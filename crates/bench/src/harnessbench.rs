@@ -25,6 +25,7 @@ use classfuzz_coverage::UniquenessCriterion;
 use classfuzz_vm::{preparse, Jvm, VmSpec};
 
 use crate::covbench::json_number;
+use crate::median;
 
 /// The fixed-seed mutant batch every scenario measures: the `GenClasses`
 /// of the campaign configuration pinned bit-for-bit by
@@ -57,11 +58,6 @@ pub struct HarnessBenchReport {
     pub classes_per_sec_cold: f64,
     /// preparsed / cold — the in-run, machine-independent speedup.
     pub harness_speedup: f64,
-}
-
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
 }
 
 /// Times `op()` over `repeats` runs and returns the median classes/sec

@@ -28,6 +28,7 @@ use classfuzz_vm::interp::{Machine, RtValue};
 use classfuzz_vm::{Cov, UserClass, VmSpec, World};
 
 use crate::covbench::json_number;
+use crate::median;
 
 /// Helper invocations per `main` execution: enough that per-invoke
 /// preparation dominates the cold arm without nearing the step budget.
@@ -55,11 +56,6 @@ pub struct InterpBenchReport {
     pub execs_per_sec_prepared: f64,
     /// prepared / cold — the machine-independent speedup the gate floors.
     pub prepared_speedup: f64,
-}
-
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
 }
 
 /// Rewrites branch/switch targets given as *instruction indices* into the

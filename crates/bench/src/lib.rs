@@ -77,6 +77,14 @@ impl Scale {
     }
 }
 
+/// The median of a set of timing samples — the upper median
+/// (`samples[len / 2]`) for an even count, which every gate's committed
+/// baseline was measured with. Panics on an empty set.
+pub fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(|a, b| a.total_cmp(b));
+    samples[samples.len() / 2]
+}
+
 /// The seed corpus for a scale.
 pub fn seed_corpus(scale: Scale) -> SeedCorpus {
     SeedCorpus::generate(scale.seeds, scale.rng_seed)

@@ -33,6 +33,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::alloc_count::allocation_events;
 use crate::covbench::json_number;
+use crate::median;
 
 /// Iteration budget of one batch — the `tests/coverage_equiv.rs` campaign
 /// length, so the accept/skip mix matches the pinned campaign.
@@ -73,16 +74,11 @@ pub struct MutateBenchReport {
     pub allocs_per_class_scratch: f64,
 }
 
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
 /// Runs one batch of the engine hot loop, parameterized over how a picked
 /// class is cloned and how a finished mutant is lowered to bytes. The RNG
-/// draw order (pool pick, mutator pick, mutation draws) is exactly
-/// `next_candidate`'s, so every parameterization replays the identical
-/// mutant sequence. Returns the number of candidates produced.
+/// draw order (pool pick, mutator pick, mutation draws) is exactly the
+/// campaign engine's (`Shard::produce`), so every parameterization replays
+/// the identical mutant sequence. Returns the number of candidates produced.
 fn run_batch(
     seeds: &[IrClass],
     mutators: &[Mutator],

@@ -30,6 +30,7 @@ use classfuzz_core::seeds::SeedCorpus;
 use classfuzz_coverage::UniquenessCriterion;
 
 use crate::covbench::json_number;
+use crate::median;
 
 /// Seed-corpus size for the throughput campaigns.
 const SCALE_SEEDS: usize = 12;
@@ -66,11 +67,6 @@ pub struct ScaleBenchReport {
     pub crosscheck_keys: usize,
     /// 1.0 when the async and lockstep key sets are identical, else 0.0.
     pub crosscheck_pass: f64,
-}
-
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
 }
 
 fn scale_config(iterations: usize, schedule: Schedule) -> CampaignConfig {

@@ -29,6 +29,7 @@ use classfuzz_classfile::{ClassFile, CodeAttribute, Instruction, MethodAccess, O
 use classfuzz_vm::{preparse, Jvm, VmSpec};
 
 use crate::covbench::json_number;
+use crate::median;
 
 /// Worker methods in the benchmark class: each is analyzed once on the
 /// shared path and once *per eager profile* on the cold path.
@@ -70,11 +71,6 @@ pub struct StartupBenchReport {
     pub startups_per_sec_shared: f64,
     /// shared / cold — the machine-independent speedup the gate floors.
     pub shared_speedup: f64,
-}
-
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
 }
 
 /// Assembles the benchmark class: a `main` that returns immediately plus

@@ -8,7 +8,15 @@
 //! `(config, num_shards)` pair — see DESIGN.md, "Parallel campaign
 //! architecture".
 //!
-//! Both engines are fault-contained (see DESIGN.md, "Fault containment"):
+//! Every engine runs the same campaign step from two private pieces: a
+//! `Shard` (mutator lineup, RNG, selector, reference VM, scratch buffers)
+//! produces each iteration's candidate, and a `Ledger` records it — crash
+//! records, `GenClasses`, `TestClasses`, exec-diff — and assembles the
+//! [`CampaignResult`]. The sequential engine drives one shard inline; the
+//! two parallel schedulers run one shard per worker thread and record
+//! through the ledger on the calling thread.
+//!
+//! All engines are fault-contained (see DESIGN.md, "Fault containment"):
 //! a panicking mutator becomes a recorded [`CrashRecord`] and the iteration
 //! is skipped; a panicking VM run surfaces as a crash verdict on the
 //! candidate (the VM layer contains its own panics); and a worker shard
@@ -165,13 +173,15 @@ pub struct CampaignConfig {
     pub exec_diff: bool,
     /// Scheduling discipline for [`run_campaign_parallel`]: deterministic
     /// lockstep rounds (the default) or the free-running async engine.
-    /// Ignored by the sequential [`run_campaign`].
+    /// Both schedulers run the same per-shard step and record through the
+    /// same ledger as the sequential [`run_campaign`], which ignores this
+    /// field (it has no scheduler: its one shard runs inline).
     pub schedule: Schedule,
-    /// Fault-injection self-test hook for the async engine: the named
-    /// shard panics *outside* the per-iteration containment right after
-    /// its setup, exercising the ShardDied last-gasp protocol without a
-    /// mutator in the loop. Ignored by the lockstep engine (which has its
-    /// own coverage via channel-teardown tests).
+    /// Fault-injection self-test hook for the parallel engines: the named
+    /// worker shard panics *outside* the per-iteration containment before
+    /// its setup, exercising the shard-death last-gasp protocol without a
+    /// mutator in the loop. Both schedulers honour it; the sequential
+    /// engine, which has no shard thread, ignores it.
     pub inject_shard_death: Option<usize>,
     /// How the initial pool is chosen from the seeds (`--seed-select`).
     pub seed_select: SeedSelect,
@@ -207,7 +217,7 @@ impl CampaignConfig {
         self
     }
 
-    /// Make the named shard die outside containment (async self-test).
+    /// Make the named shard die outside containment (parallel self-test).
     pub fn with_shard_death_injection(mut self, shard_id: usize) -> CampaignConfig {
         self.inject_shard_death = Some(shard_id);
         self
@@ -237,10 +247,10 @@ impl CampaignConfig {
         self
     }
 
-    /// Enable live corpus distillation bounded by `cap` (clamped to ≥ 1 so
-    /// the pool can never distill to nothing).
+    /// Enable live corpus distillation bounded by `cap` (distillation
+    /// treats a cap of 0 as 1, so the pool can never distill to nothing).
     pub fn with_pool_cap(mut self, cap: usize) -> CampaignConfig {
-        self.pool_cap = Some(cap.max(1));
+        self.pool_cap = Some(cap);
         self
     }
 }
@@ -298,6 +308,9 @@ const DISTILL_INTERVAL: usize = 32;
 /// until the pool fits. Survivors keep their relative order, so every
 /// engine's replica distills to the same pool. Returns the eviction count.
 fn distill_pool(pool: &mut Vec<PoolEntry>, cap: usize) -> usize {
+    // `pool_cap` is a public field, so a cap of 0 can arrive here; the
+    // pool must never distill to nothing, or the pick RNG has no range.
+    let cap = cap.max(1);
     if pool.len() <= 1 {
         return 0;
     }
@@ -333,18 +346,11 @@ fn distill_pool(pool: &mut Vec<PoolEntry>, cap: usize) -> usize {
     before - pool.len()
 }
 
-/// Distillation telemetry from one engine's (replica's) boundary passes.
+/// Distillation telemetry from one shard's (replica's) boundary passes.
 #[derive(Debug, Clone, Copy, Default)]
 struct DistillCounters {
     passes: u64,
     evicted: u64,
-}
-
-impl DistillCounters {
-    fn run(&mut self, pool: &mut Vec<PoolEntry>, cap: usize) {
-        self.evicted += distill_pool(pool, cap) as u64;
-        self.passes += 1;
-    }
 }
 
 /// Lowers each seed exactly once (through one shared scratch), optionally
@@ -357,12 +363,9 @@ impl DistillCounters {
 /// seed-intelligence knobs need them (max-cover selection, distillation);
 /// with every knob off and a non-tracing algorithm this is byte-identical
 /// to the old untraced seeding.
-fn prepare_seed_pool(
-    seeds: &[IrClass],
-    config: &CampaignConfig,
-    reference: &Jvm,
-    scratch: &mut TraceFile,
-) -> Vec<PoolEntry> {
+fn prepare_seed_pool(seeds: &[IrClass], config: &CampaignConfig) -> Vec<PoolEntry> {
+    let reference = Jvm::new(VmSpec::hotspot9());
+    let mut scratch = TraceFile::new();
     let mut lower = LowerScratch::new();
     let want_traces = needs_trace(config.algorithm)
         || config.seed_select == SeedSelect::MaxCover
@@ -372,7 +375,7 @@ fn prepare_seed_pool(
         .map(|s| {
             let mut entry = PoolEntry::from_seed(s, &mut lower);
             if want_traces {
-                reference.run_traced_into(&entry.bytes, scratch);
+                reference.run_traced_into(&entry.bytes, &mut scratch);
                 entry.trace = Some(Arc::new(scratch.snapshot()));
             }
             entry
@@ -621,16 +624,68 @@ impl Selector {
     }
 }
 
+/// The acceptance state of the engines that decide on one thread (the
+/// sequential engine and the lockstep coordinator).
 enum Acceptance {
     Unique(SuiteIndex),
     Greedy(GlobalCoverage),
     All,
 }
 
-fn make_selector(config: &CampaignConfig, mutator_count: usize) -> Selector {
-    match config.algorithm {
-        Algorithm::Classfuzz(_) => Selector::Chain(MutatorChain::new(mutator_count, config.p)),
-        _ => Selector::Uniform(UniformSelector::new(mutator_count)),
+impl Acceptance {
+    fn new(algorithm: Algorithm) -> Acceptance {
+        match algorithm {
+            Algorithm::Classfuzz(criterion) => Acceptance::Unique(SuiteIndex::new(criterion)),
+            Algorithm::Uniquefuzz => Acceptance::Unique(SuiteIndex::new(UniquenessCriterion::StBr)),
+            Algorithm::Greedyfuzz => Acceptance::Greedy(GlobalCoverage::new()),
+            Algorithm::Randfuzz => Acceptance::All,
+        }
+    }
+
+    /// Seeds the acceptance state with the selected seeds' traces
+    /// (Algorithm 1 line 1: TestClasses ← Seeds), so mutants must differ
+    /// from seeds too. Reads each seed's trace from the pool cache — seeds
+    /// were lowered and traced once, in [`prepare_seed_pool`], which always
+    /// records traces for the coverage-consulting algorithms this acts on.
+    /// Under max-cover selection only the *selected* seeds enter the suite,
+    /// matching the pool the campaign actually mutates.
+    fn seed(&mut self, seed_pool: &[PoolEntry]) {
+        for trace in seed_pool.iter().filter_map(|e| e.trace.as_deref()) {
+            match self {
+                Acceptance::Unique(index) => index.insert(trace),
+                Acceptance::Greedy(global) => {
+                    global.absorb(trace);
+                }
+                Acceptance::All => {}
+            }
+        }
+    }
+
+    /// The acceptance decision: does this iteration's candidate enter
+    /// `TestClasses`? Uses the candidate's shard-computed fingerprint so
+    /// the `[tr]` probe is a single hash lookup here.
+    fn decide(&mut self, produced: &Produced) -> bool {
+        let Produced::Candidate(cand) = produced else {
+            return false;
+        };
+        let trace = cand.trace.as_deref();
+        match self {
+            Acceptance::All => true,
+            Acceptance::Unique(index) => trace.is_some_and(|t| match cand.trace_fp {
+                Some(fp) => index.insert_if_unique_with_fingerprint(t, fp),
+                None => index.insert_if_unique(t),
+            }),
+            Acceptance::Greedy(global) => trace.is_some_and(|t| global.absorb(t)),
+        }
+    }
+
+    /// The index-side telemetry, read back from the index counters at the
+    /// end of a run (all-zero for greedyfuzz and randfuzz).
+    fn telemetry(&self) -> AcceptanceTelemetry {
+        match self {
+            Acceptance::Unique(index) => AcceptanceTelemetry::from(index.counters()),
+            Acceptance::Greedy(_) | Acceptance::All => AcceptanceTelemetry::default(),
+        }
     }
 }
 
@@ -649,15 +704,6 @@ fn campaign_mutators(config: &CampaignConfig) -> Vec<Mutator> {
         mutators.push(Mutator::chaos_panic(id));
     }
     mutators
-}
-
-/// Appends a crash record, persisting it to the crash corpus first (the
-/// record's position doubles as its corpus index).
-fn record_crash(crashes: &mut Vec<CrashRecord>, crash_dir: Option<&Path>, record: CrashRecord) {
-    if let Some(dir) = crash_dir {
-        persist_crash(dir, crashes.len(), &record);
-    }
-    crashes.push(record);
 }
 
 /// Best-effort crash-corpus write: `crash_NNNN_<site>.class` holds the
@@ -707,34 +753,6 @@ fn persist_crash(dir: &Path, index: usize, record: &CrashRecord) {
     }
 }
 
-fn make_acceptance(algorithm: Algorithm) -> Acceptance {
-    match algorithm {
-        Algorithm::Classfuzz(criterion) => Acceptance::Unique(SuiteIndex::new(criterion)),
-        Algorithm::Uniquefuzz => Acceptance::Unique(SuiteIndex::new(UniquenessCriterion::StBr)),
-        Algorithm::Greedyfuzz => Acceptance::Greedy(GlobalCoverage::new()),
-        Algorithm::Randfuzz => Acceptance::All,
-    }
-}
-
-/// The campaign's acceptance-path telemetry, read back from the index
-/// counters at the end of a run, with the execution-differencing tallies
-/// folded in.
-fn acceptance_telemetry(
-    acceptance: &Acceptance,
-    exec_reports: &[ExecReport],
-) -> AcceptanceTelemetry {
-    let mut telemetry = match acceptance {
-        Acceptance::Unique(index) => AcceptanceTelemetry::from(index.counters()),
-        Acceptance::Greedy(_) | Acceptance::All => AcceptanceTelemetry::default(),
-    };
-    telemetry.exec_runs = exec_reports.len() as u64;
-    telemetry.exec_discrepancies = exec_reports
-        .iter()
-        .filter(|r| r.is_exec_discrepancy())
-        .count() as u64;
-    telemetry
-}
-
 /// Differences one accepted candidate's execution verdicts across the five
 /// profiles. Runs plain (no coverage, no tracing) and draws no RNG, so
 /// enabling `--exec-diff` perturbs neither the candidate stream nor the
@@ -749,52 +767,39 @@ fn diff_execution(harness: &DifferentialHarness, gen_index: usize, bytes: &[u8])
     }
 }
 
-/// Seeds the acceptance state with the selected seeds' traces (Algorithm 1
-/// line 1: TestClasses ← Seeds), so mutants must differ from seeds too.
-/// Reads each seed's trace from the pool cache — seeds were lowered and
-/// traced once, in [`prepare_seed_pool`], which always records traces for
-/// the coverage-consulting algorithms this function acts on. Under
-/// max-cover selection only the *selected* seeds enter the suite, matching
-/// the pool the campaign actually mutates.
-fn seed_acceptance(acceptance: &mut Acceptance, seed_pool: &[PoolEntry]) {
-    match acceptance {
-        Acceptance::Unique(index) => {
-            for seed in seed_pool {
-                if let Some(trace) = &seed.trace {
-                    index.insert(trace);
-                }
-            }
-        }
-        Acceptance::Greedy(global) => {
-            for seed in seed_pool {
-                if let Some(trace) = &seed.trace {
-                    global.absorb(trace);
-                }
-            }
-        }
-        Acceptance::All => {}
-    }
-}
-
 /// One iteration's shard-local product: a lowered mutant plus (when the
-/// algorithm consults coverage) its reference-VM trace.
+/// algorithm consults coverage) its reference-VM trace. Class, bytes and
+/// trace are `Arc`-shared, so one allocation serves `gen_classes`, the
+/// pool entry, and (in the async engine) the shard's own pool publish.
 struct Candidate {
-    class: IrClass,
-    bytes: Vec<u8>,
+    class: Arc<IrClass>,
+    bytes: Arc<Vec<u8>>,
     mutator_id: usize,
-    trace: Option<TraceFile>,
-    /// `trace.fingerprint()`, computed shard-side so the coordinator's
-    /// `[tr]` acceptance probe never rehashes the word arrays.
+    trace: Option<Arc<TraceFile>>,
+    /// `trace.fingerprint()`, computed shard-side so the `[tr]` acceptance
+    /// probe never rehashes the word arrays.
     trace_fp: Option<u64>,
     /// The reference VM's panic description, when tracing this candidate
     /// crashed it (the trace is then the deterministic partial trace).
     vm_crash: Option<String>,
 }
 
-/// What one iteration's shard-local half produced.
+impl Candidate {
+    /// The pool entry this candidate becomes once accepted (line 14).
+    fn pool_entry(&self) -> PoolEntry {
+        PoolEntry {
+            class: Arc::clone(&self.class),
+            bytes: Arc::clone(&self.bytes),
+            trace: self.trace.clone(),
+        }
+    }
+}
+
+/// What one iteration's shard-local half produced — the one report type
+/// every engine records through [`Ledger::record`].
 enum Produced {
     /// A lowered mutant, ready for the acceptance decision.
-    Candidate(Box<Candidate>),
+    Candidate(Candidate),
     /// The mutation was not applicable; the iteration is consumed but no
     /// classfile is generated (§3.2's "classfiles are not generated during
     /// some iterations").
@@ -808,93 +813,314 @@ enum Produced {
     },
 }
 
-/// Runs the shard-local half of one iteration: pool pick, mutator
-/// selection, mutation (panic-contained), `main` supplement, lowering, and
-/// (for the coverage-guided algorithms) the traced reference run — itself
-/// panic-contained inside the VM layer, so a crashing candidate comes back
-/// with a crash verdict rather than unwinding.
-///
-/// The RNG call order here (pool pick, selection, mutation) is the
-/// sequential engine's contract; both engines go through this one function
-/// so a one-shard parallel run replays the sequential stream exactly. A
-/// panicking mutator consumes exactly the RNG draws it made before dying —
-/// deterministic, because the panic point is a function of the inputs.
-// Takes the shard's whole working set (pool, RNG, selector, two scratch
-// buffers) by design: bundling them into a struct would just move the
-// argument list behind a constructor.
-#[allow(clippy::too_many_arguments)]
-fn next_candidate(
-    pool: &[PoolEntry],
-    seeds: &[IrClass],
-    mutators: &[Mutator],
-    selector: &mut Selector,
-    rng: &mut StdRng,
-    reference: Option<&Jvm>,
-    scratch: &mut TraceFile,
-    lower: &mut LowerScratch,
-) -> Produced {
-    let pick = rng.gen_range(0..pool.len());
-    let mutator_id = selector.select(rng);
-    // Copy-on-write: members stay shared with the pool entry until the
-    // mutator writes one, so this clone is a refcount bump per member.
-    let mut mutant = IrClass::clone(&pool[pick].class);
-    let applied = run_contained(|| {
-        let mut ctx = MutationCtx::new(rng, seeds);
-        mutators[mutator_id].apply(&mut mutant, &mut ctx)
-    });
-    match applied {
-        Err(detail) => {
-            // The reproducer is the mutation *input*, whose lowered bytes
-            // the pool already caches — no re-lowering on the crash path.
-            return Produced::MutatorCrash {
-                mutator_id,
-                input_bytes: pool[pick].bytes.as_ref().clone(),
-                detail,
-            };
-        }
-        Ok(Err(_)) => return Produced::NotApplicable,
-        Ok(Ok(())) => {}
-    }
-    // §2.2.1: supplement each mutant with a message-printing main.
-    mutant.ensure_main("Completed!");
-    // Scratch lowering: byte-identical to `lower_class(..).to_bytes()`,
-    // but the pool, descriptor memo, and body buffer are reused across
-    // this shard's iterations.
-    let bytes = lower_class_bytes(&mutant, lower);
-    let (trace, trace_fp, vm_crash) = match reference {
-        Some(jvm) => {
-            // The candidate's bytes are decoded exactly once here; the
-            // traced run records into the reusable scratch bitmap — no
-            // per-iteration trace allocation. The candidate ships a
-            // trimmed snapshot plus its precomputed fingerprint.
-            let parsed = classfuzz_vm::preparse(&bytes);
-            let result = jvm.run_traced_into_parsed(&parsed, scratch);
-            let crash = result.outcome.crash_detail().map(str::to_string);
-            (Some(scratch.snapshot()), Some(scratch.fingerprint()), crash)
-        }
-        None => (None, None, None),
-    };
-    Produced::Candidate(Box::new(Candidate {
-        class: mutant,
-        bytes,
-        mutator_id,
-        trace,
-        trace_fp,
-        vm_crash,
-    }))
+/// One shard's working set: everything the shard-local half of an
+/// iteration reads or writes. The sequential engine drives one inline;
+/// each parallel worker thread builds its own through [`run_shard`].
+struct Shard {
+    mutators: Vec<Mutator>,
+    rng: StdRng,
+    selector: Selector,
+    /// The reference VM for the traced run; `None` for the algorithm that
+    /// never consults coverage (randfuzz).
+    reference: Option<Jvm>,
+    /// Reusable trace and lowering buffers: one allocation each for the
+    /// whole campaign, cleared before each use.
+    scratch: TraceFile,
+    lower: LowerScratch,
+    /// The mutator the latest [`Shard::produce`] selected — the one
+    /// [`Shard::record_success`] credits.
+    last_mutator: usize,
+    pool_cap: Option<usize>,
+    distill: DistillCounters,
 }
 
-/// The acceptance decision (coordinator-side in a parallel run): does this
-/// candidate enter `TestClasses`? Uses the candidate's shard-computed
-/// fingerprint so the `[tr]` probe is a single hash lookup here.
-fn decide(acceptance: &mut Acceptance, trace: Option<&TraceFile>, trace_fp: Option<u64>) -> bool {
-    match acceptance {
-        Acceptance::All => true,
-        Acceptance::Unique(index) => trace.is_some_and(|t| match trace_fp {
-            Some(fp) => index.insert_if_unique_with_fingerprint(t, fp),
-            None => index.insert_if_unique(t),
-        }),
-        Acceptance::Greedy(global) => trace.is_some_and(|t| global.absorb(t)),
+impl Shard {
+    /// Shard `shard_id`'s working set, its RNG seeded by
+    /// [`shard_rng_seed`] — shard 0 uses the campaign seed, which is what
+    /// makes every one-shard engine replay the sequential stream.
+    fn new(config: &CampaignConfig, shard_id: usize) -> Shard {
+        let mutators = campaign_mutators(config);
+        let selector = match config.algorithm {
+            Algorithm::Classfuzz(_) => Selector::Chain(MutatorChain::new(mutators.len(), config.p)),
+            _ => Selector::Uniform(UniformSelector::new(mutators.len())),
+        };
+        Shard {
+            mutators,
+            rng: StdRng::seed_from_u64(shard_rng_seed(config.rng_seed, shard_id)),
+            selector,
+            reference: needs_trace(config.algorithm).then(|| Jvm::new(VmSpec::hotspot9())),
+            scratch: TraceFile::new(),
+            lower: LowerScratch::new(),
+            last_mutator: 0,
+            pool_cap: config.pool_cap,
+            distill: DistillCounters::default(),
+        }
+    }
+
+    /// Runs the shard-local half of one iteration: pool pick, mutator
+    /// selection, mutation (panic-contained), `main` supplement, lowering,
+    /// and (for the coverage-guided algorithms) the traced reference run —
+    /// itself panic-contained inside the VM layer, so a crashing candidate
+    /// comes back with a crash verdict rather than unwinding.
+    ///
+    /// The RNG call order here (pool pick, selection, mutation) is the
+    /// sequential engine's contract; every engine goes through this one
+    /// method so a one-shard parallel run replays the sequential stream
+    /// exactly. A panicking mutator consumes exactly the RNG draws it made
+    /// before dying — deterministic, because the panic point is a function
+    /// of the inputs.
+    fn produce(&mut self, pool: &[PoolEntry], seeds: &[IrClass]) -> Produced {
+        let pick = self.rng.gen_range(0..pool.len());
+        let mutator_id = self.selector.select(&mut self.rng);
+        self.last_mutator = mutator_id;
+        // Copy-on-write: members stay shared with the pool entry until the
+        // mutator writes one, so this clone is a refcount bump per member.
+        let mut mutant = IrClass::clone(&pool[pick].class);
+        let applied = run_contained(|| {
+            let mut ctx = MutationCtx::new(&mut self.rng, seeds);
+            self.mutators[mutator_id].apply(&mut mutant, &mut ctx)
+        });
+        match applied {
+            Err(detail) => {
+                // The reproducer is the mutation *input*, whose lowered
+                // bytes the pool already caches — no re-lowering on the
+                // crash path.
+                return Produced::MutatorCrash {
+                    mutator_id,
+                    input_bytes: pool[pick].bytes.as_ref().clone(),
+                    detail,
+                };
+            }
+            Ok(Err(_)) => return Produced::NotApplicable,
+            Ok(Ok(())) => {}
+        }
+        // §2.2.1: supplement each mutant with a message-printing main.
+        mutant.ensure_main("Completed!");
+        // Scratch lowering: byte-identical to `lower_class(..).to_bytes()`,
+        // but the pool, descriptor memo, and body buffer are reused across
+        // this shard's iterations.
+        let bytes = lower_class_bytes(&mutant, &mut self.lower);
+        let (trace, trace_fp, vm_crash) = match &self.reference {
+            Some(jvm) => {
+                // The candidate's bytes are decoded exactly once here; the
+                // traced run records into the reusable scratch bitmap — no
+                // per-iteration trace allocation. The candidate ships a
+                // trimmed snapshot plus its precomputed fingerprint.
+                let parsed = preparse(&bytes);
+                let result = jvm.run_traced_into_parsed(&parsed, &mut self.scratch);
+                let crash = result.outcome.crash_detail().map(str::to_string);
+                let snapshot = Arc::new(self.scratch.snapshot());
+                (Some(snapshot), Some(self.scratch.fingerprint()), crash)
+            }
+            None => (None, None, None),
+        };
+        Produced::Candidate(Candidate {
+            class: Arc::new(mutant),
+            bytes: Arc::new(bytes),
+            mutator_id,
+            trace,
+            trace_fp,
+            vm_crash,
+        })
+    }
+
+    /// Credits the mutator of this shard's latest candidate with an
+    /// acceptance (the selector's success bookkeeping).
+    fn record_success(&mut self) {
+        self.selector.record_success(self.last_mutator);
+    }
+
+    /// Whether a capped campaign distills after `completed` of `budget`
+    /// iterations: after every DISTILL_INTERVAL-th, skipping the no-op pass
+    /// after the last. The one boundary rule of every engine — a function
+    /// of the iteration count alone, so replicas and engines distill at the
+    /// same points (between iterations, before the next pick).
+    fn distill_due(&self, completed: usize, budget: usize) -> bool {
+        self.pool_cap.is_some() && completed.is_multiple_of(DISTILL_INTERVAL) && completed < budget
+    }
+
+    /// One distillation pass over `pool`; returns the eviction count.
+    fn distill(&mut self, pool: &mut Vec<PoolEntry>) -> usize {
+        let evicted = distill_pool(pool, self.pool_cap.unwrap_or(usize::MAX));
+        self.distill.passes += 1;
+        self.distill.evicted += evicted as u64;
+        evicted
+    }
+
+    fn finish(self) -> ShardOutcome {
+        ShardOutcome {
+            stats: self.selector.stats(),
+            distill: self.distill,
+        }
+    }
+}
+
+/// What a shard hands back when its loop finishes: the selector's stats
+/// table plus the replica's distillation telemetry.
+#[derive(Default)]
+struct ShardOutcome {
+    stats: Vec<MutatorStats>,
+    distill: DistillCounters,
+}
+
+/// The recording half of a campaign: everything the result accumulates,
+/// in verdict order. The sequential engine records inline, the lockstep
+/// coordinator once per shard per round, and the async collector as
+/// reports arrive — all through [`Ledger::record`], so every engine
+/// assembles crash records, `GenClasses`, `TestClasses` and exec-diff
+/// reports the same way.
+struct Ledger<'a> {
+    config: &'a CampaignConfig,
+    start: Instant,
+    seed_count: usize,
+    gen_classes: Vec<GeneratedClass>,
+    test_classes: Vec<usize>,
+    crashes: Vec<CrashRecord>,
+    exec_reports: Vec<ExecReport>,
+    shard_stats: Vec<ShardStats>,
+    /// Per-shard last generated classfile — attached to an EngineError as
+    /// the prime suspect when that shard dies. `Arc` handles: recording the
+    /// suspect costs a refcount bump per candidate, not a byte copy.
+    last_bytes: Vec<Option<Arc<Vec<u8>>>>,
+    /// Execution differencing happens here, in acceptance order — the same
+    /// order in every engine at one shard, and deterministic under lockstep
+    /// at any shard count.
+    exec_harness: Option<DifferentialHarness>,
+}
+
+impl<'a> Ledger<'a> {
+    /// An empty ledger for `num_shards` shards; the campaign clock starts
+    /// here.
+    fn new(config: &'a CampaignConfig, seed_count: usize, num_shards: usize) -> Ledger<'a> {
+        Ledger {
+            config,
+            start: Instant::now(),
+            seed_count,
+            gen_classes: Vec::new(),
+            test_classes: Vec::new(),
+            crashes: Vec::new(),
+            exec_reports: Vec::new(),
+            shard_stats: (0..num_shards)
+                .map(|shard_id| ShardStats {
+                    shard_id,
+                    iterations: 0,
+                    generated: 0,
+                    accepted: 0,
+                })
+                .collect(),
+            last_bytes: vec![None; num_shards],
+            exec_harness: config.exec_diff.then(DifferentialHarness::paper_five),
+        }
+    }
+
+    /// Records one iteration of shard `shard_id`, whose candidate (if any)
+    /// was judged `accepted`. In order: crash records, the `GenClasses`
+    /// push, the `TestClasses` push, exec-diff. Returns the pool entry an
+    /// accepted candidate becomes, for the caller to push or broadcast.
+    fn record(&mut self, shard_id: usize, produced: Produced, accepted: bool) -> Option<PoolEntry> {
+        self.shard_stats[shard_id].iterations += 1;
+        let cand = match produced {
+            Produced::NotApplicable => return None,
+            Produced::MutatorCrash {
+                mutator_id,
+                input_bytes,
+                detail,
+            } => {
+                let site = CrashSite::Mutator { mutator_id };
+                self.record_crash(shard_id, site, input_bytes, detail);
+                return None;
+            }
+            Produced::Candidate(cand) => cand,
+        };
+        if let Some(detail) = &cand.vm_crash {
+            let bytes = cand.bytes.as_ref().clone();
+            self.record_crash(shard_id, CrashSite::ReferenceVm, bytes, detail.clone());
+        }
+        let gen_index = self.gen_classes.len();
+        self.shard_stats[shard_id].generated += 1;
+        self.last_bytes[shard_id] = Some(Arc::clone(&cand.bytes));
+        self.gen_classes.push(GeneratedClass {
+            class: Arc::clone(&cand.class),
+            bytes: Arc::clone(&cand.bytes),
+            mutator_id: cand.mutator_id,
+            accepted,
+        });
+        if !accepted {
+            return None;
+        }
+        self.test_classes.push(gen_index);
+        self.shard_stats[shard_id].accepted += 1;
+        if let Some(harness) = &self.exec_harness {
+            self.exec_reports
+                .push(diff_execution(harness, gen_index, &cand.bytes));
+        }
+        Some(cand.pool_entry())
+    }
+
+    /// Appends a crash record, persisting it to the crash corpus first (the
+    /// record's position doubles as its corpus index).
+    fn record_crash(&mut self, shard_id: usize, site: CrashSite, bytes: Vec<u8>, detail: String) {
+        let record = CrashRecord {
+            shard_id,
+            site,
+            bytes,
+            detail,
+        };
+        if let Some(dir) = &self.config.crash_dir {
+            persist_crash(dir, self.crashes.len(), &record);
+        }
+        self.crashes.push(record);
+    }
+
+    /// An engine failure in `round`, attributed to `shard_id` when known —
+    /// carrying that shard's last generated classfile as the prime suspect.
+    fn engine_error(
+        &mut self,
+        shard_id: Option<usize>,
+        round: usize,
+        message: String,
+    ) -> EngineError {
+        let last = shard_id.and_then(|id| self.last_bytes[id].take());
+        EngineError {
+            shard_id,
+            round,
+            last_candidate: last.map(|b| b.as_ref().clone()),
+            message,
+        }
+    }
+
+    /// Assembles the campaign result — the one place any engine builds it,
+    /// the degenerate (no seeds, no budget) campaign included. The shards'
+    /// selector tables are summed elementwise; `distill` and the exec-diff
+    /// tallies are folded into the acceptance state's `telemetry`.
+    fn finish(
+        self,
+        mut telemetry: AcceptanceTelemetry,
+        distill: DistillCounters,
+        outcomes: Vec<ShardOutcome>,
+    ) -> CampaignResult {
+        telemetry.distill_passes = distill.passes;
+        telemetry.distill_evicted = distill.evicted;
+        telemetry.exec_runs = self.exec_reports.len() as u64;
+        telemetry.exec_discrepancies = self
+            .exec_reports
+            .iter()
+            .filter(|r| r.is_exec_discrepancy())
+            .count() as u64;
+        let tables: Vec<Vec<MutatorStats>> = outcomes.into_iter().map(|o| o.stats).collect();
+        CampaignResult {
+            algorithm: self.config.algorithm,
+            iterations: self.config.iterations,
+            gen_classes: self.gen_classes,
+            test_classes: self.test_classes,
+            mutator_stats: merge_stat_tables(&tables),
+            elapsed: self.start.elapsed(),
+            seed_count: self.seed_count,
+            shard_stats: self.shard_stats,
+            crashes: self.crashes,
+            acceptance: telemetry,
+            exec_reports: self.exec_reports,
+        }
     }
 }
 
@@ -904,140 +1130,44 @@ fn needs_trace(algorithm: Algorithm) -> bool {
     !matches!(algorithm, Algorithm::Randfuzz)
 }
 
+/// The iterations a campaign actually runs: its budget, or none without
+/// seeds — an empty pool has nothing to pick from, so every engine runs an
+/// empty loop instead of special-casing the degenerate campaign.
+fn campaign_budget(seeds: &[IrClass], config: &CampaignConfig) -> usize {
+    if seeds.is_empty() {
+        0
+    } else {
+        config.iterations
+    }
+}
+
 /// Runs one campaign over `seeds` — Algorithm 1 for classfuzz, the
-/// §3.1.2 variants otherwise.
+/// §3.1.2 variants otherwise — as a single shard driven inline: no thread,
+/// no channel.
 ///
 /// Deterministic for a fixed `CampaignConfig` (wall-clock fields aside).
 pub fn run_campaign(seeds: &[IrClass], config: &CampaignConfig) -> CampaignResult {
-    let start = Instant::now();
-    let mutators: Vec<Mutator> = campaign_mutators(config);
-    let mut rng = StdRng::seed_from_u64(config.rng_seed);
-    let reference = Jvm::new(VmSpec::hotspot9());
-
-    let mut selector = make_selector(config, mutators.len());
-    let mut acceptance = make_acceptance(config.algorithm);
-    // The reusable trace buffer: every traced run of this campaign records
-    // into the same word arrays. The lowering scratch plays the same role
-    // for the generate half of the loop.
-    let mut scratch = TraceFile::new();
-    let mut lower = LowerScratch::new();
+    let mut ledger = Ledger::new(config, seeds.len(), 1);
+    let mut shard = Shard::new(config, 0);
+    let mut acceptance = Acceptance::new(config.algorithm);
     // The mutation pool: selected seeds plus accepted mutants (line 14),
     // each with its lowered bytes cached alongside.
-    let pool_seeds = prepare_seed_pool(seeds, config, &reference, &mut scratch);
-    seed_acceptance(&mut acceptance, &pool_seeds);
-    let tracing = needs_trace(config.algorithm).then_some(&reference);
-    let crash_dir = config.crash_dir.as_deref();
-    let exec_harness = config.exec_diff.then(DifferentialHarness::paper_five);
-
-    let mut pool: Vec<PoolEntry> = pool_seeds;
-    let mut gen_classes: Vec<GeneratedClass> = Vec::new();
-    let mut test_classes: Vec<usize> = Vec::new();
-    let mut crashes: Vec<CrashRecord> = Vec::new();
-    let mut exec_reports: Vec<ExecReport> = Vec::new();
-    let mut executed = 0usize;
-    let mut distill = DistillCounters::default();
-
-    for _ in 0..config.iterations {
-        if pool.is_empty() {
-            break;
-        }
-        // Boundary distillation runs *between* iterations — after every
-        // DISTILL_INTERVAL-th executed iteration, before the next pick —
-        // the same points the parallel engines' replicas distill at.
-        if let Some(cap) = config.pool_cap {
-            if executed > 0 && executed.is_multiple_of(DISTILL_INTERVAL) {
-                distill.run(&mut pool, cap);
-            }
-        }
-        executed += 1;
-        let cand = match next_candidate(
-            &pool,
-            seeds,
-            &mutators,
-            &mut selector,
-            &mut rng,
-            tracing,
-            &mut scratch,
-            &mut lower,
-        ) {
-            Produced::NotApplicable => continue,
-            Produced::MutatorCrash {
-                mutator_id,
-                input_bytes,
-                detail,
-            } => {
-                record_crash(
-                    &mut crashes,
-                    crash_dir,
-                    CrashRecord {
-                        shard_id: 0,
-                        site: CrashSite::Mutator { mutator_id },
-                        bytes: input_bytes,
-                        detail,
-                    },
-                );
-                continue;
-            }
-            Produced::Candidate(cand) => *cand,
-        };
-        if let Some(detail) = &cand.vm_crash {
-            record_crash(
-                &mut crashes,
-                crash_dir,
-                CrashRecord {
-                    shard_id: 0,
-                    site: CrashSite::ReferenceVm,
-                    bytes: cand.bytes.clone(),
-                    detail: detail.clone(),
-                },
-            );
-        }
-        let accepted = decide(&mut acceptance, cand.trace.as_ref(), cand.trace_fp);
-        let gen_index = gen_classes.len();
-        let class = Arc::new(cand.class);
-        let bytes = Arc::new(cand.bytes);
-        gen_classes.push(GeneratedClass {
-            class: Arc::clone(&class),
-            bytes: Arc::clone(&bytes),
-            mutator_id: cand.mutator_id,
-            accepted,
-        });
+    let mut pool = prepare_seed_pool(seeds, config);
+    acceptance.seed(&pool);
+    let budget = campaign_budget(seeds, config);
+    for completed in 1..=budget {
+        let produced = shard.produce(&pool, seeds);
+        let accepted = acceptance.decide(&produced);
         if accepted {
-            test_classes.push(gen_index);
-            if let Some(harness) = &exec_harness {
-                exec_reports.push(diff_execution(harness, gen_index, &bytes));
-            }
-            pool.push(PoolEntry {
-                class,
-                bytes,
-                trace: cand.trace.map(Arc::new),
-            });
-            selector.record_success(cand.mutator_id);
+            shard.record_success();
+        }
+        pool.extend(ledger.record(0, produced, accepted));
+        if shard.distill_due(completed, budget) {
+            shard.distill(&mut pool);
         }
     }
-
-    let shard_stats = vec![ShardStats {
-        shard_id: 0,
-        iterations: executed,
-        generated: gen_classes.len(),
-        accepted: test_classes.len(),
-    }];
-    let mut acceptance = acceptance_telemetry(&acceptance, &exec_reports);
-    acceptance.distill_passes = distill.passes;
-    acceptance.distill_evicted = distill.evicted;
-    CampaignResult {
-        algorithm: config.algorithm,
-        iterations: config.iterations,
-        gen_classes,
-        test_classes,
-        mutator_stats: selector.stats(),
-        elapsed: start.elapsed(),
-        seed_count: seeds.len(),
-        shard_stats,
-        crashes,
-        acceptance,
-        exec_reports,
-    }
+    let outcome = shard.finish();
+    ledger.finish(acceptance.telemetry(), outcome.distill, vec![outcome])
 }
 
 /// The RNG seed of worker shard `shard_id` in a parallel campaign.
@@ -1050,39 +1180,69 @@ pub fn shard_rng_seed(rng_seed: u64, shard_id: usize) -> u64 {
     rng_seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(shard_id as u64))
 }
 
-/// What a shard hands the coordinator each round.
-enum Work {
-    /// A lowered mutant (with its reference trace when collected). Boxed:
-    /// a candidate is hundreds of bytes, `NoCandidate` is zero.
-    Generated(Box<Candidate>),
-    /// The mutation was not applicable; the iteration is still consumed.
-    NoCandidate,
-    /// The mutator panicked (contained); the iteration is still consumed
-    /// and the coordinator records the crash.
-    MutatorCrash {
-        mutator_id: usize,
-        input_bytes: Vec<u8>,
-        detail: String,
-    },
-    /// The shard's loop itself died outside the contained regions — sent
-    /// as a last gasp so the coordinator can abort with a diagnosable
-    /// [`EngineError`] instead of deadlocking on a report that never comes.
-    ShardDied(String),
-}
-
-struct Report {
+/// A worker shard's message to the thread that records its work: one
+/// iteration's product `T`, or — `Err` — the shard's last gasp after dying
+/// outside the contained regions, so the receiver can abort with a
+/// diagnosable [`EngineError`] instead of waiting on a report that never
+/// comes. Lockstep shards send the bare [`Produced`] (the coordinator
+/// decides); async shards send it with the verdict they already took.
+struct Report<T> {
     shard_id: usize,
-    work: Work,
+    work: Result<T, String>,
 }
 
-/// What a lockstep shard hands back when its loop finishes: the selector's
-/// stats table plus the replica's distillation telemetry. Replicas distill
-/// identically, so the coordinator reports shard 0's counters (the shard
-/// with the full round count — the one a sequential run mirrors).
-#[derive(Default)]
-struct ShardOutcome {
-    stats: Vec<MutatorStats>,
-    distill: DistillCounters,
+/// A worker shard's thread body under either parallel scheduler: builds
+/// the shard and runs the scheduler's loop `body` over it. Mutation and VM
+/// startup contain their own panics; this outer containment is the shard's
+/// last line of defence — an escaped panic becomes a last-gasp report
+/// instead of a scope abort that loses the whole campaign's progress.
+/// Returns `None` when the shard died.
+fn run_shard<T>(
+    config: &CampaignConfig,
+    shard_id: usize,
+    report_tx: &mpsc::Sender<Report<T>>,
+    body: impl FnOnce(&mut Shard),
+) -> Option<ShardOutcome> {
+    let ran = run_contained(|| {
+        if config.inject_shard_death == Some(shard_id) {
+            panic!("injected shard death (containment self-test)");
+        }
+        let mut shard = Shard::new(config, shard_id);
+        body(&mut shard);
+        shard.finish()
+    });
+    match ran {
+        Ok(outcome) => Some(outcome),
+        Err(detail) => {
+            let _ = report_tx.send(Report {
+                shard_id,
+                work: Err(detail),
+            });
+            None
+        }
+    }
+}
+
+/// Joins every worker shard, collecting their outcomes (a default one for
+/// a shard that died and already reported it). A shard that panicked past
+/// even [`run_shard`]'s containment fails the campaign.
+fn join_shards(
+    handles: Vec<thread::ScopedJoinHandle<'_, Option<ShardOutcome>>>,
+    ledger: &mut Ledger<'_>,
+) -> Result<Vec<ShardOutcome>, EngineError> {
+    let mut outcomes = Vec::with_capacity(handles.len());
+    let mut error = None;
+    for (shard_id, handle) in handles.into_iter().enumerate() {
+        match handle.join() {
+            Ok(outcome) => outcomes.push(outcome.unwrap_or_default()),
+            Err(_) => {
+                let round = ledger.shard_stats[shard_id].iterations;
+                let message = "worker shard panicked past its containment".to_string();
+                error.get_or_insert_with(|| ledger.engine_error(Some(shard_id), round, message));
+            }
+        }
+    }
+    error.map_or(Ok(outcomes), Err)
 }
 
 /// The coordinator's per-round verdict, broadcast to every active shard.
@@ -1137,71 +1297,24 @@ pub fn run_campaign_parallel(
         return async_mode::run_campaign_async(seeds, config, num_shards);
     }
     let num_shards = num_shards.max(1);
-    let start = Instant::now();
-    let mutator_count = campaign_mutators(config).len();
-    let crash_dir = config.crash_dir.as_deref();
-
-    // Iteration split: the remainder goes to the lowest shard ids, so the
-    // set of shards still active in any round is a prefix of 0..num_shards.
-    let per_shard: Vec<usize> = (0..num_shards)
-        .map(|s| config.iterations / num_shards + usize::from(s < config.iterations % num_shards))
-        .collect();
-    let rounds = per_shard[0];
-
-    let reference = Jvm::new(VmSpec::hotspot9());
-    let mut acceptance = make_acceptance(config.algorithm);
-    let mut seed_scratch = TraceFile::new();
+    let mut ledger = Ledger::new(config, seeds.len(), num_shards);
+    let mut acceptance = Acceptance::new(config.algorithm);
     // Seeds are lowered (and, when needed, traced and selected) exactly
     // once, here; every shard's pool replica shares these entries by `Arc`
     // handle.
-    let seed_pool = prepare_seed_pool(seeds, config, &reference, &mut seed_scratch);
-    seed_acceptance(&mut acceptance, &seed_pool);
-    let tracing = needs_trace(config.algorithm);
-    // Execution differencing happens coordinator-side, in acceptance order
-    // (round-major, shard-minor) — identical to the sequential engine's
-    // acceptance order at one shard, and deterministic at any shard count.
-    let exec_harness = config.exec_diff.then(DifferentialHarness::paper_five);
+    let seed_pool = prepare_seed_pool(seeds, config);
+    acceptance.seed(&seed_pool);
 
-    let mut gen_classes: Vec<GeneratedClass> = Vec::new();
-    let mut test_classes: Vec<usize> = Vec::new();
-    let mut crashes: Vec<CrashRecord> = Vec::new();
-    let mut exec_reports: Vec<ExecReport> = Vec::new();
-    let mut shard_stats: Vec<ShardStats> = (0..num_shards)
-        .map(|shard_id| ShardStats {
-            shard_id,
-            iterations: 0,
-            generated: 0,
-            accepted: 0,
-        })
+    // Iteration split: the remainder goes to the lowest shard ids, so the
+    // set of shards still active in any round is a prefix of 0..num_shards.
+    let budget = campaign_budget(seeds, config);
+    let per_shard: Vec<usize> = (0..num_shards)
+        .map(|s| budget / num_shards + usize::from(s < budget % num_shards))
         .collect();
+    let rounds = per_shard[0];
 
-    // No seeds (empty pool) or no iterations: nothing to run. Returning
-    // here keeps the round protocol free of empty-pool special cases.
-    if seeds.is_empty() || rounds == 0 {
-        return Ok(CampaignResult {
-            algorithm: config.algorithm,
-            iterations: config.iterations,
-            gen_classes,
-            test_classes,
-            mutator_stats: make_selector(config, mutator_count).stats(),
-            elapsed: start.elapsed(),
-            seed_count: seeds.len(),
-            shard_stats,
-            crashes,
-            acceptance: acceptance_telemetry(&acceptance, &exec_reports),
-            exec_reports,
-        });
-    }
-
-    let mut stat_tables: Vec<Vec<MutatorStats>> = vec![Vec::new(); num_shards];
-    let mut shard_distill: Vec<DistillCounters> = vec![DistillCounters::default(); num_shards];
-    let mut engine_error: Option<EngineError> = None;
-    // Per-shard last generated classfile — attached to an EngineError as
-    // the prime suspect when that shard dies. `Arc` handles: recording the
-    // suspect costs a refcount bump per candidate, not a byte copy.
-    let mut last_bytes: Vec<Option<Arc<Vec<u8>>>> = vec![None; num_shards];
-    thread::scope(|scope| {
-        let (report_tx, report_rx) = mpsc::channel::<Report>();
+    let outcomes = thread::scope(|scope| {
+        let (report_tx, report_rx) = mpsc::channel::<Report<Produced>>();
         let mut reply_txs: Vec<mpsc::Sender<RoundReply>> = Vec::with_capacity(num_shards);
         let mut handles = Vec::with_capacity(num_shards);
 
@@ -1209,60 +1322,13 @@ pub fn run_campaign_parallel(
             let (reply_tx, reply_rx) = mpsc::channel::<RoundReply>();
             reply_txs.push(reply_tx);
             let report_tx = report_tx.clone();
-            let shard_pool = seed_pool.clone();
-            handles.push(scope.spawn(move || -> ShardOutcome {
-                // Mutation and VM startup contain their own panics; this
-                // outer containment is the shard's last line of defence —
-                // an escaped panic becomes a ShardDied report (so the
-                // coordinator can abort diagnosably) instead of a scope
-                // abort that loses the whole campaign's progress.
-                let shard_loop = || -> ShardOutcome {
-                    let mutators: Vec<Mutator> = campaign_mutators(config);
-                    let mut rng = StdRng::seed_from_u64(shard_rng_seed(config.rng_seed, shard_id));
-                    let mut selector = make_selector(config, mutators.len());
-                    let shard_reference = Jvm::new(VmSpec::hotspot9());
-                    let shard_tracing = tracing.then_some(&shard_reference);
-                    // The shard's pool replica: seeds plus every accepted
-                    // mutant, appended in the coordinator's broadcast order.
-                    // Seed entries are shared `Arc` handles, lowered once
-                    // by the coordinator for all shards.
-                    let mut pool: Vec<PoolEntry> = shard_pool;
-                    // Per-shard reusable trace and lowering buffers: one
-                    // allocation each for the whole campaign, cleared
-                    // before each use.
-                    let mut scratch = TraceFile::new();
-                    let mut lower = LowerScratch::new();
-                    let mut distill = DistillCounters::default();
+            // The shard's pool replica: seeds plus every accepted mutant,
+            // appended in the coordinator's broadcast order.
+            let mut pool = seed_pool.clone();
+            handles.push(scope.spawn(move || {
+                run_shard(config, shard_id, &report_tx, |shard| {
                     for round in 0..my_iterations {
-                        let produced = next_candidate(
-                            &pool,
-                            seeds,
-                            &mutators,
-                            &mut selector,
-                            &mut rng,
-                            shard_tracing,
-                            &mut scratch,
-                            &mut lower,
-                        );
-                        let (work, mutator_id) = match produced {
-                            Produced::Candidate(c) => {
-                                let id = c.mutator_id;
-                                (Work::Generated(c), Some(id))
-                            }
-                            Produced::NotApplicable => (Work::NoCandidate, None),
-                            Produced::MutatorCrash {
-                                mutator_id,
-                                input_bytes,
-                                detail,
-                            } => (
-                                Work::MutatorCrash {
-                                    mutator_id,
-                                    input_bytes,
-                                    detail,
-                                },
-                                None,
-                            ),
-                        };
+                        let work = Ok(shard.produce(&pool, seeds));
                         if report_tx.send(Report { shard_id, work }).is_err() {
                             break;
                         }
@@ -1270,201 +1336,71 @@ pub fn run_campaign_parallel(
                             break;
                         };
                         if reply.accepted_own {
-                            if let Some(id) = mutator_id {
-                                selector.record_success(id);
-                            }
+                            shard.record_success();
                         }
                         pool.extend(reply.additions);
-                        // The same between-iterations boundary the
-                        // sequential engine distills at: after every
-                        // DISTILL_INTERVAL-th completed round, skipping
-                        // the no-op pass after this shard's final round.
-                        if let Some(cap) = config.pool_cap {
-                            if (round + 1).is_multiple_of(DISTILL_INTERVAL)
-                                && round + 1 < my_iterations
-                            {
-                                distill.run(&mut pool, cap);
-                            }
+                        if shard.distill_due(round + 1, my_iterations) {
+                            shard.distill(&mut pool);
                         }
                     }
-                    ShardOutcome {
-                        stats: selector.stats(),
-                        distill,
-                    }
-                };
-                match run_contained(shard_loop) {
-                    Ok(outcome) => outcome,
-                    Err(detail) => {
-                        let _ = report_tx.send(Report {
-                            shard_id,
-                            work: Work::ShardDied(detail),
-                        });
-                        ShardOutcome::default()
-                    }
-                }
+                })
             }));
         }
         drop(report_tx);
 
-        // Coordinator: collect each round's reports, judge them in
-        // shard-id order, broadcast the verdicts. Any failure breaks out
+        // Coordinator: collect each round's reports, judge and record them
+        // in shard-id order, broadcast the verdicts. Any failure breaks out
         // with an EngineError; dropping the reply channels then releases
         // every still-blocked shard.
+        let mut engine_error = None;
         'rounds: for round in 0..rounds {
             let active = per_shard.iter().filter(|&&n| n > round).count();
-            let mut round_work: Vec<Option<Work>> = (0..active).map(|_| None).collect();
+            let mut round_work: Vec<Option<Produced>> = (0..active).map(|_| None).collect();
             for _ in 0..active {
-                let report = match report_rx.recv() {
-                    Ok(report) => report,
-                    Err(_) => {
-                        engine_error = Some(EngineError {
-                            shard_id: None,
-                            round,
-                            last_candidate: None,
-                            message: "every worker shard disconnected mid-round".to_string(),
-                        });
+                let Ok(Report { shard_id, work }) = report_rx.recv() else {
+                    let message = "every worker shard disconnected mid-round".to_string();
+                    engine_error = Some(ledger.engine_error(None, round, message));
+                    break 'rounds;
+                };
+                match work {
+                    Ok(produced) => round_work[shard_id] = Some(produced),
+                    Err(detail) => {
+                        let message = format!("worker shard died outside containment: {detail}");
+                        engine_error = Some(ledger.engine_error(Some(shard_id), round, message));
                         break 'rounds;
                     }
-                };
-                if let Work::ShardDied(detail) = &report.work {
-                    engine_error = Some(EngineError {
-                        shard_id: Some(report.shard_id),
-                        round,
-                        last_candidate: last_bytes[report.shard_id]
-                            .take()
-                            .map(|b| b.as_ref().clone()),
-                        message: format!("worker shard died outside containment: {detail}"),
-                    });
-                    break 'rounds;
                 }
-                round_work[report.shard_id] = Some(report.work);
             }
             let mut additions: Vec<PoolEntry> = Vec::new();
             let mut accepted_flags = vec![false; active];
-            for shard_id in 0..active {
-                shard_stats[shard_id].iterations += 1;
-                let work = match round_work[shard_id].take() {
-                    Some(work) => work,
-                    None => {
-                        engine_error = Some(EngineError {
-                            shard_id: Some(shard_id),
-                            round,
-                            last_candidate: last_bytes[shard_id].take().map(|b| b.as_ref().clone()),
-                            message: "active shard failed to report its round".to_string(),
-                        });
-                        break 'rounds;
-                    }
+            for (shard_id, work) in round_work.into_iter().enumerate() {
+                let Some(produced) = work else {
+                    let message = "active shard failed to report its round".to_string();
+                    engine_error = Some(ledger.engine_error(Some(shard_id), round, message));
+                    break 'rounds;
                 };
-                match work {
-                    Work::NoCandidate => {}
-                    Work::ShardDied(_) => {} // handled at receive time
-                    Work::MutatorCrash {
-                        mutator_id,
-                        input_bytes,
-                        detail,
-                    } => {
-                        record_crash(
-                            &mut crashes,
-                            crash_dir,
-                            CrashRecord {
-                                shard_id,
-                                site: CrashSite::Mutator { mutator_id },
-                                bytes: input_bytes,
-                                detail,
-                            },
-                        );
-                    }
-                    Work::Generated(cand) => {
-                        let cand = *cand;
-                        if let Some(detail) = &cand.vm_crash {
-                            record_crash(
-                                &mut crashes,
-                                crash_dir,
-                                CrashRecord {
-                                    shard_id,
-                                    site: CrashSite::ReferenceVm,
-                                    bytes: cand.bytes.clone(),
-                                    detail: detail.clone(),
-                                },
-                            );
-                        }
-                        let accepted = decide(&mut acceptance, cand.trace.as_ref(), cand.trace_fp);
-                        shard_stats[shard_id].generated += 1;
-                        let gen_index = gen_classes.len();
-                        let class = Arc::new(cand.class);
-                        let bytes = Arc::new(cand.bytes);
-                        last_bytes[shard_id] = Some(Arc::clone(&bytes));
-                        gen_classes.push(GeneratedClass {
-                            class: Arc::clone(&class),
-                            bytes: Arc::clone(&bytes),
-                            mutator_id: cand.mutator_id,
-                            accepted,
-                        });
-                        if accepted {
-                            test_classes.push(gen_index);
-                            if let Some(harness) = &exec_harness {
-                                exec_reports.push(diff_execution(harness, gen_index, &bytes));
-                            }
-                            additions.push(PoolEntry {
-                                class,
-                                bytes,
-                                trace: cand.trace.map(Arc::new),
-                            });
-                            accepted_flags[shard_id] = true;
-                            shard_stats[shard_id].accepted += 1;
-                        }
-                    }
-                }
+                accepted_flags[shard_id] = acceptance.decide(&produced);
+                additions.extend(ledger.record(shard_id, produced, accepted_flags[shard_id]));
             }
-            for shard_id in 0..active {
-                let _ = reply_txs[shard_id].send(RoundReply {
-                    accepted_own: accepted_flags[shard_id],
+            for (reply_tx, accepted_own) in reply_txs.iter().zip(accepted_flags) {
+                let _ = reply_tx.send(RoundReply {
+                    accepted_own,
                     additions: additions.clone(),
                 });
             }
         }
 
-        // Release any shard still blocked on a reply, then collect stats.
+        // Release any shard still blocked on a reply, then collect outcomes.
         drop(reply_txs);
-        for (shard_id, handle) in handles.into_iter().enumerate() {
-            match handle.join() {
-                Ok(outcome) => {
-                    stat_tables[shard_id] = outcome.stats;
-                    shard_distill[shard_id] = outcome.distill;
-                }
-                Err(_) => {
-                    if engine_error.is_none() {
-                        engine_error = Some(EngineError {
-                            shard_id: Some(shard_id),
-                            round: rounds,
-                            last_candidate: last_bytes[shard_id].take().map(|b| b.as_ref().clone()),
-                            message: "worker shard panicked past its containment".to_string(),
-                        });
-                    }
-                }
-            }
-        }
-    });
+        let joined = join_shards(handles, &mut ledger);
+        engine_error.map_or(joined, Err)
+    })?;
 
-    if let Some(error) = engine_error {
-        return Err(error);
-    }
-    let mut acceptance = acceptance_telemetry(&acceptance, &exec_reports);
-    acceptance.distill_passes = shard_distill[0].passes;
-    acceptance.distill_evicted = shard_distill[0].evicted;
-    Ok(CampaignResult {
-        algorithm: config.algorithm,
-        iterations: config.iterations,
-        gen_classes,
-        test_classes,
-        mutator_stats: merge_stat_tables(&stat_tables),
-        elapsed: start.elapsed(),
-        seed_count: seeds.len(),
-        shard_stats,
-        crashes,
-        acceptance,
-        exec_reports,
-    })
+    // Replicas distill identically, so shard 0's counters (the shard with
+    // the full round count — the one a sequential run mirrors) stand for
+    // the campaign.
+    let distill = outcomes[0].distill;
+    Ok(ledger.finish(acceptance.telemetry(), distill, outcomes))
 }
 
 #[cfg(test)]

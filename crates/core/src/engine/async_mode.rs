@@ -24,26 +24,18 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread;
-use std::time::Instant;
 
 use classfuzz_coverage::{AtomicCoverage, SuiteIndex, TraceFile, UniquenessCriterion};
-use classfuzz_jimple::{lower::LowerScratch, IrClass};
-use classfuzz_mcmc::{merge_stat_tables, AcceptanceTelemetry, MutatorStats};
-use classfuzz_mutation::Mutator;
-use classfuzz_vm::{run_contained, Jvm, VmSpec};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use classfuzz_jimple::IrClass;
+use classfuzz_mcmc::AcceptanceTelemetry;
 
 use super::{
-    campaign_mutators, diff_execution, distill_pool, make_selector, needs_trace, next_candidate,
-    prepare_seed_pool, record_crash, shard_rng_seed, Algorithm, CampaignConfig, CampaignResult,
-    CrashRecord, CrashSite, EngineError, ExecReport, GeneratedClass, PoolEntry, Produced,
-    ShardStats, DISTILL_INTERVAL,
+    campaign_budget, join_shards, prepare_seed_pool, run_shard, Algorithm, CampaignConfig,
+    CampaignResult, DistillCounters, EngineError, Ledger, PoolEntry, Produced, Report, Shard,
 };
-use crate::diff::DifferentialHarness;
 
 fn read_lock<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    // A panicking shard is already contained as ShardDied; its poison bit
+    // A panicking shard is already contained as a last gasp; its poison bit
     // must not cascade into every peer (same policy as SiteUniverse).
     lock.read().unwrap_or_else(|p| p.into_inner())
 }
@@ -62,8 +54,6 @@ struct AsyncCounters {
     accepted: AtomicU64,
     fingerprint_fast_path: AtomicU64,
     word_compare_fallbacks: AtomicU64,
-    distill_passes: AtomicU64,
-    distill_evicted: AtomicU64,
 }
 
 impl AsyncCounters {
@@ -73,10 +63,7 @@ impl AsyncCounters {
             accepted: self.accepted.load(Ordering::Relaxed),
             fingerprint_fast_path: self.fingerprint_fast_path.load(Ordering::Relaxed),
             word_compare_fallbacks: self.word_compare_fallbacks.load(Ordering::Relaxed),
-            exec_runs: 0,
-            exec_discrepancies: 0,
-            distill_passes: self.distill_passes.load(Ordering::Relaxed),
-            distill_evicted: self.distill_evicted.load(Ordering::Relaxed),
+            ..AcceptanceTelemetry::default()
         }
     }
 }
@@ -153,11 +140,14 @@ impl AsyncAcceptance {
     /// verdict that admits a candidate is always taken while holding the
     /// index write lock (uniqueness) or through the atomic absorb itself
     /// (greedy), so two shards can never both accept equal traces.
-    fn decide(&self, counters: &AsyncCounters, trace: Option<&TraceFile>, fp: Option<u64>) -> bool {
+    fn decide(&self, counters: &AsyncCounters, produced: &Produced) -> bool {
+        let Produced::Candidate(cand) = produced else {
+            return false;
+        };
         let (criterion, index, published) = match self {
             AsyncAcceptance::All => return true,
             AsyncAcceptance::Greedy(published) => {
-                return trace.is_some_and(|t| published.absorb(t));
+                return cand.trace.as_deref().is_some_and(|t| published.absorb(t));
             }
             AsyncAcceptance::Unique {
                 criterion,
@@ -165,11 +155,11 @@ impl AsyncAcceptance {
                 published,
             } => (*criterion, index, published),
         };
-        let Some(trace) = trace else {
+        let Some(trace) = cand.trace.as_deref() else {
             return false;
         };
         counters.offered.fetch_add(1, Ordering::Relaxed);
-        let fp = fp.unwrap_or_else(|| trace.fingerprint());
+        let fp = cand.trace_fp.unwrap_or_else(|| trace.fingerprint());
         // `[tr]` lock-free fast accept: a bit not yet in the published
         // union means no accepted trace covers it, so this trace equals
         // none of them — skip the read probe and go straight to the
@@ -217,6 +207,15 @@ impl AsyncAcceptance {
         }
         inserted
     }
+
+    /// The index-side telemetry, read back from the shared atomic counters
+    /// (all-zero for greedyfuzz/randfuzz, mirroring the lockstep engine).
+    fn telemetry(&self, counters: &AsyncCounters) -> AcceptanceTelemetry {
+        match self {
+            AsyncAcceptance::Unique { .. } => counters.telemetry(),
+            AsyncAcceptance::Greedy(_) | AsyncAcceptance::All => AcceptanceTelemetry::default(),
+        }
+    }
 }
 
 /// The shared candidate pool as a versioned immutable snapshot. Writers
@@ -232,7 +231,6 @@ struct PoolState {
 
 /// Everything the free-running shards share.
 struct AsyncShared<'a> {
-    config: &'a CampaignConfig,
     seeds: &'a [IrClass],
     /// The global candidate pool: seeds plus every accepted mutant minus
     /// distilled evictions, published as a versioned snapshot.
@@ -242,173 +240,93 @@ struct AsyncShared<'a> {
     pool_version: AtomicU64,
     acceptance: AsyncAcceptance,
     counters: AsyncCounters,
-    /// The shared iteration budget: each shard claims iterations with
-    /// `fetch_add(1)` until the configured total is spent. Work-stealing
-    /// by construction — a stalled shard's budget flows to its peers.
+    /// The campaign's iteration budget (see `campaign_budget`).
+    budget: usize,
+    /// The shared iteration counter: each shard claims iterations with
+    /// `fetch_add(1)` until the budget is spent. Work-stealing by
+    /// construction — a stalled shard's budget flows to its peers.
     next_iteration: AtomicUsize,
-    /// Raised by the collector on ShardDied so free-running peers wind
+    /// Raised by the collector on a last gasp so free-running peers wind
     /// down promptly instead of spending the rest of the budget on a
     /// campaign that will error out anyway.
     stop: AtomicBool,
 }
 
-/// What a shard streams to the collector. Unlike the lockstep `Work`, the
-/// acceptance verdict rides along — it was already decided shard-side.
-enum AsyncWork {
-    Generated {
-        class: Arc<IrClass>,
-        bytes: Arc<Vec<u8>>,
-        mutator_id: usize,
-        accepted: bool,
-        vm_crash: Option<String>,
-    },
-    NoCandidate,
-    MutatorCrash {
-        mutator_id: usize,
-        input_bytes: Vec<u8>,
-        detail: String,
-    },
-    /// Last gasp: the shard's loop died outside the contained regions.
-    ShardDied(String),
-}
+impl AsyncShared<'_> {
+    /// The latest published pool snapshot and its version.
+    fn snapshot(&self) -> (Arc<Vec<PoolEntry>>, u64) {
+        let state = read_lock(&self.pool);
+        (Arc::clone(&state.entries), state.version)
+    }
 
-struct AsyncReport {
-    shard_id: usize,
-    work: AsyncWork,
+    /// Copy-on-write pool update: under the write lock, `edit` rewrites a
+    /// copy of the current snapshot, and the copy is published as the next
+    /// version when `edit` reports a change — readers holding the old `Arc`
+    /// are unaffected. Returns the now-current snapshot, which the caller
+    /// adopts as its replica.
+    fn update_pool(
+        &self,
+        edit: impl FnOnce(&mut Vec<PoolEntry>) -> bool,
+    ) -> (Arc<Vec<PoolEntry>>, u64) {
+        let mut state = write_lock(&self.pool);
+        let mut next = state.entries.as_ref().clone();
+        if edit(&mut next) {
+            state.entries = Arc::new(next);
+            state.version += 1;
+            self.pool_version.store(state.version, Ordering::Release);
+        }
+        (Arc::clone(&state.entries), state.version)
+    }
 }
 
 /// One shard's free-running loop: claim an iteration, opportunistically
-/// sync the pool replica, generate (same `next_candidate` as the other
+/// sync the pool replica, produce (the same `Shard::produce` as the other
 /// engines), decide acceptance against the shared state, publish accepted
 /// entries, and stream the result to the collector. Never blocks on a
 /// peer: the only lock held across a decision is the index write lock,
 /// and the mpsc send is unbounded.
 fn shard_loop(
     shared: &AsyncShared<'_>,
+    shard: &mut Shard,
     shard_id: usize,
-    report_tx: &mpsc::Sender<AsyncReport>,
-) -> Vec<MutatorStats> {
-    if shared.config.inject_shard_death == Some(shard_id) {
-        panic!("injected shard death (async containment self-test)");
-    }
-    let mutators: Vec<Mutator> = campaign_mutators(shared.config);
-    let mut rng = StdRng::seed_from_u64(shard_rng_seed(shared.config.rng_seed, shard_id));
-    let mut selector = make_selector(shared.config, mutators.len());
-    let reference = Jvm::new(VmSpec::hotspot9());
-    let tracing = needs_trace(shared.config.algorithm).then_some(&reference);
-    let mut scratch = TraceFile::new();
-    let mut lower = LowerScratch::new();
+    report_tx: &mpsc::Sender<Report<(Produced, bool)>>,
+) {
     // The shard's replica is an `Arc` clone of the latest published
     // snapshot — distillation may shrink the shared pool, so replicas
     // track whole snapshots (cheap: one `Arc` clone), not prefixes.
-    let (mut pool, mut pool_version) = {
-        let state = read_lock(&shared.pool);
-        (Arc::clone(&state.entries), state.version)
-    };
+    let (mut pool, mut pool_version) = shared.snapshot();
     loop {
         if shared.stop.load(Ordering::Relaxed) {
             break;
         }
         let it = shared.next_iteration.fetch_add(1, Ordering::Relaxed);
-        if it >= shared.config.iterations {
+        if it >= shared.budget {
             break;
         }
         // Opportunistic snapshot sync: no lock unless a peer published.
         if shared.pool_version.load(Ordering::Acquire) != pool_version {
-            let state = read_lock(&shared.pool);
-            pool = Arc::clone(&state.entries);
-            pool_version = state.version;
+            (pool, pool_version) = shared.snapshot();
         }
-        let produced = next_candidate(
-            &pool,
-            shared.seeds,
-            &mutators,
-            &mut selector,
-            &mut rng,
-            tracing,
-            &mut scratch,
-            &mut lower,
-        );
-        let work = match produced {
-            Produced::NotApplicable => AsyncWork::NoCandidate,
-            Produced::MutatorCrash {
-                mutator_id,
-                input_bytes,
-                detail,
-            } => AsyncWork::MutatorCrash {
-                mutator_id,
-                input_bytes,
-                detail,
-            },
-            Produced::Candidate(cand) => {
-                let cand = *cand;
-                let accepted =
-                    shared
-                        .acceptance
-                        .decide(&shared.counters, cand.trace.as_ref(), cand.trace_fp);
-                let class = Arc::new(cand.class);
-                let bytes = Arc::new(cand.bytes);
-                if accepted {
-                    selector.record_success(cand.mutator_id);
-                    let entry = PoolEntry {
-                        class: Arc::clone(&class),
-                        bytes: Arc::clone(&bytes),
-                        trace: cand.trace.map(Arc::new),
-                    };
-                    // Copy-on-write publish: build the next snapshot under
-                    // the write lock, bump the version, and adopt it as the
-                    // local replica — readers holding the old `Arc` are
-                    // unaffected.
-                    let mut state = write_lock(&shared.pool);
-                    let mut next = state.entries.as_ref().clone();
-                    next.push(entry);
-                    state.entries = Arc::new(next);
-                    state.version += 1;
-                    shared.pool_version.store(state.version, Ordering::Release);
-                    pool = Arc::clone(&state.entries);
-                    pool_version = state.version;
-                }
-                AsyncWork::Generated {
-                    class,
-                    bytes,
-                    mutator_id: cand.mutator_id,
-                    accepted,
-                    vm_crash: cand.vm_crash,
-                }
-            }
-        };
-        // Boundary distillation mirrors the other engines: after the
-        // iteration whose 1-based index hits the interval completes (and
-        // only if the campaign continues past it), so a one-shard async
-        // run prunes at exactly the sequential engine's boundaries.
-        if let Some(cap) = shared.config.pool_cap {
-            if (it + 1).is_multiple_of(DISTILL_INTERVAL) && it + 1 < shared.config.iterations {
-                let mut state = write_lock(&shared.pool);
-                let mut next = state.entries.as_ref().clone();
-                let evicted = distill_pool(&mut next, cap);
-                if evicted > 0 {
-                    state.entries = Arc::new(next);
-                    state.version += 1;
-                    shared.pool_version.store(state.version, Ordering::Release);
-                }
-                pool = Arc::clone(&state.entries);
-                pool_version = state.version;
-                drop(state);
-                shared
-                    .counters
-                    .distill_passes
-                    .fetch_add(1, Ordering::Relaxed);
-                shared
-                    .counters
-                    .distill_evicted
-                    .fetch_add(evicted as u64, Ordering::Relaxed);
-            }
+        let produced = shard.produce(&pool, shared.seeds);
+        let accepted = shared.acceptance.decide(&shared.counters, &produced);
+        if let (true, Produced::Candidate(cand)) = (accepted, &produced) {
+            shard.record_success();
+            (pool, pool_version) = shared.update_pool(|next| {
+                next.push(cand.pool_entry());
+                true
+            });
         }
-        if report_tx.send(AsyncReport { shard_id, work }).is_err() {
+        // Boundary distillation over the shared iteration count, with the
+        // other engines' rule, so a one-shard async run prunes at exactly
+        // the sequential engine's boundaries.
+        if shard.distill_due(it + 1, shared.budget) {
+            (pool, pool_version) = shared.update_pool(|next| shard.distill(next) > 0);
+        }
+        let work = Ok((produced, accepted));
+        if report_tx.send(Report { shard_id, work }).is_err() {
             break;
         }
     }
-    selector.stats()
 }
 
 /// Runs one campaign across `num_shards` free-running worker threads —
@@ -416,42 +334,22 @@ fn shard_loop(
 /// [`super::run_campaign_parallel`].
 ///
 /// The collector (the calling thread) drains the report channel as shards
-/// stream results: `gen_classes` lands in arrival order, crash records and
-/// exec-diff reports are handled exactly as in the lockstep engine, and a
-/// ShardDied last gasp raises the stop flag so peers wind down instead of
-/// wedging — then surfaces as a structured [`EngineError`] naming the
-/// shard and its iteration count at death.
+/// stream results and records each through the same ledger as the other
+/// engines, with the verdict its shard already decided: `gen_classes`
+/// lands in arrival order, and a dying shard's last gasp raises the stop flag
+/// so peers wind down instead of wedging — then surfaces as a structured
+/// [`EngineError`] naming the shard and its iteration count at death.
 pub(super) fn run_campaign_async(
     seeds: &[IrClass],
     config: &CampaignConfig,
     num_shards: usize,
 ) -> Result<CampaignResult, EngineError> {
     let num_shards = num_shards.max(1);
-    let start = Instant::now();
-    let crash_dir = config.crash_dir.as_deref();
-
-    let reference = Jvm::new(VmSpec::hotspot9());
+    let mut ledger = Ledger::new(config, seeds.len(), num_shards);
     let acceptance = AsyncAcceptance::new(config.algorithm);
-    let mut seed_scratch = TraceFile::new();
-    let seed_pool = prepare_seed_pool(seeds, config, &reference, &mut seed_scratch);
+    let seed_pool = prepare_seed_pool(seeds, config);
     acceptance.seed(&seed_pool);
-    let exec_harness = config.exec_diff.then(DifferentialHarness::paper_five);
-
-    let mut gen_classes: Vec<GeneratedClass> = Vec::new();
-    let mut test_classes: Vec<usize> = Vec::new();
-    let mut crashes: Vec<CrashRecord> = Vec::new();
-    let mut exec_reports: Vec<ExecReport> = Vec::new();
-    let mut shard_stats: Vec<ShardStats> = (0..num_shards)
-        .map(|shard_id| ShardStats {
-            shard_id,
-            iterations: 0,
-            generated: 0,
-            accepted: 0,
-        })
-        .collect();
-
     let shared = AsyncShared {
-        config,
         seeds,
         pool_version: AtomicU64::new(0),
         pool: RwLock::new(PoolState {
@@ -460,185 +358,59 @@ pub(super) fn run_campaign_async(
         }),
         acceptance,
         counters: AsyncCounters::default(),
+        budget: campaign_budget(seeds, config),
         next_iteration: AtomicUsize::new(0),
         stop: AtomicBool::new(false),
     };
 
-    // No seeds (empty pool) or no budget: nothing to run.
-    if seeds.is_empty() || config.iterations == 0 {
-        let mutator_count = campaign_mutators(config).len();
-        return Ok(CampaignResult {
-            algorithm: config.algorithm,
-            iterations: config.iterations,
-            gen_classes,
-            test_classes,
-            mutator_stats: make_selector(config, mutator_count).stats(),
-            elapsed: start.elapsed(),
-            seed_count: seeds.len(),
-            shard_stats,
-            crashes,
-            acceptance: async_telemetry(&shared, &exec_reports),
-            exec_reports,
-        });
-    }
-
-    let mut stat_tables: Vec<Vec<MutatorStats>> = vec![Vec::new(); num_shards];
-    let mut engine_error: Option<EngineError> = None;
-    let mut last_bytes: Vec<Option<Arc<Vec<u8>>>> = vec![None; num_shards];
-    thread::scope(|scope| {
-        let (report_tx, report_rx) = mpsc::channel::<AsyncReport>();
+    let outcomes = thread::scope(|scope| {
+        let (report_tx, report_rx) = mpsc::channel::<Report<(Produced, bool)>>();
         let shared = &shared;
-        let mut handles = Vec::with_capacity(num_shards);
-        for shard_id in 0..num_shards {
-            let report_tx = report_tx.clone();
-            handles.push(scope.spawn(move || -> Vec<MutatorStats> {
-                // Mutation and VM startup contain their own panics; this
-                // outer containment turns anything that escapes into a
-                // ShardDied last gasp so the collector can stop the
-                // campaign diagnosably.
-                match run_contained(|| shard_loop(shared, shard_id, &report_tx)) {
-                    Ok(stats) => stats,
-                    Err(detail) => {
-                        let _ = report_tx.send(AsyncReport {
-                            shard_id,
-                            work: AsyncWork::ShardDied(detail),
-                        });
-                        Vec::new()
-                    }
-                }
-            }));
-        }
+        let handles: Vec<_> = (0..num_shards)
+            .map(|shard_id| {
+                let report_tx = report_tx.clone();
+                scope.spawn(move || {
+                    run_shard(config, shard_id, &report_tx, |shard| {
+                        shard_loop(shared, shard, shard_id, &report_tx);
+                    })
+                })
+            })
+            .collect();
         drop(report_tx);
 
         // Collector: drain until every shard hangs up. Shards never wait
         // for the collector (sends are unbounded), so draining to
         // disconnect cannot wedge, even mid-failure.
-        for report in report_rx.iter() {
-            let AsyncReport { shard_id, work } = report;
-            if let AsyncWork::ShardDied(detail) = &work {
-                if engine_error.is_none() {
-                    engine_error = Some(EngineError {
-                        shard_id: Some(shard_id),
-                        round: shard_stats[shard_id].iterations,
-                        last_candidate: last_bytes[shard_id].take().map(|b| b.as_ref().clone()),
-                        message: format!("worker shard died outside containment: {detail}"),
-                    });
-                }
-                // Free-running peers poll this each iteration; a dead
-                // shard must not leave them burning the rest of the
-                // budget on a campaign that will error out.
-                shared.stop.store(true, Ordering::Relaxed);
-                continue;
-            }
-            shard_stats[shard_id].iterations += 1;
+        let mut engine_error = None;
+        for Report { shard_id, work } in report_rx.iter() {
             match work {
-                AsyncWork::ShardDied(_) => {} // handled above
-                AsyncWork::NoCandidate => {}
-                AsyncWork::MutatorCrash {
-                    mutator_id,
-                    input_bytes,
-                    detail,
-                } => {
-                    record_crash(
-                        &mut crashes,
-                        crash_dir,
-                        CrashRecord {
-                            shard_id,
-                            site: CrashSite::Mutator { mutator_id },
-                            bytes: input_bytes,
-                            detail,
-                        },
-                    );
+                Ok((produced, accepted)) => {
+                    ledger.record(shard_id, produced, accepted);
                 }
-                AsyncWork::Generated {
-                    class,
-                    bytes,
-                    mutator_id,
-                    accepted,
-                    vm_crash,
-                } => {
-                    if let Some(detail) = vm_crash {
-                        record_crash(
-                            &mut crashes,
-                            crash_dir,
-                            CrashRecord {
-                                shard_id,
-                                site: CrashSite::ReferenceVm,
-                                bytes: bytes.as_ref().clone(),
-                                detail,
-                            },
-                        );
-                    }
-                    shard_stats[shard_id].generated += 1;
-                    let gen_index = gen_classes.len();
-                    last_bytes[shard_id] = Some(Arc::clone(&bytes));
-                    gen_classes.push(GeneratedClass {
-                        class,
-                        bytes: Arc::clone(&bytes),
-                        mutator_id,
-                        accepted,
-                    });
-                    if accepted {
-                        test_classes.push(gen_index);
-                        shard_stats[shard_id].accepted += 1;
-                        if let Some(harness) = &exec_harness {
-                            exec_reports.push(diff_execution(harness, gen_index, &bytes));
-                        }
-                    }
+                Err(detail) => {
+                    let round = ledger.shard_stats[shard_id].iterations;
+                    let message = format!("worker shard died outside containment: {detail}");
+                    engine_error
+                        .get_or_insert_with(|| ledger.engine_error(Some(shard_id), round, message));
+                    // Free-running peers poll this each iteration; a dead
+                    // shard must not leave them burning the rest of the
+                    // budget on a campaign that will error out.
+                    shared.stop.store(true, Ordering::Relaxed);
                 }
             }
         }
+        let joined = join_shards(handles, &mut ledger);
+        engine_error.map_or(joined, Err)
+    })?;
 
-        for (shard_id, handle) in handles.into_iter().enumerate() {
-            match handle.join() {
-                Ok(stats) => stat_tables[shard_id] = stats,
-                Err(_) => {
-                    if engine_error.is_none() {
-                        engine_error = Some(EngineError {
-                            shard_id: Some(shard_id),
-                            round: shard_stats[shard_id].iterations,
-                            last_candidate: last_bytes[shard_id].take().map(|b| b.as_ref().clone()),
-                            message: "worker shard panicked past its containment".to_string(),
-                        });
-                    }
-                }
-            }
-        }
-    });
-
-    if let Some(error) = engine_error {
-        return Err(error);
-    }
-    Ok(CampaignResult {
-        algorithm: config.algorithm,
-        iterations: config.iterations,
-        gen_classes,
-        test_classes,
-        mutator_stats: merge_stat_tables(&stat_tables),
-        elapsed: start.elapsed(),
-        seed_count: seeds.len(),
-        shard_stats,
-        crashes,
-        acceptance: async_telemetry(&shared, &exec_reports),
-        exec_reports,
-    })
-}
-
-/// The campaign's telemetry, read back from the shared atomic counters
-/// (all-zero for greedyfuzz/randfuzz, mirroring the lockstep engine).
-fn async_telemetry(shared: &AsyncShared<'_>, exec_reports: &[ExecReport]) -> AcceptanceTelemetry {
-    let mut telemetry = match shared.acceptance {
-        AsyncAcceptance::Unique { .. } => shared.counters.telemetry(),
-        AsyncAcceptance::Greedy(_) | AsyncAcceptance::All => AcceptanceTelemetry::default(),
-    };
-    // Distillation runs for every algorithm (it is a pool property, not an
-    // acceptance property), so its counters ride along unconditionally.
-    telemetry.distill_passes = shared.counters.distill_passes.load(Ordering::Relaxed);
-    telemetry.distill_evicted = shared.counters.distill_evicted.load(Ordering::Relaxed);
-    telemetry.exec_runs = exec_reports.len() as u64;
-    telemetry.exec_discrepancies = exec_reports
+    // Each boundary is claimed by exactly one shard, so the campaign's
+    // distillation telemetry is the sum over shards.
+    let distill = outcomes
         .iter()
-        .filter(|r| r.is_exec_discrepancy())
-        .count() as u64;
-    telemetry
+        .fold(DistillCounters::default(), |sum, o| DistillCounters {
+            passes: sum.passes + o.distill.passes,
+            evicted: sum.evicted + o.distill.evicted,
+        });
+    let telemetry = shared.acceptance.telemetry(&shared.counters);
+    Ok(ledger.finish(telemetry, distill, outcomes))
 }

@@ -3,9 +3,10 @@
 # mirrors (see README, "CI contract"). Run from anywhere; works fully
 # offline against the vendored crates/{rand,proptest,criterion} shims.
 #
-# The root manifest is both a package and the workspace root, so plain
-# `cargo build`/`cargo test` would cover only the facade crate; every step
-# here passes --workspace to reach all member crates and binaries.
+# The root manifest is both a package and the workspace root; its
+# `default-members` lists the root and every member crate, so plain
+# `cargo build`/`cargo test` already cover the whole workspace. The steps
+# here still pass --workspace explicitly.
 #
 # Each step runs through `step NAME cmd...`, which times it and, on
 # failure, names the broken gate before exiting — so a red CI log says

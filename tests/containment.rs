@@ -151,6 +151,24 @@ fn rerunning_into_a_populated_crash_dir_preserves_prior_reproducers() {
 }
 
 #[test]
+fn lockstep_shard_death_surfaces_structured_engine_error() {
+    let seeds = small_seeds();
+    let config = CampaignConfig::new(Algorithm::Uniquefuzz, 50, 29).with_shard_death_injection(1);
+    // Reaching the assertions at all is half the test: the surviving shard
+    // must be released from its round barrier, not left waiting forever.
+    let err = run_campaign_parallel(&seeds, &config, 2)
+        .expect_err("an injected shard death must fail the lockstep campaign");
+    assert_eq!(err.shard_id, Some(1), "the dead shard must be named");
+    assert_eq!(err.round, 0, "the shard died before its first report");
+    assert!(
+        err.message.contains("died outside containment")
+            && err.message.contains("injected shard death"),
+        "message: {}",
+        err.message
+    );
+}
+
+#[test]
 fn chaos_iterations_still_count_toward_selector_stats() {
     let seeds = small_seeds();
     let result = run_campaign_parallel(&seeds, &chaos_config(60), 2).expect("engine error");

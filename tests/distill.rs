@@ -158,6 +158,34 @@ fn pool_cap_composes_with_untraced_algorithms() {
 }
 
 #[test]
+fn zero_pool_cap_runs_every_engine_to_its_full_budget() {
+    // `pool_cap` is a public field, so a cap of 0 can bypass the builder;
+    // distillation must treat it as 1 rather than empty the pool out from
+    // under the next pick.
+    let seeds = SeedCorpus::generate(12, 41).into_classes();
+    let mut config = CampaignConfig::new(Algorithm::Classfuzz(UniquenessCriterion::StBr), 200, 41);
+    config.pool_cap = Some(0);
+    let sequential = run_campaign(&seeds, &config);
+    assert!(sequential.acceptance.distill_passes > 0);
+    let runs = [
+        ("sequential", sequential),
+        (
+            "lockstep",
+            run_campaign_parallel(&seeds, &config, 2).expect("lockstep engine error"),
+        ),
+        (
+            "async",
+            run_campaign_parallel(&seeds, &config.clone().with_schedule(Schedule::Async), 1)
+                .expect("async engine error"),
+        ),
+    ];
+    for (engine, result) in &runs {
+        let iterations: usize = result.shard_stats.iter().map(|s| s.iterations).sum();
+        assert_eq!(iterations, 200, "{engine} stopped short of the budget");
+    }
+}
+
+#[test]
 fn shaped_corpora_replay_under_the_full_intelligence_stack() {
     // The targeted-generation knobs compose with selection + distillation:
     // a mixed-shape corpus through maxcover + cap is still deterministic.

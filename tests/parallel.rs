@@ -7,6 +7,7 @@
 
 use classfuzz::core::engine::{
     run_campaign, run_campaign_parallel, shard_rng_seed, Algorithm, CampaignConfig, CampaignResult,
+    Schedule,
 };
 use classfuzz::core::seeds::SeedCorpus;
 use classfuzz::coverage::{SuiteIndex, UniquenessCriterion};
@@ -168,6 +169,50 @@ fn degenerate_campaigns_return_empty_results() {
     .expect("engine error");
     assert!(none.gen_classes.is_empty());
     assert_eq!(none.secs_per_test(), 0.0);
+
+    // At one shard, every engine assembles the same empty result.
+    let seeds = small_seeds();
+    for algorithm in [
+        Algorithm::Randfuzz,
+        Algorithm::Classfuzz(UniquenessCriterion::Tr),
+    ] {
+        for (seeds, iterations) in [(&[][..], 50), (&seeds[..], 0)] {
+            let config = CampaignConfig::new(algorithm, iterations, 1);
+            let sequential = run_campaign(seeds, &config);
+            let lockstep = run_campaign_parallel(seeds, &config, 1).expect("lockstep engine error");
+            let async_run =
+                run_campaign_parallel(seeds, &config.clone().with_schedule(Schedule::Async), 1)
+                    .expect("async engine error");
+            let case = format!(
+                "{algorithm}, {} seeds, {iterations} iterations",
+                seeds.len()
+            );
+            for (engine, result) in [
+                ("sequential", &sequential),
+                ("lockstep", &lockstep),
+                ("async", &async_run),
+            ] {
+                assert!(result.gen_classes.is_empty(), "{engine}: {case}");
+                assert!(result.test_classes.is_empty(), "{engine}: {case}");
+                assert!(result.crashes.is_empty(), "{engine}: {case}");
+                assert!(result.exec_reports.is_empty(), "{engine}: {case}");
+                assert_eq!(result.iterations, iterations, "{engine}: {case}");
+                assert_eq!(result.seed_count, seeds.len(), "{engine}: {case}");
+                assert_eq!(
+                    result.shard_stats, sequential.shard_stats,
+                    "{engine}: {case}"
+                );
+                assert_eq!(
+                    result.mutator_stats, sequential.mutator_stats,
+                    "{engine}: {case}"
+                );
+                assert_eq!(result.acceptance, sequential.acceptance, "{engine}: {case}");
+            }
+            assert_eq!(sequential.shard_stats.len(), 1, "{case}");
+            assert_eq!(sequential.shard_stats[0].iterations, 0, "{case}");
+            assert!(!sequential.mutator_stats.is_empty(), "{case}");
+        }
+    }
 }
 
 /// Wall-clock speedup needs real hardware parallelism; single-core CI
