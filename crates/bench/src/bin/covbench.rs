@@ -1,350 +1,102 @@
-//! Bench-smoke binary: runs one of the gated benchmark scenarios, writes
-//! its JSON report, and — when given a committed baseline — fails with a
-//! nonzero exit on regression. Driven by `scripts/bench_gate.sh`, mirrored
-//! by the CI bench-smoke job.
-//!
-//! * `--scenario coverage` (default): the `[tr]` acceptance hot-path
-//!   micro-benchmarks (`classfuzz_bench::covbench`) → `BENCH_coverage.json`.
-//! * `--scenario harness`: the end-to-end five-VM harness batch, shared
-//!   pipeline vs the pre-sharing cold path
-//!   (`classfuzz_bench::harnessbench`) → `BENCH_harness.json`.
-//! * `--scenario mutate`: the clone → mutate → lower → serialize hot loop,
-//!   copy-on-write + scratch lowering vs deep clone + cold lowering
-//!   (`classfuzz_bench::mutatebench`) → `BENCH_mutate.json`.
-//! * `--scenario exec`: the `--exec-diff` observer's overhead on top of a
-//!   startup-only five-VM evaluation (`classfuzz_bench::execbench`) →
-//!   `BENCH_exec.json`.
-//! * `--scenario interp`: interpreter throughput with the prepare-once
-//!   `PreparedCode` layer vs cold per-call preparation
-//!   (`classfuzz_bench::interpbench`) → `BENCH_interp.json`.
-//! * `--scenario scale`: async-engine shard scaling plus the fixed-budget
-//!   async-vs-lockstep discrepancy cross-check
-//!   (`classfuzz_bench::scalebench`) → `BENCH_scale.json`. Single-core
-//!   machines assert no-regression vs lockstep instead of a speedup floor.
-//! * `--scenario yield`: distinct discrepancy keys per fixed iteration
-//!   budget, uniform seeding vs max-cover selection + distillation
-//!   (`classfuzz_bench::yieldbench`) → `BENCH_yield.json`. Fully
-//!   deterministic — both arms replay bit for bit on any machine.
-//! * `--scenario startup`: five-profile startup throughput with the
-//!   analyze-once verification table vs cold per-profile analysis
-//!   (`classfuzz_bench::startupbench`) → `BENCH_startup.json`.
+//! Bench-gate binary: runs the gated scenarios of
+//! `classfuzz_bench::scenario::SCENARIOS` — all of them in table order, or
+//! one — writes each `BENCH_<name>.json` report, judges it against the
+//! committed `BENCH_<name>.baseline.json`, and exits nonzero if any gate
+//! fails. Driven by `scripts/bench_gate.sh` and the CI bench-gates matrix.
 //!
 //! ```text
-//! covbench [--scenario coverage|harness|mutate|exec|interp|scale|yield|startup] [--out PATH]
-//!          [--baseline PATH] [--suite-size N] [--repeats N]
-//!          [--max-regression X] [--min-speedup X]
+//! covbench [--scenario NAME] [--repeats N]
 //! ```
 
 use std::process::ExitCode;
 
 use classfuzz_bench::alloc_count::CountingAllocator;
-use classfuzz_bench::covbench::{check_report, run_coverage_bench};
-use classfuzz_bench::execbench::{check_exec_report, run_exec_bench};
-use classfuzz_bench::harnessbench::{check_harness_report, run_harness_bench};
-use classfuzz_bench::interpbench::{check_interp_report, run_interp_bench};
-use classfuzz_bench::mutatebench::{check_mutate_report, run_mutate_bench};
-use classfuzz_bench::scalebench::{check_scale_report, run_scale_bench};
-use classfuzz_bench::startupbench::{check_startup_report, run_startup_bench};
-use classfuzz_bench::yieldbench::{check_yield_report, run_yield_bench};
+use classfuzz_bench::scenario::{check, to_json, Scenario, SCENARIOS};
 
 /// The mutate scenario's allocation counts come from here; registered only
 /// in this binary so library tests stay on the plain system allocator.
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Scenario {
-    Coverage,
-    Harness,
-    Mutate,
-    Exec,
-    Interp,
-    Scale,
-    Yield,
-    Startup,
-}
-
-struct Options {
-    scenario: Scenario,
-    out: Option<String>,
-    baseline: Option<String>,
-    suite_size: usize,
-    repeats: usize,
-    max_regression: f64,
-    min_speedup: Option<f64>,
-}
-
-impl Options {
-    /// The machine-independent speedup floor: explicit flag, or the
-    /// scenario's default (coverage: bitset-vs-baseline ≥5×; harness:
-    /// shared-vs-cold ≥2×; mutate: scratch-vs-cold ≥2×; exec:
-    /// exec-vs-startup overhead ratio ≥0.5; interp: prepared-vs-cold
-    /// interpreter throughput ≥2×; scale: async shard-scaling
-    /// ≥1.5× — applied only where 2+ cores exist; yield:
-    /// maxcover-vs-uniform distinct-key ratio ≥1.2×; startup:
-    /// shared-vs-cold five-profile startup throughput ≥2×).
-    fn speedup_floor(&self) -> f64 {
-        self.min_speedup.unwrap_or(match self.scenario {
-            Scenario::Coverage => 5.0,
-            Scenario::Harness => 2.0,
-            Scenario::Mutate => 2.0,
-            Scenario::Exec => 0.5,
-            Scenario::Interp => 2.0,
-            Scenario::Scale => 1.5,
-            Scenario::Yield => 1.2,
-            Scenario::Startup => 2.0,
-        })
-    }
-
-    /// The report path: explicit flag, or the scenario's default.
-    fn out_path(&self) -> Option<String> {
-        match (&self.out, self.scenario) {
-            (Some(path), _) if path.is_empty() => None,
-            (Some(path), _) => Some(path.clone()),
-            (None, Scenario::Coverage) => Some("BENCH_coverage.json".to_string()),
-            (None, Scenario::Harness) => Some("BENCH_harness.json".to_string()),
-            (None, Scenario::Mutate) => Some("BENCH_mutate.json".to_string()),
-            (None, Scenario::Exec) => Some("BENCH_exec.json".to_string()),
-            (None, Scenario::Interp) => Some("BENCH_interp.json".to_string()),
-            (None, Scenario::Scale) => Some("BENCH_scale.json".to_string()),
-            (None, Scenario::Yield) => Some("BENCH_yield.json".to_string()),
-            (None, Scenario::Startup) => Some("BENCH_startup.json".to_string()),
-        }
-    }
-}
-
-fn parse_args() -> Result<Options, String> {
-    let mut options = Options {
-        scenario: Scenario::Coverage,
-        out: None,
-        baseline: None,
-        suite_size: 1000,
-        repeats: 5,
-        max_regression: 1.2,
-        min_speedup: None,
-    };
+/// The selected scenarios and the timed runs per arm (default 5).
+fn parse_args() -> Result<(Vec<&'static Scenario>, usize), String> {
+    let mut selected: Vec<&Scenario> = SCENARIOS.iter().collect();
+    let mut repeats = 5;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
-        let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
-        match flag.as_str() {
-            "--scenario" => {
-                options.scenario = match value("--scenario")?.as_str() {
-                    "coverage" => Scenario::Coverage,
-                    "harness" => Scenario::Harness,
-                    "mutate" => Scenario::Mutate,
-                    "exec" => Scenario::Exec,
-                    "interp" => Scenario::Interp,
-                    "scale" => Scenario::Scale,
-                    "yield" => Scenario::Yield,
-                    "startup" => Scenario::Startup,
-                    other => return Err(format!("unknown scenario {other}")),
+        match (flag.as_str(), args.next()) {
+            ("--scenario", Some(name)) => {
+                selected = SCENARIOS.iter().filter(|s| s.name == name).collect();
+                if selected.is_empty() {
+                    let names: Vec<&str> = SCENARIOS.iter().map(|s| s.name).collect();
+                    return Err(format!(
+                        "unknown scenario {name} (one of {})",
+                        names.join(", ")
+                    ));
                 }
             }
-            "--out" => options.out = Some(value("--out")?),
-            "--no-out" => options.out = Some(String::new()),
-            "--baseline" => options.baseline = Some(value("--baseline")?),
-            "--suite-size" => {
-                options.suite_size = value("--suite-size")?
-                    .parse()
-                    .map_err(|e| format!("--suite-size: {e}"))?
+            ("--repeats", Some(n)) => {
+                repeats = n.parse().map_err(|e| format!("--repeats: {e}"))?;
+                if repeats == 0 {
+                    return Err("--repeats must be >= 1".to_string());
+                }
             }
-            "--repeats" => {
-                options.repeats = value("--repeats")?
-                    .parse()
-                    .map_err(|e| format!("--repeats: {e}"))?
-            }
-            "--max-regression" => {
-                options.max_regression = value("--max-regression")?
-                    .parse()
-                    .map_err(|e| format!("--max-regression: {e}"))?
-            }
-            "--min-speedup" => {
-                options.min_speedup = Some(
-                    value("--min-speedup")?
-                        .parse()
-                        .map_err(|e| format!("--min-speedup: {e}"))?,
-                )
-            }
-            other => return Err(format!("unknown flag {other}")),
+            ("--scenario" | "--repeats", None) => return Err(format!("{flag} needs a value")),
+            (other, _) => return Err(format!("unknown flag {other}")),
         }
     }
-    if options.suite_size < 2 || options.repeats == 0 {
-        return Err("--suite-size must be >= 2 and --repeats >= 1".to_string());
-    }
-    Ok(options)
+    Ok((selected, repeats))
 }
 
-/// Runs the selected scenario; returns its JSON report, the gate verdicts
-/// against `baseline_json` (when given), and a one-line pass summary.
-fn run_scenario(options: &Options, baseline_json: Option<&str>) -> (String, Vec<String>, String) {
-    let floor = options.speedup_floor();
-    match options.scenario {
-        Scenario::Coverage => {
-            eprintln!(
-                "covbench: scenario=coverage suite={} repeats={} ...",
-                options.suite_size, options.repeats
-            );
-            let report = run_coverage_bench(options.suite_size, options.repeats);
-            let failures = baseline_json
-                .map(|json| check_report(&report, json, options.max_regression, floor))
-                .unwrap_or_default();
-            let summary = format!(
-                "speedup {:.0}x, budget {:.2}x",
-                report.tr_is_unique_speedup, options.max_regression
-            );
-            (report.to_json(), failures, summary)
-        }
-        Scenario::Harness => {
-            eprintln!("covbench: scenario=harness repeats={} ...", options.repeats);
-            let report = run_harness_bench(options.repeats);
-            let failures = baseline_json
-                .map(|json| check_harness_report(&report, json, options.max_regression, floor))
-                .unwrap_or_default();
-            let summary = format!(
-                "harness speedup {:.2}x, budget {:.2}x",
-                report.harness_speedup, options.max_regression
-            );
-            (report.to_json(), failures, summary)
-        }
-        Scenario::Mutate => {
-            eprintln!("covbench: scenario=mutate repeats={} ...", options.repeats);
-            let report = run_mutate_bench(options.repeats);
-            let failures = baseline_json
-                .map(|json| check_mutate_report(&report, json, options.max_regression, floor))
-                .unwrap_or_default();
-            let summary = format!(
-                "mutate speedup {:.2}x, allocs/class {:.1} vs {:.1} cold, budget {:.2}x",
-                report.mutate_speedup,
-                report.allocs_per_class_scratch,
-                report.allocs_per_class_cold,
-                options.max_regression
-            );
-            (report.to_json(), failures, summary)
-        }
-        Scenario::Exec => {
-            eprintln!("covbench: scenario=exec repeats={} ...", options.repeats);
-            let report = run_exec_bench(options.repeats);
-            let failures = baseline_json
-                .map(|json| check_exec_report(&report, json, options.max_regression, floor))
-                .unwrap_or_default();
-            let summary = format!(
-                "exec overhead ratio {:.2}, budget {:.2}x",
-                report.exec_overhead_ratio, options.max_regression
-            );
-            (report.to_json(), failures, summary)
-        }
-        Scenario::Interp => {
-            eprintln!("covbench: scenario=interp repeats={} ...", options.repeats);
-            // ~200 executions per sample keeps a timing sample well above
-            // clock resolution while the whole scenario stays CI-sized.
-            let report = run_interp_bench(200, options.repeats);
-            let failures = baseline_json
-                .map(|json| check_interp_report(&report, json, options.max_regression, floor))
-                .unwrap_or_default();
-            let summary = format!(
-                "prepared speedup {:.2}x ({:.0}/s vs {:.0}/s cold), budget {:.2}x",
-                report.prepared_speedup,
-                report.execs_per_sec_prepared,
-                report.execs_per_sec_cold,
-                options.max_regression
-            );
-            (report.to_json(), failures, summary)
-        }
-        Scenario::Scale => {
-            eprintln!("covbench: scenario=scale repeats={} ...", options.repeats);
-            let report = run_scale_bench(options.repeats);
-            let failures = baseline_json
-                .map(|json| check_scale_report(&report, json, options.max_regression, floor))
-                .unwrap_or_default();
-            let summary = format!(
-                "scaling {:.2}x at {} shards ({} cores), crosscheck {}, budget {:.2}x",
-                report.scaling_ratio,
-                report.shards,
-                report.cores,
-                if report.crosscheck_pass == 1.0 {
-                    "pass"
-                } else {
-                    "FAIL"
-                },
-                options.max_regression
-            );
-            (report.to_json(), failures, summary)
-        }
-        Scenario::Yield => {
-            eprintln!("covbench: scenario=yield (deterministic; repeats ignored) ...");
-            let report = run_yield_bench(options.repeats);
-            let failures = baseline_json
-                .map(|json| check_yield_report(&report, json, options.max_regression, floor))
-                .unwrap_or_default();
-            let summary = format!(
-                "yield {:.2}x ({} maxcover vs {} uniform keys), budget {:.2}x",
-                report.yield_ratio,
-                report.maxcover_keys,
-                report.uniform_keys,
-                options.max_regression
-            );
-            (report.to_json(), failures, summary)
-        }
-        Scenario::Startup => {
-            eprintln!("covbench: scenario=startup repeats={} ...", options.repeats);
-            // ~60 five-profile startups per sample keeps a timing sample
-            // well above clock resolution while the scenario stays
-            // CI-sized.
-            let report = run_startup_bench(60, options.repeats);
-            let failures = baseline_json
-                .map(|json| check_startup_report(&report, json, options.max_regression, floor))
-                .unwrap_or_default();
-            let summary = format!(
-                "shared speedup {:.2}x ({:.0}/s vs {:.0}/s cold), budget {:.2}x",
-                report.shared_speedup,
-                report.startups_per_sec_shared,
-                report.startups_per_sec_cold,
-                options.max_regression
-            );
-            (report.to_json(), failures, summary)
+/// Runs one scenario, writes its report and judges it; returns whether
+/// every gate held.
+fn gate(scenario: &Scenario, repeats: usize) -> Result<bool, String> {
+    let baseline_path = scenario.baseline_path();
+    let baseline = std::fs::read_to_string(&baseline_path)
+        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
+    eprintln!("covbench: scenario={} repeats={repeats} ...", scenario.name);
+    let run = (scenario.run)(repeats);
+    let json = to_json(&run);
+    print!("{json}");
+    let report_path = scenario.report_path();
+    std::fs::write(&report_path, &json).map_err(|e| format!("cannot write {report_path}: {e}"))?;
+    let mut held = true;
+    for verdict in check(&run, &(scenario.gates)(&run), &baseline) {
+        match verdict {
+            Ok(line) => eprintln!("covbench: {}: ok: {line}", scenario.name),
+            Err(line) => {
+                eprintln!("covbench: {}: GATE FAIL: {line}", scenario.name);
+                held = false;
+            }
         }
     }
+    Ok(held)
 }
 
 fn main() -> ExitCode {
-    let options = match parse_args() {
-        Ok(options) => options,
+    let (selected, repeats) = match parse_args() {
+        Ok(parsed) => parsed,
         Err(message) => {
             eprintln!("covbench: {message}");
             return ExitCode::FAILURE;
         }
     };
-
-    let baseline_json = match &options.baseline {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => Some(text),
-            Err(e) => {
-                eprintln!("covbench: cannot read baseline {path}: {e}");
-                return ExitCode::FAILURE;
+    let mut failed = Vec::new();
+    for scenario in selected {
+        match gate(scenario, repeats) {
+            Ok(true) => {}
+            Ok(false) => failed.push(scenario.name),
+            Err(message) => {
+                eprintln!("covbench: {message}");
+                failed.push(scenario.name);
             }
-        },
-        None => None,
-    };
-
-    let (json, failures, summary) = run_scenario(&options, baseline_json.as_deref());
-    print!("{json}");
-
-    if let Some(path) = options.out_path() {
-        if let Err(e) = std::fs::write(&path, &json) {
-            eprintln!("covbench: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
         }
-        eprintln!("covbench: wrote {path}");
     }
-
-    if let Some(path) = &options.baseline {
-        if !failures.is_empty() {
-            for failure in &failures {
-                eprintln!("covbench: GATE FAIL: {failure}");
-            }
-            return ExitCode::FAILURE;
-        }
-        eprintln!("covbench: gate passed against {path} ({summary})");
+    if failed.is_empty() {
+        eprintln!("covbench: every gate passed");
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("covbench: gates failed in {}", failed.join(", "));
+        ExitCode::FAILURE
     }
-    ExitCode::SUCCESS
 }

@@ -1,22 +1,13 @@
-//! The coverage micro-benchmark driver behind `scripts/bench_gate.sh`:
-//! measures the bitset engine's `[tr]` acceptance hot path against the
-//! retained `BTreeSet` reference model and a real campaign's acceptance
-//! throughput, and renders/checks the `BENCH_coverage.json` report.
+//! The `coverage` scenario's workload ([`crate::scenario`]): the bitset
+//! engine's `[tr]` acceptance hot path against the retained `BTreeSet`
+//! reference model, plus a real campaign's acceptance throughput.
 //!
-//! Methodology (see EXPERIMENTS.md, "Coverage micro-benchmarks"):
-//!
-//! * the suite is `suite_size` synthetic traces that all share one
-//!   `(stmt, br)` statistic — the adversarial-but-realistic shape for
-//!   `[tr]`, whose entire point is distinguishing traces the statistic
-//!   criteria cannot (the reference model degenerates to a full-bucket
-//!   pairwise scan, exactly as it did on the pre-rewrite campaign path);
-//! * every timing is the median over `repeats` runs, so a single
-//!   scheduler hiccup cannot fail the gate;
-//! * the committed baseline is checked with a relative threshold
-//!   (default 1.2× = 20% regression budget) plus one machine-independent
-//!   floor: the bitset/baseline speedup itself.
-
-use std::time::Instant;
+//! Methodology (see EXPERIMENTS.md, "Coverage micro-benchmarks"): the
+//! suite is synthetic traces that all share one `(stmt, br)` statistic —
+//! the adversarial-but-realistic shape for `[tr]`, whose entire point is
+//! distinguishing traces the statistic criteria cannot (the reference
+//! model degenerates to a full-bucket pairwise scan, exactly as it did on
+//! the pre-rewrite campaign path).
 
 use classfuzz_core::engine::{run_campaign, Algorithm, CampaignConfig};
 use classfuzz_core::seeds::SeedCorpus;
@@ -24,7 +15,8 @@ use classfuzz_coverage::{baseline, SuiteIndex, TraceFile, UniquenessCriterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::median;
+use crate::scenario::Metric;
+use crate::{median, per_sec};
 
 /// How many distinct statement sites each synthetic trace hits.
 const SYNTH_STMTS: usize = 120;
@@ -34,6 +26,8 @@ const SYNTH_BRANCHES: usize = 40;
 const SYNTH_STMT_SPACE: u32 = 400;
 /// The branch-site id space.
 const SYNTH_BRANCH_SPACE: u32 = 60;
+/// Accepted-suite size the probes run against.
+const SUITE_SIZE: usize = 1000;
 
 /// A suite of synthetic traces in both representations, pairwise distinct
 /// but all sharing one `(stmt, br)` statistic.
@@ -83,48 +77,19 @@ pub fn synth_suite(count: usize, rng_seed: u64) -> SynthSuite {
     SynthSuite { bitset, reference }
 }
 
-/// The `BENCH_coverage.json` payload: the `[tr]` hot-path numbers the
-/// bench gate tracks.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CoverageBenchReport {
-    /// Accepted-suite size the probes run against.
-    pub suite_size: usize,
-    /// Repeats each timing is the median of.
-    pub repeats: usize,
-    /// `[tr]` `is_unique` ns/op against the bitset index.
-    pub tr_is_unique_ns_bitset: f64,
-    /// `[tr]` `is_unique` ns/op against the reference model.
-    pub tr_is_unique_ns_baseline: f64,
-    /// baseline / bitset — the speedup the acceptance criteria floor.
-    pub tr_is_unique_speedup: f64,
-    /// `TraceFile::merge` (⊕) ns/op, bitset.
-    pub merge_ns_bitset: f64,
-    /// `TraceFile::merge` ns/op, reference model.
-    pub merge_ns_baseline: f64,
-    /// Accepted classes per second of a fixed-seed classfuzz`[tr]`
-    /// campaign (end-to-end: mutation + VM + acceptance).
-    pub accepted_per_sec: f64,
-    /// Fraction of that campaign's `[tr]` offers settled by the
-    /// fingerprint fast path alone.
-    pub fingerprint_fast_path_rate: f64,
+/// Median ns per operation of `op`, which performs `ops` operations.
+fn ns_per_op(repeats: usize, ops: usize, mut op: impl FnMut()) -> f64 {
+    1e9 / per_sec(repeats, || {
+        op();
+        ops
+    })
 }
 
-/// Times `op()` (which performs `ops` operations) over `repeats` runs and
-/// returns the median ns/op.
-fn time_ns_per_op(repeats: usize, ops: usize, mut op: impl FnMut()) -> f64 {
-    let samples: Vec<f64> = (0..repeats)
-        .map(|_| {
-            let start = Instant::now();
-            op();
-            start.elapsed().as_nanos() as f64 / ops as f64
-        })
-        .collect();
-    median(samples)
-}
-
-/// Runs the full coverage micro-benchmark at the given suite size.
-pub fn run_coverage_bench(suite_size: usize, repeats: usize) -> CoverageBenchReport {
-    let suite = synth_suite(suite_size, 0xC0DE);
+/// Measures `[tr]` `is_unique` and `⊕` merge on both representations over
+/// a 1,000-trace suite, plus the accepted classes per second and the
+/// fingerprint fast-path rate of a fixed-seed classfuzz`[tr]` campaign.
+pub fn run(repeats: usize) -> Vec<Metric> {
+    let suite = synth_suite(SUITE_SIZE, 0xC0DE);
 
     // Accepted-suite indices over the whole synthetic suite. The traces
     // are distinct by construction, so the reference model can be
@@ -144,7 +109,7 @@ pub fn run_coverage_bench(suite_size: usize, repeats: usize) -> CoverageBenchRep
     // side is cheap enough to need many ops per sample for resolution; the
     // reference side scans a 1k bucket per probe, so a few suffice.
     let bit_probes = suite.bitset.len().min(1000);
-    let tr_is_unique_ns_bitset = time_ns_per_op(repeats, bit_probes * 16, || {
+    let probe_bitset = ns_per_op(repeats, bit_probes * 16, || {
         for _ in 0..16 {
             for t in &suite.bitset[..bit_probes] {
                 std::hint::black_box(bit_index.is_unique(std::hint::black_box(t)));
@@ -152,7 +117,7 @@ pub fn run_coverage_bench(suite_size: usize, repeats: usize) -> CoverageBenchRep
         }
     });
     let ref_probes = suite.reference.len().min(40);
-    let tr_is_unique_ns_baseline = time_ns_per_op(repeats, ref_probes, || {
+    let probe_reference = ns_per_op(repeats, ref_probes, || {
         for t in &suite.reference[..ref_probes] {
             std::hint::black_box(ref_index.is_unique(std::hint::black_box(t)));
         }
@@ -160,129 +125,48 @@ pub fn run_coverage_bench(suite_size: usize, repeats: usize) -> CoverageBenchRep
 
     // ⊕ merge, pairing each trace with its successor.
     let pairs = suite.bitset.len() - 1;
-    let merge_ns_bitset = time_ns_per_op(repeats, pairs, || {
+    let merge_bitset = ns_per_op(repeats, pairs, || {
         for w in suite.bitset.windows(2) {
             std::hint::black_box(w[0].merge(&w[1]));
         }
     });
-    let merge_ns_baseline = time_ns_per_op(repeats, pairs, || {
+    let merge_reference = ns_per_op(repeats, pairs, || {
         for w in suite.reference.windows(2) {
             std::hint::black_box(w[0].merge(&w[1]));
         }
     });
 
     // End-to-end acceptance throughput: a fixed-seed classfuzz[tr]
-    // campaign (the snapshot scale pinned by tests/coverage_equiv.rs).
+    // campaign (the snapshot scale pinned by tests/coverage_equiv.rs),
+    // timed by the campaign's own clock.
     let seeds = SeedCorpus::generate(12, 21).into_classes();
     let config = CampaignConfig::new(Algorithm::Classfuzz(UniquenessCriterion::Tr), 150, 20160613);
-    let (accepted_per_sec, fast_path_rate) = {
-        let samples: Vec<(f64, f64)> = (0..repeats)
-            .map(|_| {
-                let result = run_campaign(&seeds, &config);
-                let secs = result.elapsed.as_secs_f64().max(1e-9);
-                (
-                    result.test_classes.len() as f64 / secs,
-                    result.acceptance.fast_path_rate().unwrap_or(0.0),
-                )
-            })
-            .collect();
-        (median(samples.iter().map(|s| s.0).collect()), samples[0].1)
-    };
+    let results: Vec<_> = (0..repeats)
+        .map(|_| run_campaign(&seeds, &config))
+        .collect();
+    let accepted_per_sec = median(
+        results
+            .iter()
+            .map(|r| r.test_classes.len() as f64 / r.elapsed.as_secs_f64().max(1e-9))
+            .collect(),
+    );
+    let fast_path_rate = results[0].acceptance.fast_path_rate().unwrap_or(0.0);
 
-    CoverageBenchReport {
-        suite_size,
-        repeats,
-        tr_is_unique_ns_bitset,
-        tr_is_unique_ns_baseline,
-        tr_is_unique_speedup: tr_is_unique_ns_baseline / tr_is_unique_ns_bitset.max(1e-9),
-        merge_ns_bitset,
-        merge_ns_baseline,
-        accepted_per_sec,
-        fingerprint_fast_path_rate: fast_path_rate,
-    }
-}
-
-impl CoverageBenchReport {
-    /// Renders the report as the `BENCH_coverage.json` payload.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"suite_size\": {},\n  \"repeats\": {},\n  \
-             \"tr_is_unique_ns_bitset\": {:.1},\n  \
-             \"tr_is_unique_ns_baseline\": {:.1},\n  \
-             \"tr_is_unique_speedup\": {:.1},\n  \
-             \"merge_ns_bitset\": {:.1},\n  \
-             \"merge_ns_baseline\": {:.1},\n  \
-             \"accepted_per_sec\": {:.1},\n  \
-             \"fingerprint_fast_path_rate\": {:.4}\n}}\n",
-            self.suite_size,
-            self.repeats,
-            self.tr_is_unique_ns_bitset,
-            self.tr_is_unique_ns_baseline,
-            self.tr_is_unique_speedup,
-            self.merge_ns_bitset,
-            self.merge_ns_baseline,
-            self.accepted_per_sec,
-            self.fingerprint_fast_path_rate,
-        )
-    }
-}
-
-/// Pulls one numeric field out of a flat JSON object (the only shape the
-/// bench reports use — no external JSON crate in this workspace).
-pub fn json_number(json: &str, key: &str) -> Option<f64> {
-    let pattern = format!("\"{key}\":");
-    let at = json.find(&pattern)? + pattern.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Compares a fresh report against a committed baseline JSON. Returns the
-/// list of gate failures — empty means the gate passes.
-///
-/// * `max_regression` bounds the relative slowdown of each tracked metric
-///   (1.2 = the 20% budget from the issue);
-/// * `min_speedup` is the machine-independent floor on the bitset-vs-
-///   baseline `[tr]` `is_unique` ratio (the acceptance criteria's ≥5×).
-pub fn check_report(
-    report: &CoverageBenchReport,
-    baseline_json: &str,
-    max_regression: f64,
-    min_speedup: f64,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    if report.tr_is_unique_speedup < min_speedup {
-        failures.push(format!(
-            "[tr] is_unique speedup {:.1}x is below the {min_speedup:.1}x floor",
-            report.tr_is_unique_speedup
-        ));
-    }
-    let mut slower_than = |key: &str, fresh: f64| match json_number(baseline_json, key) {
-        Some(base) if fresh > base * max_regression => {
-            failures.push(format!(
-                "{key} regressed: {fresh:.1} vs baseline {base:.1} \
-                 (budget {max_regression:.2}x)"
-            ));
-        }
-        Some(_) => {}
-        None => failures.push(format!("baseline is missing \"{key}\"")),
-    };
-    slower_than("tr_is_unique_ns_bitset", report.tr_is_unique_ns_bitset);
-    slower_than("merge_ns_bitset", report.merge_ns_bitset);
-    match json_number(baseline_json, "accepted_per_sec") {
-        Some(base) if report.accepted_per_sec < base / max_regression => {
-            failures.push(format!(
-                "accepted_per_sec regressed: {:.1} vs baseline {base:.1} \
-                 (budget {max_regression:.2}x)",
-                report.accepted_per_sec
-            ));
-        }
-        Some(_) => {}
-        None => failures.push("baseline is missing \"accepted_per_sec\"".to_string()),
-    }
-    failures
+    vec![
+        Metric::count("suite_size", SUITE_SIZE),
+        Metric::count("repeats", repeats),
+        Metric::new("tr_is_unique_ns_bitset", probe_bitset, 1),
+        Metric::new("tr_is_unique_ns_baseline", probe_reference, 1),
+        Metric::new(
+            "tr_is_unique_speedup",
+            probe_reference / probe_bitset.max(1e-9),
+            1,
+        ),
+        Metric::new("merge_ns_bitset", merge_bitset, 1),
+        Metric::new("merge_ns_baseline", merge_reference, 1),
+        Metric::new("accepted_per_sec", accepted_per_sec, 1),
+        Metric::new("fingerprint_fast_path_rate", fast_path_rate, 4),
+    ]
 }
 
 #[cfg(test)]
@@ -302,38 +186,5 @@ mod tests {
                 assert!(!a.statically_equal(b), "suite must be pairwise distinct");
             }
         }
-    }
-
-    #[test]
-    fn json_roundtrip_and_gate() {
-        let report = CoverageBenchReport {
-            suite_size: 1000,
-            repeats: 3,
-            tr_is_unique_ns_bitset: 100.0,
-            tr_is_unique_ns_baseline: 5000.0,
-            tr_is_unique_speedup: 50.0,
-            merge_ns_bitset: 80.0,
-            merge_ns_baseline: 900.0,
-            accepted_per_sec: 40.0,
-            fingerprint_fast_path_rate: 0.25,
-        };
-        let json = report.to_json();
-        assert_eq!(json_number(&json, "tr_is_unique_ns_bitset"), Some(100.0));
-        assert_eq!(json_number(&json, "accepted_per_sec"), Some(40.0));
-        assert_eq!(json_number(&json, "missing"), None);
-        // Same numbers as baseline: gate passes.
-        assert!(check_report(&report, &json, 1.2, 5.0).is_empty());
-        // A >20% slowdown on the probe fails.
-        let mut slow = report.clone();
-        slow.tr_is_unique_ns_bitset = 130.0;
-        let failures = check_report(&slow, &json, 1.2, 5.0);
-        assert!(failures
-            .iter()
-            .any(|f| f.contains("tr_is_unique_ns_bitset")));
-        // A speedup below the floor fails even with a matching baseline.
-        let mut no_speedup = report.clone();
-        no_speedup.tr_is_unique_speedup = 3.0;
-        let failures = check_report(&no_speedup, &json, 1.2, 5.0);
-        assert!(failures.iter().any(|f| f.contains("floor")));
     }
 }

@@ -1,7 +1,6 @@
-//! The interpreter-throughput benchmark behind `scripts/bench_gate.sh`'s
-//! `interp` scenario: measures the prepare-once execution layer (PR 9)
-//! against the cold prepare-per-call baseline and renders/checks the
-//! `BENCH_interp.json` report.
+//! The `interp` scenario's workload ([`crate::scenario`]): the
+//! prepare-once execution layer against the cold prepare-per-call
+//! baseline.
 //!
 //! Methodology (see EXPERIMENTS.md, "Interpreter-throughput benchmark"):
 //!
@@ -13,13 +12,7 @@
 //! * both arms run a fresh [`Machine`] per execution against a shared
 //!   [`World`], mirroring how campaign engines evaluate candidates; the
 //!   prepared arm's table is warmed before timing, so it measures the
-//!   steady state campaigns live in;
-//! * every throughput number is the median over `repeats` timings;
-//! * the machine-independent floor is `prepared_speedup` — prepared over
-//!   cold executions/sec — which must stay ≥ the gate floor (2.0 by
-//!   default: the prepared layer must at least halve execution cost).
-
-use std::time::Instant;
+//!   steady state campaigns live in.
 
 use classfuzz_classfile::{
     ClassFile, CodeAttribute, Instruction, MethodAccess, Opcode, TableSwitch,
@@ -27,8 +20,8 @@ use classfuzz_classfile::{
 use classfuzz_vm::interp::{Machine, RtValue};
 use classfuzz_vm::{Cov, UserClass, VmSpec, World};
 
-use crate::covbench::json_number;
-use crate::median;
+use crate::per_sec;
+use crate::scenario::Metric;
 
 /// Helper invocations per `main` execution: enough that per-invoke
 /// preparation dominates the cold arm without nearing the step budget.
@@ -37,26 +30,6 @@ pub const CALLS: i8 = 32;
 /// Switch arms in the helper: the bulk of the per-preparation work (one
 /// flattened instruction plus one resolved target per arm).
 const ARMS: usize = 64;
-
-/// The `BENCH_interp.json` payload: interpreter executions/sec with
-/// prepare-once caching against the cold prepare-per-call baseline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InterpBenchReport {
-    /// Helper invocations per measured `main` execution.
-    pub calls: usize,
-    /// `main` executions per timing sample.
-    pub execs: usize,
-    /// Repeats each throughput number is the median of.
-    pub repeats: usize,
-    /// Executions/sec with cold per-call preparation
-    /// ([`Machine::uncached`], the pre-PR-9 behavior).
-    pub execs_per_sec_cold: f64,
-    /// Executions/sec through the shared prepared-method table
-    /// ([`Machine::new`], the production configuration).
-    pub execs_per_sec_prepared: f64,
-    /// prepared / cold — the machine-independent speedup the gate floors.
-    pub prepared_speedup: f64,
-}
 
 /// Rewrites branch/switch targets given as *instruction indices* into the
 /// byte offsets the code array stores (same scheme as the conformance
@@ -172,33 +145,16 @@ fn run_once(world: &World, spec: &VmSpec, class: &UserClass, cold: bool) {
         .expect("bench class must execute cleanly");
 }
 
-fn execs_per_sec(
-    world: &World,
-    spec: &VmSpec,
-    class: &UserClass,
-    cold: bool,
-    execs: usize,
-    repeats: usize,
-) -> f64 {
-    let samples: Vec<f64> = (0..repeats)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..execs {
-                run_once(
-                    std::hint::black_box(world),
-                    spec,
-                    std::hint::black_box(class),
-                    cold,
-                );
-            }
-            execs as f64 / start.elapsed().as_secs_f64().max(1e-9)
-        })
-        .collect();
-    median(samples)
+/// Measures the bench class at 200 executions per timed run, which keeps
+/// a sample well above clock resolution while the scenario stays CI-sized.
+pub fn run(repeats: usize) -> Vec<Metric> {
+    measure(200, repeats)
 }
 
-/// Runs the interpreter-throughput benchmark.
-pub fn run_interp_bench(execs: usize, repeats: usize) -> InterpBenchReport {
+/// Executions/sec of `main`, cold (`Machine::uncached`: per-call
+/// preparation) vs prepared (`Machine::new`: the shared prepared-method
+/// table), `execs` executions per timed run.
+pub(crate) fn measure(execs: usize, repeats: usize) -> Vec<Metric> {
     let spec = VmSpec::hotspot9();
     let cf = ClassFile::from_bytes(&bench_class()).expect("bench class decodes");
     let class = UserClass::summarize(cf);
@@ -208,74 +164,36 @@ pub fn run_interp_bench(execs: usize, repeats: usize) -> InterpBenchReport {
     // steady state (first-execution preparation is the cold arm's story).
     run_once(&world, &spec, &class, false);
 
-    let execs_per_sec_cold = execs_per_sec(&world, &spec, &class, true, execs, repeats);
-    let execs_per_sec_prepared = execs_per_sec(&world, &spec, &class, false, execs, repeats);
+    let execs_per_sec = |cold: bool| {
+        per_sec(repeats, || {
+            for _ in 0..execs {
+                run_once(
+                    std::hint::black_box(&world),
+                    &spec,
+                    std::hint::black_box(&class),
+                    cold,
+                );
+            }
+            execs
+        })
+    };
+    let cold = execs_per_sec(true);
+    let prepared = execs_per_sec(false);
 
-    InterpBenchReport {
-        calls: CALLS as usize,
-        execs,
-        repeats,
-        execs_per_sec_cold,
-        execs_per_sec_prepared,
-        prepared_speedup: execs_per_sec_prepared / execs_per_sec_cold.max(1e-9),
-    }
-}
-
-impl InterpBenchReport {
-    /// Renders the report as the `BENCH_interp.json` payload.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"calls\": {},\n  \"execs\": {},\n  \"repeats\": {},\n  \
-             \"execs_per_sec_cold\": {:.1},\n  \
-             \"execs_per_sec_prepared\": {:.1},\n  \
-             \"prepared_speedup\": {:.2}\n}}\n",
-            self.calls,
-            self.execs,
-            self.repeats,
-            self.execs_per_sec_cold,
-            self.execs_per_sec_prepared,
-            self.prepared_speedup,
-        )
-    }
-}
-
-/// Compares a fresh report against the committed
-/// `BENCH_interp.baseline.json`. Returns the list of gate failures —
-/// empty means the gate passes.
-///
-/// * `min_speedup` is the floor on the in-run prepared/cold speedup;
-/// * `max_regression` bounds the relative slowdown of the prepared path
-///   against the baseline's own `execs_per_sec_prepared`.
-pub fn check_interp_report(
-    report: &InterpBenchReport,
-    baseline_json: &str,
-    max_regression: f64,
-    min_speedup: f64,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    if report.prepared_speedup < min_speedup {
-        failures.push(format!(
-            "prepared/cold speedup {:.2} is below the {min_speedup:.1}x floor",
-            report.prepared_speedup
-        ));
-    }
-    match json_number(baseline_json, "execs_per_sec_prepared") {
-        Some(base) if report.execs_per_sec_prepared < base / max_regression => {
-            failures.push(format!(
-                "execs_per_sec_prepared regressed: {:.1} vs baseline {base:.1} \
-                 (budget {max_regression:.2}x)",
-                report.execs_per_sec_prepared
-            ));
-        }
-        Some(_) => {}
-        None => failures.push("baseline is missing \"execs_per_sec_prepared\"".to_string()),
-    }
-    failures
+    vec![
+        Metric::count("calls", CALLS as usize),
+        Metric::count("execs", execs),
+        Metric::count("repeats", repeats),
+        Metric::new("execs_per_sec_cold", cold, 1),
+        Metric::new("execs_per_sec_prepared", prepared, 1),
+        Metric::new("prepared_speedup", prepared / cold.max(1e-9), 2),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::value;
     use classfuzz_vm::{ExecOutcome, Jvm};
 
     #[test]
@@ -294,42 +212,15 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_and_gate() {
-        let report = InterpBenchReport {
-            calls: 32,
-            execs: 200,
-            repeats: 3,
-            execs_per_sec_cold: 5000.0,
-            execs_per_sec_prepared: 20000.0,
-            prepared_speedup: 4.0,
-        };
-        let json = report.to_json();
-        assert_eq!(json_number(&json, "execs_per_sec_prepared"), Some(20000.0));
-        assert_eq!(json_number(&json, "prepared_speedup"), Some(4.0));
-        let baseline = "{\n  \"execs_per_sec_prepared\": 18000.0\n}\n";
-        assert!(check_interp_report(&report, baseline, 1.2, 2.0).is_empty());
-        // A speedup below the floor fails.
-        let mut slow = report.clone();
-        slow.prepared_speedup = 1.5;
-        assert!(check_interp_report(&slow, baseline, 1.2, 2.0)
-            .iter()
-            .any(|f| f.contains("floor")));
-        // A >20% drop against the baseline's own prepared number fails.
-        let mut regressed = report.clone();
-        regressed.execs_per_sec_prepared = 10000.0;
-        assert!(check_interp_report(&regressed, baseline, 1.2, 2.0)
-            .iter()
-            .any(|f| f.contains("regressed")));
-        // A missing baseline field is a failure, not a silent pass.
-        assert_eq!(check_interp_report(&report, "{}", 1.2, 2.0).len(), 1);
-    }
-
-    #[test]
     fn small_interp_report_is_consistent() {
-        let report = run_interp_bench(5, 1);
-        assert_eq!(report.calls, CALLS as usize);
-        assert!(report.execs_per_sec_cold > 0.0);
-        assert!(report.execs_per_sec_prepared > 0.0);
-        assert!(report.prepared_speedup > 0.0);
+        let metrics = measure(5, 1);
+        assert_eq!(value(&metrics, "calls"), Some(CALLS as f64));
+        for key in [
+            "execs_per_sec_cold",
+            "execs_per_sec_prepared",
+            "prepared_speedup",
+        ] {
+            assert!(value(&metrics, key).unwrap() > 0.0, "{key}");
+        }
     }
 }

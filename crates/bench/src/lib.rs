@@ -9,13 +9,15 @@
 
 pub mod alloc_count;
 pub mod covbench;
-pub mod execbench;
 pub mod harnessbench;
 pub mod interpbench;
 pub mod mutatebench;
 pub mod scalebench;
+pub mod scenario;
 pub mod startupbench;
 pub mod yieldbench;
+
+use std::time::Instant;
 
 use classfuzz_core::analyze::{evaluate_suite, SuiteEvaluation};
 use classfuzz_core::diff::DifferentialHarness;
@@ -83,6 +85,20 @@ impl Scale {
 pub fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.total_cmp(b));
     samples[samples.len() / 2]
+}
+
+/// The median throughput of `op` over `repeats` timed runs, in items per
+/// second; each run of `op` returns how many items it processed.
+pub fn per_sec(repeats: usize, mut op: impl FnMut() -> usize) -> f64 {
+    median(
+        (0..repeats)
+            .map(|_| {
+                let start = Instant::now();
+                let items = op();
+                items as f64 / start.elapsed().as_secs_f64().max(1e-9)
+            })
+            .collect(),
+    )
 }
 
 /// The seed corpus for a scale.

@@ -1,7 +1,6 @@
-//! The startup-throughput benchmark behind `scripts/bench_gate.sh`'s
-//! `startup` scenario: measures the analyze-once verification layer
-//! (PR 10) against the cold analyze-per-profile baseline and
-//! renders/checks the `BENCH_startup.json` report.
+//! The `startup` scenario's workload ([`crate::scenario`]): the
+//! analyze-once verification layer against the cold analyze-per-profile
+//! baseline.
 //!
 //! Methodology (see EXPERIMENTS.md, "Startup-throughput benchmark"):
 //!
@@ -14,22 +13,17 @@
 //! * the shared arm uses [`Jvm::new`]: the first eager profile fills the
 //!   class's [`AnalysisTable`] and the remaining profiles consume it. The
 //!   cold arm uses [`Jvm::cold_verify`]: same shared bootstrap library,
-//!   but every profile re-derives every method's analysis — exactly the
-//!   pre-PR-10 behavior, with library caching deliberately left on so the
-//!   gap isolates what analysis sharing alone buys;
-//! * every throughput number is the median over `repeats` timings;
-//! * the machine-independent floor is `shared_speedup` — shared over cold
-//!   five-profile startups/sec — which the gate floors at 2.0 by default.
+//!   but every profile re-derives every method's analysis, with library
+//!   caching deliberately left on so the gap isolates what analysis
+//!   sharing alone buys.
 //!
 //! [`AnalysisTable`]: classfuzz_vm::AnalysisTable
-
-use std::time::Instant;
 
 use classfuzz_classfile::{ClassFile, CodeAttribute, Instruction, MethodAccess, Opcode};
 use classfuzz_vm::{preparse, Jvm, VmSpec};
 
-use crate::covbench::json_number;
-use crate::median;
+use crate::per_sec;
+use crate::scenario::Metric;
 
 /// Worker methods in the benchmark class: each is analyzed once on the
 /// shared path and once *per eager profile* on the cold path.
@@ -50,28 +44,6 @@ const DESCS: [&str; 4] = [
     "[[[[[[[[[[[[[[[[[[[[[[[[[[Ljava/lang/Integer;",
     "[[[[[[[[[[[[[[[[[[[[[[[[[[[Ljava/lang/StringBuilder;",
 ];
-
-/// The `BENCH_startup.json` payload: five-profile startups/sec with the
-/// shared analysis table against the cold analyze-per-profile baseline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StartupBenchReport {
-    /// Worker methods in the benchmark class.
-    pub methods: usize,
-    /// `getstatic`/`pop` pairs per worker method.
-    pub pairs: usize,
-    /// Five-profile startups per timing sample.
-    pub starts: usize,
-    /// Repeats each throughput number is the median of.
-    pub repeats: usize,
-    /// Startups/sec with cold per-profile analysis ([`Jvm::cold_verify`],
-    /// the pre-PR-10 behavior).
-    pub startups_per_sec_cold: f64,
-    /// Startups/sec through the shared per-class analysis table
-    /// ([`Jvm::new`], the production configuration).
-    pub startups_per_sec_shared: f64,
-    /// shared / cold — the machine-independent speedup the gate floors.
-    pub shared_speedup: f64,
-}
 
 /// Assembles the benchmark class: a `main` that returns immediately plus
 /// [`METHODS`] worker methods of [`PAIRS`] `getstatic`/`pop` pairs over
@@ -149,98 +121,48 @@ fn run_once(bytes: &[u8], cold: bool) {
     }
 }
 
-fn startups_per_sec(bytes: &[u8], cold: bool, starts: usize, repeats: usize) -> f64 {
-    let samples: Vec<f64> = (0..repeats)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..starts {
-                run_once(std::hint::black_box(bytes), cold);
-            }
-            starts as f64 / start.elapsed().as_secs_f64().max(1e-9)
-        })
-        .collect();
-    median(samples)
+/// Measures the bench class at 60 five-profile startups per timed run,
+/// which keeps a sample well above clock resolution while the scenario
+/// stays CI-sized.
+pub fn run(repeats: usize) -> Vec<Metric> {
+    measure(60, repeats)
 }
 
-/// Runs the startup-throughput benchmark.
-pub fn run_startup_bench(starts: usize, repeats: usize) -> StartupBenchReport {
+/// Five-profile startups/sec, cold (per-profile analysis) vs shared (one
+/// analysis table for all five), `starts` startups per timed run.
+pub(crate) fn measure(starts: usize, repeats: usize) -> Vec<Metric> {
     let bytes = bench_class();
     // One warmup evaluation per arm so neither pays one-time library
     // initialization inside the timed region.
     run_once(&bytes, true);
     run_once(&bytes, false);
 
-    let startups_per_sec_cold = startups_per_sec(&bytes, true, starts, repeats);
-    let startups_per_sec_shared = startups_per_sec(&bytes, false, starts, repeats);
+    let startups_per_sec = |cold: bool| {
+        per_sec(repeats, || {
+            for _ in 0..starts {
+                run_once(std::hint::black_box(&bytes), cold);
+            }
+            starts
+        })
+    };
+    let cold = startups_per_sec(true);
+    let shared = startups_per_sec(false);
 
-    StartupBenchReport {
-        methods: METHODS,
-        pairs: PAIRS,
-        starts,
-        repeats,
-        startups_per_sec_cold,
-        startups_per_sec_shared,
-        shared_speedup: startups_per_sec_shared / startups_per_sec_cold.max(1e-9),
-    }
-}
-
-impl StartupBenchReport {
-    /// Renders the report as the `BENCH_startup.json` payload.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"methods\": {},\n  \"pairs\": {},\n  \"starts\": {},\n  \
-             \"repeats\": {},\n  \
-             \"startups_per_sec_cold\": {:.1},\n  \
-             \"startups_per_sec_shared\": {:.1},\n  \
-             \"shared_speedup\": {:.2}\n}}\n",
-            self.methods,
-            self.pairs,
-            self.starts,
-            self.repeats,
-            self.startups_per_sec_cold,
-            self.startups_per_sec_shared,
-            self.shared_speedup,
-        )
-    }
-}
-
-/// Compares a fresh report against the committed
-/// `BENCH_startup.baseline.json`. Returns the list of gate failures —
-/// empty means the gate passes.
-///
-/// * `min_speedup` is the floor on the in-run shared/cold speedup;
-/// * `max_regression` bounds the relative slowdown of the shared path
-///   against the baseline's own `startups_per_sec_shared`.
-pub fn check_startup_report(
-    report: &StartupBenchReport,
-    baseline_json: &str,
-    max_regression: f64,
-    min_speedup: f64,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    if report.shared_speedup < min_speedup {
-        failures.push(format!(
-            "shared/cold speedup {:.2} is below the {min_speedup:.1}x floor",
-            report.shared_speedup
-        ));
-    }
-    match json_number(baseline_json, "startups_per_sec_shared") {
-        Some(base) if report.startups_per_sec_shared < base / max_regression => {
-            failures.push(format!(
-                "startups_per_sec_shared regressed: {:.1} vs baseline {base:.1} \
-                 (budget {max_regression:.2}x)",
-                report.startups_per_sec_shared
-            ));
-        }
-        Some(_) => {}
-        None => failures.push("baseline is missing \"startups_per_sec_shared\"".to_string()),
-    }
-    failures
+    vec![
+        Metric::count("methods", METHODS),
+        Metric::count("pairs", PAIRS),
+        Metric::count("starts", starts),
+        Metric::count("repeats", repeats),
+        Metric::new("startups_per_sec_cold", cold, 1),
+        Metric::new("startups_per_sec_shared", shared, 1),
+        Metric::new("shared_speedup", shared / cold.max(1e-9), 2),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::value;
     use classfuzz_vm::{ExecOutcome, Outcome};
 
     #[test]
@@ -262,44 +184,16 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_and_gate() {
-        let report = StartupBenchReport {
-            methods: METHODS,
-            pairs: PAIRS,
-            starts: 50,
-            repeats: 3,
-            startups_per_sec_cold: 400.0,
-            startups_per_sec_shared: 1200.0,
-            shared_speedup: 3.0,
-        };
-        let json = report.to_json();
-        assert_eq!(json_number(&json, "startups_per_sec_shared"), Some(1200.0));
-        assert_eq!(json_number(&json, "shared_speedup"), Some(3.0));
-        let baseline = "{\n  \"startups_per_sec_shared\": 1000.0\n}\n";
-        assert!(check_startup_report(&report, baseline, 1.2, 2.0).is_empty());
-        // A speedup below the floor fails.
-        let mut slow = report.clone();
-        slow.shared_speedup = 1.5;
-        assert!(check_startup_report(&slow, baseline, 1.2, 2.0)
-            .iter()
-            .any(|f| f.contains("floor")));
-        // A >20% drop against the baseline's own shared number fails.
-        let mut regressed = report.clone();
-        regressed.startups_per_sec_shared = 600.0;
-        assert!(check_startup_report(&regressed, baseline, 1.2, 2.0)
-            .iter()
-            .any(|f| f.contains("regressed")));
-        // A missing baseline field is a failure, not a silent pass.
-        assert_eq!(check_startup_report(&report, "{}", 1.2, 2.0).len(), 1);
-    }
-
-    #[test]
     fn small_startup_report_is_consistent() {
-        let report = run_startup_bench(3, 1);
-        assert_eq!(report.methods, METHODS);
-        assert!(report.startups_per_sec_cold > 0.0);
-        assert!(report.startups_per_sec_shared > 0.0);
-        assert!(report.shared_speedup > 0.0);
+        let metrics = measure(3, 1);
+        assert_eq!(value(&metrics, "methods"), Some(METHODS as f64));
+        for key in [
+            "startups_per_sec_cold",
+            "startups_per_sec_shared",
+            "shared_speedup",
+        ] {
+            assert!(value(&metrics, key).unwrap() > 0.0, "{key}");
+        }
     }
 
     #[test]

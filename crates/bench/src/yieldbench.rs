@@ -1,8 +1,7 @@
-//! The seed-intelligence yield benchmark behind `covbench --scenario
-//! yield`: measures how many *distinct* discrepancy keys a fixed
-//! iteration budget finds with uniform seed weighting (the historical
-//! behavior) versus greedy max-cover selection plus live corpus
-//! distillation, and renders/checks the `BENCH_yield.json` report.
+//! The `yield` scenario's workload ([`crate::scenario`]): how many
+//! *distinct* discrepancy keys a fixed iteration budget finds with uniform
+//! seed weighting (the historical behavior) versus greedy max-cover
+//! selection plus live corpus distillation.
 //!
 //! Methodology (see EXPERIMENTS.md "Yield benchmark"):
 //!
@@ -19,9 +18,7 @@
 //!   campaigns — startup keys plus execution-divergence keys, the same
 //!   encodings the CLI reports;
 //! * determinism makes repeats pointless (every rerun reproduces the
-//!   same key sets bit for bit), so the scenario ignores `--repeats`;
-//! * the gate floors `yield_ratio` (maxcover+distill over uniform) at
-//!   ≥1.2× and holds `maxcover_keys` to the committed baseline.
+//!   same key sets bit for bit), so the scenario ignores `--repeats`.
 
 use std::collections::BTreeSet;
 
@@ -32,7 +29,7 @@ use classfuzz_core::engine::{
 use classfuzz_core::seeds::{SeedCorpus, SeedShape};
 use classfuzz_coverage::UniquenessCriterion;
 
-use crate::covbench::json_number;
+use crate::scenario::Metric;
 
 /// Seed-corpus size per campaign.
 const YIELD_SEEDS: usize = 48;
@@ -43,30 +40,6 @@ const YIELD_POOL_CAP: usize = 12;
 /// Master RNG seeds — one fixed-budget campaign each, per arm. Spread
 /// (not consecutive) so the three corpora are fully independent draws.
 const YIELD_RNG_SEEDS: [u64; 3] = [31, 101, 555];
-
-/// The `BENCH_yield.json` payload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct YieldBenchReport {
-    /// Seeds per campaign.
-    pub seeds: usize,
-    /// Iterations per campaign.
-    pub iterations: usize,
-    /// Campaigns per arm (distinct master RNG seeds).
-    pub campaigns: usize,
-    /// The maxcover arm's pool cap.
-    pub pool_cap: usize,
-    /// Distinct discrepancy keys: uniform selection, unbounded pool.
-    pub uniform_keys: usize,
-    /// Distinct discrepancy keys: max-cover selection + distillation.
-    pub maxcover_keys: usize,
-    /// `maxcover_keys / uniform_keys` — the gated yield ratio.
-    pub yield_ratio: f64,
-    /// Distillation passes the maxcover arm ran (telemetry sanity:
-    /// must be nonzero or the distill path was never exercised).
-    pub distill_passes: u64,
-    /// Pool entries distillation evicted across the maxcover arm.
-    pub distill_evicted: u64,
-}
 
 /// Every distinct discrepancy key a suite triggers: startup-phase keys,
 /// plus `startup>exec` compound keys for representatives that only
@@ -117,146 +90,25 @@ fn run_arm(select: SeedSelect, pool_cap: Option<usize>) -> (usize, u64, u64) {
     (keys.len(), distill_passes, distill_evicted)
 }
 
-/// Runs the fixed-budget yield comparison. `_repeats` is accepted for
-/// CLI uniformity but unused: both arms are deterministic, so a rerun
-/// cannot change the result.
-pub fn run_yield_bench(_repeats: usize) -> YieldBenchReport {
+/// Runs the fixed-budget yield comparison. `_repeats` is unused: both
+/// arms are deterministic, so a rerun cannot change the result.
+pub fn run(_repeats: usize) -> Vec<Metric> {
     let (uniform_keys, _, _) = run_arm(SeedSelect::Uniform, None);
     let (maxcover_keys, distill_passes, distill_evicted) =
         run_arm(SeedSelect::MaxCover, Some(YIELD_POOL_CAP));
-    YieldBenchReport {
-        seeds: YIELD_SEEDS,
-        iterations: YIELD_ITERATIONS,
-        campaigns: YIELD_RNG_SEEDS.len(),
-        pool_cap: YIELD_POOL_CAP,
-        uniform_keys,
-        maxcover_keys,
-        yield_ratio: maxcover_keys as f64 / (uniform_keys as f64).max(1e-9),
-        distill_passes,
-        distill_evicted,
-    }
-}
-
-impl YieldBenchReport {
-    /// Renders the report as the `BENCH_yield.json` payload.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"seeds\": {},\n  \"iterations\": {},\n  \
-             \"campaigns\": {},\n  \"pool_cap\": {},\n  \
-             \"uniform_keys\": {},\n  \"maxcover_keys\": {},\n  \
-             \"yield_ratio\": {:.2},\n  \"distill_passes\": {},\n  \
-             \"distill_evicted\": {}\n}}\n",
-            self.seeds,
-            self.iterations,
-            self.campaigns,
-            self.pool_cap,
-            self.uniform_keys,
-            self.maxcover_keys,
-            self.yield_ratio,
-            self.distill_passes,
-            self.distill_evicted,
-        )
-    }
-}
-
-/// Compares a fresh report against the committed baseline. Returns the
-/// gate failures — empty means the gate passes.
-///
-/// * `yield_ratio` must clear `min_speedup` (the acceptance criteria's
-///   ≥1.2× distinct-key floor) — machine-independent, since both arms
-///   are deterministic;
-/// * the uniform arm must find at least one key, or the ratio is
-///   meaningless;
-/// * the maxcover arm must have actually distilled (`distill_passes`
-///   nonzero), or the gate is not exercising the path it guards;
-/// * `maxcover_keys` is additionally held to the committed baseline
-///   under `max_regression`.
-pub fn check_yield_report(
-    report: &YieldBenchReport,
-    baseline_json: &str,
-    max_regression: f64,
-    min_speedup: f64,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    if report.uniform_keys == 0 {
-        failures
-            .push("uniform arm found no discrepancy keys; the ratio is meaningless".to_string());
-    }
-    if report.yield_ratio < min_speedup {
-        failures.push(format!(
-            "yield ratio {:.2}x (maxcover {} keys vs uniform {}) is below the \
-             {min_speedup:.1}x floor",
-            report.yield_ratio, report.maxcover_keys, report.uniform_keys
-        ));
-    }
-    if report.distill_passes == 0 {
-        failures.push("maxcover arm ran zero distillation passes".to_string());
-    }
-    match json_number(baseline_json, "maxcover_keys") {
-        Some(base) if (report.maxcover_keys as f64) < base / max_regression => {
-            failures.push(format!(
-                "maxcover_keys regressed: {} vs baseline {base:.0} (budget {max_regression:.2}x)",
-                report.maxcover_keys
-            ));
-        }
-        Some(_) => {}
-        None => failures.push("baseline is missing \"maxcover_keys\"".to_string()),
-    }
-    failures
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample_report() -> YieldBenchReport {
-        YieldBenchReport {
-            seeds: 48,
-            iterations: 500,
-            campaigns: 3,
-            pool_cap: 12,
-            uniform_keys: 10,
-            maxcover_keys: 14,
-            yield_ratio: 1.4,
-            distill_passes: 45,
-            distill_evicted: 120,
-        }
-    }
-
-    #[test]
-    fn json_roundtrip_and_gate() {
-        let report = sample_report();
-        let json = report.to_json();
-        assert_eq!(json_number(&json, "yield_ratio"), Some(1.4));
-        assert_eq!(json_number(&json, "maxcover_keys"), Some(14.0));
-        assert!(check_yield_report(&report, &json, 1.2, 1.2).is_empty());
-
-        // A ratio below the floor fails.
-        let mut flat = report.clone();
-        flat.yield_ratio = 1.1;
-        assert!(check_yield_report(&flat, &json, 1.2, 1.2)
-            .iter()
-            .any(|f| f.contains("below the")));
-
-        // A keyless uniform arm fails (degenerate denominator).
-        let mut empty = report.clone();
-        empty.uniform_keys = 0;
-        assert!(check_yield_report(&empty, &json, 1.2, 1.2)
-            .iter()
-            .any(|f| f.contains("meaningless")));
-
-        // Zero distill passes means the gated path never ran.
-        let mut undistilled = report.clone();
-        undistilled.distill_passes = 0;
-        assert!(check_yield_report(&undistilled, &json, 1.2, 1.2)
-            .iter()
-            .any(|f| f.contains("zero distillation")));
-
-        // Falling far below the committed key count fails.
-        let mut sparse = report.clone();
-        sparse.maxcover_keys = 9;
-        assert!(check_yield_report(&sparse, &json, 1.2, 1.2)
-            .iter()
-            .any(|f| f.contains("regressed")));
-    }
+    vec![
+        Metric::count("seeds", YIELD_SEEDS),
+        Metric::count("iterations", YIELD_ITERATIONS),
+        Metric::count("campaigns", YIELD_RNG_SEEDS.len()),
+        Metric::count("pool_cap", YIELD_POOL_CAP),
+        Metric::count("uniform_keys", uniform_keys),
+        Metric::count("maxcover_keys", maxcover_keys),
+        Metric::new(
+            "yield_ratio",
+            maxcover_keys as f64 / (uniform_keys as f64).max(1e-9),
+            2,
+        ),
+        Metric::count("distill_passes", distill_passes as usize),
+        Metric::count("distill_evicted", distill_evicted as usize),
+    ]
 }

@@ -19,7 +19,7 @@ use crate::interp::{ExecError, Machine, RtValue};
 use crate::library::{bootstrap_library, shared_library, LibClass};
 use crate::outcome::{JvmErrorKind, Outcome, Phase};
 use crate::spec::VmSpec;
-use crate::world::{UserClass, World};
+use crate::world::{MethodSummary, UserClass, World};
 use crate::{linker, loader, probe, probe_branch, verifier};
 
 /// The result of one startup run: the observable outcome plus (for the
@@ -343,7 +343,7 @@ impl Jvm {
         machine.prepare_statics(main_class);
         if let Some(clinit) = self.initializer_of(main_class) {
             probe!(cov);
-            match machine.call_static(main_class, &clinit.0, &clinit.1, vec![], cov) {
+            match machine.call_static(main_class, &clinit.name, &clinit.desc_text, vec![], cov) {
                 Ok(_) => {}
                 Err(ExecError::Linkage { kind, message }) => {
                     // Linkage errors surfacing from lazy verification or
@@ -382,19 +382,15 @@ impl Jvm {
             );
         }
         let main = main_class.find_method("main", "([Ljava/lang/String;)V");
-        let main = match main {
-            Some(m) if m.access.contains(MethodAccess::STATIC) && m.has_code => m.clone(),
-            _ => {
-                probe!(cov);
-                return Outcome::rejected(
-                    Phase::Runtime,
-                    JvmErrorKind::MainMethodNotFound,
-                    format!("Main method not found in class {main_name}"),
-                );
-            }
-        };
+        if !main.is_some_and(|m| m.access.contains(MethodAccess::STATIC) && m.has_code) {
+            probe!(cov);
+            return Outcome::rejected(
+                Phase::Runtime,
+                JvmErrorKind::MainMethodNotFound,
+                format!("Main method not found in class {main_name}"),
+            );
+        }
         let args = vec![RtValue::Ref(None)]; // String[] args — we pass null
-        let _ = main;
         match machine.call_static(main_class, "main", "([Ljava/lang/String;)V", args, cov) {
             Ok(_) => Outcome::Invoked {
                 stdout: machine.stdout,
@@ -426,36 +422,23 @@ impl Jvm {
     /// `<clinit>`, no arguments, with the static flag (version ≥ 51).
     /// Non-static `<clinit>`s are "of no consequence" here; whether they
     /// were already rejected at load time is the loader's policy.
-    fn initializer_of(&self, class: &UserClass) -> Option<(String, String)> {
-        class
-            .methods
-            .iter()
-            .find(|m| {
-                m.name == "<clinit>"
-                    && m.access.contains(MethodAccess::STATIC)
-                    && m.has_code
-                    && m.desc_text == "()V"
-            })
-            .map(|m| (m.name.clone(), m.desc_text.clone()))
+    fn initializer_of<'c>(&self, class: &'c UserClass) -> Option<&'c MethodSummary> {
+        class.methods.iter().find(|m| {
+            m.name == "<clinit>"
+                && m.access.contains(MethodAccess::STATIC)
+                && m.has_code
+                && m.desc_text == "()V"
+        })
     }
 }
 
 /// Which phase a linkage error surfacing during execution belongs to, under
 /// the paper's five-way simplification (§2.3).
 fn linkage_phase(kind: JvmErrorKind) -> Phase {
-    match kind {
-        JvmErrorKind::VerifyError => Phase::Linking,
-        JvmErrorKind::NoClassDefFoundError => Phase::Runtime,
-        JvmErrorKind::ClassFormatError => Phase::Runtime,
-        JvmErrorKind::IllegalAccessError
-        | JvmErrorKind::NoSuchFieldError
-        | JvmErrorKind::NoSuchMethodError
-        | JvmErrorKind::AbstractMethodError
-        | JvmErrorKind::InstantiationError
-        | JvmErrorKind::IncompatibleClassChangeError
-        | JvmErrorKind::UnsatisfiedLinkError
-        | JvmErrorKind::ResolutionDepthExceeded => Phase::Runtime,
-        _ => Phase::Runtime,
+    if kind == JvmErrorKind::VerifyError {
+        Phase::Linking
+    } else {
+        Phase::Runtime
     }
 }
 
@@ -516,6 +499,30 @@ mod tests {
         let out = run_on(&class, VmSpec::hotspot9());
         assert_eq!(out.phase(), Phase::Runtime);
         assert_eq!(out.error().unwrap().kind, JvmErrorKind::MainMethodNotFound);
+    }
+
+    #[test]
+    fn instance_main_is_runtime_rejection() {
+        let mut class = IrClass::with_hello_main("inst/Main", "Completed!");
+        let main = class.methods.iter_mut().find(|m| m.name == "main").unwrap();
+        main.access = main.access.without(MethodAccess::STATIC);
+        let out = run_on(&class, VmSpec::hotspot9());
+        assert_eq!(out.phase(), Phase::Runtime);
+        assert_eq!(out.error().unwrap().kind, JvmErrorKind::MainMethodNotFound);
+    }
+
+    #[test]
+    fn only_verify_errors_surface_as_linking() {
+        assert_eq!(linkage_phase(JvmErrorKind::VerifyError), Phase::Linking);
+        for kind in [
+            JvmErrorKind::NoClassDefFoundError,
+            JvmErrorKind::ClassFormatError,
+            JvmErrorKind::IllegalAccessError,
+            JvmErrorKind::NoSuchMethodError,
+            JvmErrorKind::ResolutionDepthExceeded,
+        ] {
+            assert_eq!(linkage_phase(kind), Phase::Runtime, "{kind:?}");
+        }
     }
 
     #[test]

@@ -1,163 +1,12 @@
 #!/usr/bin/env sh
-# Bench-smoke gate: runs the eight gated benchmark scenarios on fixed
-# seeds and fails CI on regression. Extra flags pass through to covbench
-# for every scenario (e.g. --repeats 3).
-#
-# Scenario `coverage` — the [tr] acceptance hot-path micro-benchmarks
-# (crates/bench/src/covbench.rs) → BENCH_coverage.json. Fails when
-#
-#   * any tracked metric regresses more than 20% against the committed
-#     BENCH_coverage.baseline.json, or
-#   * the bitset engine's [tr] is_unique speedup over the retained BTreeSet
-#     reference model drops below 5x (machine-independent floor).
-#
-# Scenario `harness` — the end-to-end five-VM evaluation of the
-# snapshot-pinned mutant batch (crates/bench/src/harnessbench.rs)
-# → BENCH_harness.json. Fails when
-#
-#   * the shared pipeline's throughput regresses more than 20% against
-#     the committed BENCH_harness.baseline.json,
-#   * the in-run speedup of the shared pipeline over the cold
-#     (rebuild-everything) path drops below 2x, or
-#   * throughput falls below 2x the committed old-path baseline — the
-#     share-everything pipeline's acceptance criterion.
-#
-# Scenario `mutate` — the clone → mutate → lower → serialize hot loop on
-# the pinned campaign workload (crates/bench/src/mutatebench.rs)
-# → BENCH_mutate.json. Fails when
-#
-#   * the scratch path's throughput regresses more than 20% against the
-#     committed BENCH_mutate.baseline.json,
-#   * the in-run speedup of the copy-on-write + scratch-lowering path
-#     over the deep-clone + cold-lowering path drops below 2x,
-#   * throughput falls below 2x the committed cold-path baseline — the
-#     allocation-lean generation acceptance criterion, or
-#   * allocator events per candidate on the scratch path stop undercutting
-#     the cold path, or exceed the committed count by more than 20%
-#     (counted by the covbench binary's counting global allocator).
-#
-# Scenario `exec` — the --exec-diff observer's cost on top of a
-# startup-only five-VM evaluation of the same pinned batch
-# (crates/bench/src/execbench.rs) → BENCH_exec.json. Fails when
-#
-#   * the differencing path's throughput regresses more than 20% against
-#     the committed BENCH_exec.baseline.json, or
-#   * the in-run exec-vs-startup overhead ratio drops below 0.5 —
-#     execution differencing may at most double the evaluation cost.
-#
-# Scenario `interp` — interpreter throughput with the prepare-once
-# PreparedCode layer vs cold per-call preparation on a switch-heavy
-# hand-assembled workload (crates/bench/src/interpbench.rs)
-# → BENCH_interp.json. Fails when
-#
-#   * the prepared path's executions/sec regress more than 20% against
-#     the committed BENCH_interp.baseline.json, or
-#   * the in-run prepared-vs-cold speedup drops below 2x — the
-#     prepare-once layer must at least halve execution cost.
-#
-# Scenario `scale` — the free-running async engine's shard scaling and
-# the fixed-budget async-vs-lockstep discrepancy cross-check
-# (crates/bench/src/scalebench.rs) → BENCH_scale.json. Fails when
-#
-#   * the one-shard async-vs-lockstep discrepancy cross-check finds
-#     differing OutcomeVector key sets (unconditional),
-#   * on 2+ cores, the async scaling ratio at 2+ shards drops below 1.5x
-#     (machine-independent floor; on a single core — the CI container —
-#     the gate instead requires one async shard within the regression
-#     budget of one lockstep shard), or
-#   * one-shard async throughput regresses more than 20% against the
-#     committed BENCH_scale.baseline.json.
-#
-# Scenario `yield` — distinct discrepancy keys per fixed iteration
-# budget, uniform seeding vs greedy max-cover selection + live corpus
-# distillation (crates/bench/src/yieldbench.rs) → BENCH_yield.json.
-# Fully deterministic (both arms replay bit for bit on any machine);
-# fails when
-#
-#   * the maxcover+distill arm's distinct-key yield drops below 1.2x the
-#     uniform arm's (machine-independent floor),
-#   * the uniform arm finds no keys or the maxcover arm never distills
-#     (degenerate measurements), or
-#   * maxcover_keys falls more than 20% below the committed
-#     BENCH_yield.baseline.json.
-#
-# Scenario `startup` — five-profile startup throughput of one preparsed
-# candidate, with the analyze-once verification table shared across
-# profiles vs cold per-profile analysis
-# (crates/bench/src/startupbench.rs) → BENCH_startup.json. Fails when
-#
-#   * the shared path's startups/sec regress more than 20% against the
-#     committed BENCH_startup.baseline.json, or
-#   * the in-run shared-vs-cold speedup drops below 2x — sharing
-#     profile-invariant analysis must at least halve five-profile
-#     startup cost on the verification-heavy workload.
-#
-# Timings are medians over repeated runs so one scheduler hiccup cannot
-# fail CI; the committed baselines are deliberately pessimistic (see
-# their "_note" fields).
+# Bench gate: runs every scenario in the registry
+# (crates/bench/src/scenario.rs) in one process, writes each
+# BENCH_<name>.json, and fails on any gate against its committed
+# BENCH_<name>.baseline.json. Each scenario's floors, budget and baseline
+# rationale live in its registry entry. Extra flags pass through to
+# covbench (e.g. --repeats 3, or --scenario NAME for one).
 set -eu
 
 cd "$(dirname "$0")/.."
 
-cargo run --release -q -p classfuzz-bench --bin covbench -- \
-    --out BENCH_coverage.json \
-    --baseline BENCH_coverage.baseline.json \
-    --max-regression 1.2 \
-    --min-speedup 5.0 \
-    "$@"
-
-cargo run --release -q -p classfuzz-bench --bin covbench -- \
-    --scenario harness \
-    --out BENCH_harness.json \
-    --baseline BENCH_harness.baseline.json \
-    --max-regression 1.2 \
-    --min-speedup 2.0 \
-    "$@"
-
-cargo run --release -q -p classfuzz-bench --bin covbench -- \
-    --scenario mutate \
-    --out BENCH_mutate.json \
-    --baseline BENCH_mutate.baseline.json \
-    --max-regression 1.2 \
-    --min-speedup 2.0 \
-    "$@"
-
-cargo run --release -q -p classfuzz-bench --bin covbench -- \
-    --scenario exec \
-    --out BENCH_exec.json \
-    --baseline BENCH_exec.baseline.json \
-    --max-regression 1.2 \
-    --min-speedup 0.5 \
-    "$@"
-
-cargo run --release -q -p classfuzz-bench --bin covbench -- \
-    --scenario interp \
-    --out BENCH_interp.json \
-    --baseline BENCH_interp.baseline.json \
-    --max-regression 1.2 \
-    --min-speedup 2.0 \
-    "$@"
-
-cargo run --release -q -p classfuzz-bench --bin covbench -- \
-    --scenario scale \
-    --out BENCH_scale.json \
-    --baseline BENCH_scale.baseline.json \
-    --max-regression 1.2 \
-    --min-speedup 1.5 \
-    "$@"
-
-cargo run --release -q -p classfuzz-bench --bin covbench -- \
-    --scenario yield \
-    --out BENCH_yield.json \
-    --baseline BENCH_yield.baseline.json \
-    --max-regression 1.2 \
-    --min-speedup 1.2 \
-    "$@"
-
-cargo run --release -q -p classfuzz-bench --bin covbench -- \
-    --scenario startup \
-    --out BENCH_startup.json \
-    --baseline BENCH_startup.baseline.json \
-    --max-regression 1.2 \
-    --min-speedup 2.0 \
-    "$@"
+cargo run --release -q -p classfuzz-bench --bin covbench -- "$@"

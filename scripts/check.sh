@@ -44,24 +44,8 @@ step no_panic cargo test -q --test no_panic
 step clippy cargo clippy --workspace --all-targets -- -D warnings
 # No new panic sites in the hot-path crates (classfile/vm/core).
 step panic_gate sh scripts/panic_gate.sh
-# Bench smoke, all eight scenarios: the coverage hot-path microbenchmarks
-# vs. BENCH_coverage.baseline.json (20% budget + 5x speedup floor), the
-# end-to-end harness batch vs. BENCH_harness.baseline.json (20% budget +
-# 2x shared-vs-cold and shared-vs-old-path floors), the mutate hot
-# loop vs. BENCH_mutate.baseline.json (20% budget + 2x scratch-vs-cold
-# floor + allocation-count ceiling), the --exec-diff observer vs.
-# BENCH_exec.baseline.json (20% budget + 0.5 exec-vs-startup ratio
-# floor), the prepare-once interpreter vs. BENCH_interp.baseline.json
-# (20% budget + 2x prepared-vs-cold floor), the async engine's shard
-# scaling + discrepancy cross-check
-# vs. BENCH_scale.baseline.json (20% budget + 1.5x scaling floor where
-# 2+ cores exist, a no-regression-vs-lockstep guard on one core, and an
-# unconditional async-vs-lockstep key-set cross-check), and the
-# deterministic seed-selection yield comparison vs.
-# BENCH_yield.baseline.json (20% budget + 1.2x maxcover-vs-uniform
-# distinct-discrepancy-key floor), and the analyze-once five-profile
-# startup throughput vs. BENCH_startup.baseline.json (20% budget + 2x
-# shared-vs-cold floor).
+# Bench gate: every scenario in crates/bench/src/scenario.rs against its
+# committed BENCH_<name>.baseline.json; the floors live in the registry.
 step bench_gate sh scripts/bench_gate.sh
 
 echo "All gates passed. Step timings:"
