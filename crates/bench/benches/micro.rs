@@ -5,7 +5,7 @@
 use classfuzz_classfile::ClassFile;
 use classfuzz_core::diff::DifferentialHarness;
 use classfuzz_core::seeds::SeedCorpus;
-use classfuzz_coverage::{SuiteIndex, UniquenessCriterion};
+use classfuzz_coverage::{SuiteIndex, TraceFile, UniquenessCriterion};
 use classfuzz_jimple::lower::{lower_class, lower_class_bytes, LowerScratch};
 use classfuzz_jimple::{lift::lift_class, IrClass};
 use classfuzz_mcmc::MutatorChain;
@@ -78,8 +78,9 @@ fn bench_vm_startup(c: &mut Criterion) {
     }
     group.finish();
     let reference = Jvm::new(VmSpec::hotspot9());
+    let mut scratch = TraceFile::new();
     c.bench_function("vm/startup-traced (reference)", |b| {
-        b.iter(|| reference.run_traced(std::hint::black_box(&bytes)))
+        b.iter(|| reference.run_traced_into(std::hint::black_box(&bytes), &mut scratch))
     });
 }
 
@@ -296,7 +297,11 @@ fn bench_coverage(c: &mut Criterion) {
     let traces: Vec<_> = SeedCorpus::generate(20, 3)
         .to_bytes()
         .iter()
-        .filter_map(|b| reference.run_traced(b).trace)
+        .map(|b| {
+            let mut trace = TraceFile::new();
+            reference.run_traced_into(b, &mut trace);
+            trace
+        })
         .collect();
     for criterion in [
         UniquenessCriterion::St,

@@ -163,6 +163,7 @@ pub(crate) fn measure(starts: usize, repeats: usize) -> Vec<Metric> {
 mod tests {
     use super::*;
     use crate::scenario::value;
+    use classfuzz_coverage::TraceFile;
     use classfuzz_vm::{ExecOutcome, Outcome};
 
     #[test]
@@ -171,15 +172,22 @@ mod tests {
         let parsed = preparse(&bytes);
         for spec in VmSpec::all_five() {
             let name = spec.name.clone();
-            let shared = Jvm::new(spec.clone()).run_traced_parsed(&parsed);
-            let cold = Jvm::cold_verify(spec).run_traced_parsed(&parsed);
+            let shared = Jvm::new(spec.clone());
+            let traced = |jvm: &Jvm| {
+                let mut trace = TraceFile::new();
+                (jvm.run_traced_into_parsed(&parsed, &mut trace), trace)
+            };
+            let (on_shared, on_cold) = (traced(&shared), traced(&Jvm::cold_verify(spec)));
+            let mut trace = TraceFile::new();
+            let on_bytes = (shared.run_traced_into(&bytes, &mut trace), trace);
             assert_eq!(
-                ExecOutcome::of(&shared.outcome),
+                ExecOutcome::of(&on_shared.0.outcome),
                 ExecOutcome::Completed { stdout: vec![] },
                 "bench class on {name}: {:?}",
-                shared.outcome
+                on_shared.0.outcome
             );
-            assert_eq!(shared, cold, "shared vs cold diverged on {name}");
+            assert_eq!(on_shared, on_cold, "shared vs cold diverged on {name}");
+            assert_eq!(on_shared, on_bytes, "bytes vs parsed diverged on {name}");
         }
     }
 

@@ -90,17 +90,58 @@ impl Parsed {
 /// still consumes the next argument as its value.
 pub const BOOLEAN_FLAGS: &[&str] = &["exec-diff"];
 
-/// Parses the argument list.
+/// Each command as `(name, takes a positional file, the --flags it reads)`.
+const COMMANDS: &[(&str, bool, &[&str])] = &[
+    ("disasm", true, &[]),
+    ("jimple", true, &[]),
+    ("run", true, &["vm"]),
+    ("diff", true, &[]),
+    (
+        "fuzz",
+        false,
+        &[
+            "seeds",
+            "iterations",
+            "rng-seed",
+            "criterion",
+            "jobs",
+            "out",
+            "crash-dir",
+            "engine",
+            "exec-diff",
+            "seed-select",
+            "pool-cap",
+            "seed-shape",
+        ],
+    ),
+    ("reduce", true, &["out"]),
+    ("seeds", false, &["out", "count", "rng-seed", "shape"]),
+    ("help", false, &[]),
+    ("--help", false, &[]),
+    ("-h", false, &[]),
+];
+
+/// Parses the argument list against the command's declared flags and
+/// positional.
 ///
 /// # Errors
 ///
-/// Errors on a missing command or a (non-boolean) `--flag` without a value.
+/// Errors on a missing or unknown command, a flag the command does not
+/// declare, a positional the command does not take, or a (non-boolean)
+/// `--flag` without a value.
 pub fn parse(args: impl Iterator<Item = String>) -> Result<Parsed, String> {
     let mut parsed = Parsed::default();
     let mut args = args.peekable();
     parsed.command = args.next().ok_or("missing command")?;
+    let &(command, takes_positional, flags) = COMMANDS
+        .iter()
+        .find(|(name, ..)| *name == parsed.command)
+        .ok_or_else(|| format!("unknown command {:?}", parsed.command))?;
     while let Some(arg) = args.next() {
         if let Some(name) = arg.strip_prefix("--") {
+            if !flags.contains(&name) {
+                return Err(format!("unknown flag {arg:?} for {command}"));
+            }
             if BOOLEAN_FLAGS.contains(&name) {
                 parsed.flags.push((name.to_string(), "true".to_string()));
                 continue;
@@ -109,6 +150,10 @@ pub fn parse(args: impl Iterator<Item = String>) -> Result<Parsed, String> {
                 .next()
                 .ok_or_else(|| format!("--{name} expects a value"))?;
             parsed.flags.push((name.to_string(), value));
+        } else if !takes_positional {
+            return Err(format!(
+                "{command} takes no positional argument, got {arg:?}"
+            ));
         } else if parsed.positional.is_none() {
             parsed.positional = Some(arg);
         } else {
@@ -146,6 +191,11 @@ mod tests {
         assert!(p(&[]).is_err());
         assert!(p(&["fuzz", "--seeds"]).is_err());
         assert!(p(&["run", "a", "b"]).is_err());
+        // Undeclared flags are named, not taken as a value-taking flag.
+        let err = p(&["fuzz", "--exec_diff", "--seeds", "3"]).unwrap_err();
+        assert!(err.contains("--exec_diff"), "{err}");
+        assert!(p(&["diff", "a.class", "--vm", "j9"]).is_err());
+        assert!(p(&["frobnicate"]).is_err());
         let parsed = p(&["fuzz", "--seeds", "abc"]).unwrap();
         assert!(parsed.flag_parse("seeds", 0usize).is_err());
     }

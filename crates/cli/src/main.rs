@@ -41,7 +41,7 @@ use classfuzz_jimple::{
     lower::{lower_class, lower_class_bytes, LowerScratch},
     printer as jimple_printer,
 };
-use classfuzz_vm::{preparse, Jvm, VmSpec};
+use classfuzz_vm::{Jvm, VmSpec};
 
 mod args;
 
@@ -400,7 +400,7 @@ fn reduce_cmd(parsed: &Parsed) -> Result<(), String> {
     let mut lower = LowerScratch::new();
     let (reduced, stats) = classfuzz_reduce::reduce(&ir, |candidate| {
         let bytes = lower_class_bytes(candidate, &mut lower);
-        let vector = harness.run_parsed(&preparse(&bytes));
+        let vector = harness.run(&bytes);
         vector.key() == startup_key && vector.exec_key() == exec_key
     });
     println!(

@@ -36,6 +36,23 @@ fn unknown_command_exits_nonzero() {
 }
 
 #[test]
+fn mistyped_flag_fails_and_names_it() {
+    let out = classfuzz(&["fuzz", "--seeds", "3", "--iteration", "5"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--iteration"), "{stderr}");
+    assert!(stderr.contains("usage: classfuzz"), "{stderr}");
+}
+
+#[test]
+fn fuzz_rejects_a_positional() {
+    let out = classfuzz(&["fuzz", "--seeds", "3", "--iterations", "5", "stray.class"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("stray.class"), "{stderr}");
+}
+
+#[test]
 fn missing_file_is_a_clean_error() {
     let out = classfuzz(&["disasm", "/no/such/file.class"]);
     assert!(!out.status.success());

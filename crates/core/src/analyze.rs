@@ -49,7 +49,7 @@ pub fn evaluate_suite(harness: &DifferentialHarness, classes: &[Vec<u8>]) -> Sui
         ..SuiteEvaluation::default()
     };
     for bytes in classes {
-        let vector = harness.run_parsed(&classfuzz_vm::preparse(bytes));
+        let vector = harness.run(bytes);
         eval.total += 1;
         for (vm, phase) in vector.encoded().iter().enumerate() {
             eval.per_vm_phase[vm][*phase as usize] += 1;

@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use classfuzz_vm::{preparse, ExecOutcome, Jvm, Outcome, Phase, PreparsedClass, VmSpec};
+use classfuzz_vm::{preparse, ExecOutcome, Jvm, Outcome, PreparsedClass, VmSpec};
 
 /// The taxonomy of execution-phase discrepancies (`fuzz --exec-diff`) — the
 /// scenario classes layered on top of the startup phase matrix, in
@@ -228,16 +228,6 @@ impl DifferentialHarness {
                 .collect(),
         )
     }
-
-    /// Runs a classfile and also reports, per JVM, the phase digit — a
-    /// convenience for Table 7-style per-VM histograms.
-    pub fn run_phases(&self, class_bytes: &[u8]) -> Vec<Phase> {
-        let parsed = preparse(class_bytes);
-        self.jvms
-            .iter()
-            .map(|j| j.run_parsed(&parsed).outcome.phase())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -245,6 +235,7 @@ mod tests {
     use super::*;
     use classfuzz_classfile::MethodAccess;
     use classfuzz_jimple::{lower::lower_class, IrClass, IrMethod};
+    use classfuzz_vm::Phase;
 
     #[test]
     fn figure3_shape_from_clinit_mutant() {

@@ -758,7 +758,7 @@ fn persist_crash(dir: &Path, index: usize, record: &CrashRecord) {
 /// enabling `--exec-diff` perturbs neither the candidate stream nor the
 /// lockstep replay guarantees — it only appends to `exec_reports`.
 fn diff_execution(harness: &DifferentialHarness, gen_index: usize, bytes: &[u8]) -> ExecReport {
-    let vector = harness.run_parsed(&preparse(bytes));
+    let vector = harness.run(bytes);
     ExecReport {
         gen_index,
         startup_key: vector.key(),

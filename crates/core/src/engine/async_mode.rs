@@ -83,10 +83,9 @@ enum AsyncAcceptance {
         index: RwLock<SuiteIndex>,
         published: AtomicCoverage,
     },
-    /// Greedy acceptance is fully lock-free: `AtomicCoverage::absorb`
-    /// attributes each bit's 0→1 transition to exactly one caller, so
-    /// "did this trace grow accumulated coverage?" has a sound concurrent
-    /// answer with no lock at all.
+    /// Greedy acceptance needs no index lock: `AtomicCoverage::absorb`
+    /// serializes absorptions, so of several shards absorbing equal
+    /// traces exactly one is told its trace grew accumulated coverage.
     Greedy(AtomicCoverage),
     /// Randfuzz: accept everything.
     All,

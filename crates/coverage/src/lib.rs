@@ -51,7 +51,7 @@ pub mod baseline;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A statement-site or branch-site identifier.
 ///
@@ -857,10 +857,12 @@ pub fn distill_keep_mask(traces: &[Option<&TraceFile>]) -> Vec<bool> {
 /// word-wise `fetch_or`, so concurrent absorptions commute (OR is
 /// associative, commutative, and idempotent) and the final bitset equals
 /// the sequential merge of the same traces in any order. Growth detection
-/// stays exact per *bit*: `fetch_or` returns the pre-OR word, and a bit
-/// transitions 0→1 exactly once process-wide, so for any single new site
-/// exactly one absorbing thread observes the growth — the property that
-/// makes the greedyfuzz acceptance rule sound without locks.
+/// is exact per *trace*: absorptions are serialized by one mutex, so of
+/// several threads absorbing equal traces exactly one observes growth —
+/// the property that makes the greedyfuzz acceptance rule sound. Per-bit
+/// atomicity alone is not enough: a trace spans several words, and two
+/// racing absorbers could each set a different new bit and both report
+/// growth. [`AtomicCoverage::would_grow`] stays lock-free.
 ///
 /// The `RwLock` around each array guards *capacity* only (the slot
 /// universe grows as new probe sites fire): readers OR through a shared
@@ -872,6 +874,7 @@ pub fn distill_keep_mask(traces: &[Option<&TraceFile>]) -> Vec<bool> {
 pub struct AtomicCoverage {
     stmt_words: RwLock<Vec<AtomicU64>>,
     branch_words: RwLock<Vec<AtomicU64>>,
+    absorbing: Mutex<()>,
 }
 
 fn atomic_read(lock: &RwLock<Vec<AtomicU64>>) -> RwLockReadGuard<'_, Vec<AtomicU64>> {
@@ -930,8 +933,9 @@ impl AtomicCoverage {
 
     /// Publishes `trace` into the shared bitset (word-wise `fetch_or`);
     /// returns `true` when it contributed at least one new site — the
-    /// lock-free form of [`GlobalCoverage::absorb`].
+    /// shared form of [`GlobalCoverage::absorb`].
     pub fn absorb(&self, trace: &TraceFile) -> bool {
+        let _serial = self.absorbing.lock().unwrap_or_else(|p| p.into_inner());
         // `|` not `||`: both maps must be published even when the first
         // already grew.
         atomic_or_words(&self.stmt_words, &trace.stmt_words)
@@ -984,6 +988,7 @@ impl From<&GlobalCoverage> for AtomicCoverage {
         AtomicCoverage {
             stmt_words: lift(&global.stmt_words),
             branch_words: lift(&global.branch_words),
+            absorbing: Mutex::new(()),
         }
     }
 }

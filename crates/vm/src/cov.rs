@@ -21,13 +21,6 @@ pub struct Cov {
 }
 
 impl Cov {
-    /// A collector that records sites.
-    pub fn enabled() -> Cov {
-        Cov {
-            trace: Some(TraceFile::new()),
-        }
-    }
-
     /// A collector that records into `buf`, cleared first — the campaign
     /// engines' reusable per-shard trace buffer, which avoids reallocating
     /// the word arrays on every candidate execution.
@@ -39,22 +32,6 @@ impl Cov {
     /// A collector that drops everything (non-reference VMs).
     pub fn disabled() -> Cov {
         Cov { trace: None }
-    }
-
-    /// Records a statement site.
-    #[inline]
-    pub fn stmt(&mut self, site: SiteId) {
-        if let Some(t) = &mut self.trace {
-            t.hit_stmt(site);
-        }
-    }
-
-    /// Records a branch direction at a site.
-    #[inline]
-    pub fn branch(&mut self, site: SiteId, taken: bool) {
-        if let Some(t) = &mut self.trace {
-            t.hit_branch(site, taken);
-        }
     }
 
     /// Records a statement site through a per-probe-site slot cache (the
@@ -133,7 +110,7 @@ mod tests {
 
     #[test]
     fn enabled_collects_disabled_drops() {
-        let mut on = Cov::enabled();
+        let mut on = Cov::enabled_reusing(TraceFile::new());
         let mut off = Cov::disabled();
         probe!(on);
         probe!(off);
@@ -148,7 +125,7 @@ mod tests {
 
     #[test]
     fn distinct_locations_distinct_sites() {
-        let mut cov = Cov::enabled();
+        let mut cov = Cov::enabled_reusing(TraceFile::new());
         probe!(cov);
         probe!(cov); // different line ⇒ different site
         assert_eq!(cov.into_trace().unwrap().stats().stmt, 2);
@@ -156,7 +133,7 @@ mod tests {
 
     #[test]
     fn reused_buffer_starts_clean() {
-        let mut cov = Cov::enabled();
+        let mut cov = Cov::enabled_reusing(TraceFile::new());
         probe!(cov);
         let buf = cov.into_trace().unwrap();
         assert_eq!(buf.stats().stmt, 1);
@@ -169,7 +146,7 @@ mod tests {
 
     #[test]
     fn branch_directions_are_separate_sites() {
-        let mut cov = Cov::enabled();
+        let mut cov = Cov::enabled_reusing(TraceFile::new());
         for v in [true, false] {
             probe_branch!(cov, v);
         }

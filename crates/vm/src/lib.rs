@@ -10,7 +10,7 @@
 //! (`main` interpretation) — and a [`VmSpec`] selects the vendor policy:
 //! which checks run, when methods are verified, and which bootstrap library
 //! generation is visible. Every check site is instrumented with coverage
-//! probes, so running the `hotspot9` profile with [`Jvm::run_traced`] yields
+//! probes, so running the `hotspot9` profile with [`Jvm::run_traced_into`] yields
 //! the tracefiles classfuzz's uniqueness criteria consume.
 //!
 //! # Examples

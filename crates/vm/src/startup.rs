@@ -22,14 +22,12 @@ use crate::spec::VmSpec;
 use crate::world::{MethodSummary, UserClass, World};
 use crate::{linker, loader, probe, probe_branch, verifier};
 
-/// The result of one startup run: the observable outcome plus (for the
-/// reference VM) the coverage tracefile.
+/// The result of one startup run. A traced run's coverage lives in the
+/// caller's buffer (see [`Jvm::run_traced_into`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionResult {
     /// The observable behavior `r = jvm(e, c, i)`.
     pub outcome: Outcome,
-    /// Coverage of the VM's classfile-processing code, when collected.
-    pub trace: Option<TraceFile>,
 }
 
 /// A classfile decoded exactly once and shared across every profile that
@@ -117,6 +115,9 @@ pub struct Jvm {
     /// (crate::analysis::AnalysisTable) — the pre-analyze-once verifier,
     /// kept constructible for the `startup` bench baseline.
     cold_verify: bool,
+    /// Extra user classes overlaid beside every run's main class, decoded
+    /// once at construction (see [`Jvm::with_classpath`]).
+    classpath: Vec<Arc<UserClass>>,
 }
 
 impl Jvm {
@@ -128,6 +129,7 @@ impl Jvm {
             spec,
             base,
             cold_verify: false,
+            classpath: Vec::new(),
         }
     }
 
@@ -140,6 +142,7 @@ impl Jvm {
             spec,
             base: None,
             cold_verify: true,
+            classpath: Vec::new(),
         }
     }
 
@@ -148,12 +151,25 @@ impl Jvm {
     /// analyze-once win from library caching, as the `startup` bench
     /// scenario's baseline arm.
     pub fn cold_verify(spec: VmSpec) -> Jvm {
-        let base = Some(shared_library(spec.jre));
         Jvm {
-            spec,
-            base,
             cold_verify: true,
+            ..Jvm::new(spec)
         }
+    }
+
+    /// Puts `extras` on this JVM's classpath. Like the bootstrap library,
+    /// the classpath is part of the environment every run sees: each extra
+    /// is decoded once, here, and every run overlays the ones that parse
+    /// beside its main class. Extras that fail to decode are skipped.
+    pub fn with_classpath(mut self, extras: &[Vec<u8>]) -> Jvm {
+        self.classpath = extras
+            .iter()
+            .filter_map(|bytes| match preparse(bytes).verdict {
+                PreparseVerdict::Parsed(class) => Some(class),
+                _ => None,
+            })
+            .collect();
+        self
     }
 
     /// The policy profile.
@@ -170,107 +186,55 @@ impl Jvm {
 
     /// Runs `java <class>` on the given classfile bytes, without coverage.
     pub fn run(&self, class_bytes: &[u8]) -> ExecutionResult {
-        self.run_with_options(class_bytes, &[], false)
+        self.run_parsed(&preparse(class_bytes))
     }
 
     /// [`Jvm::run`] over an already-decoded classfile: the differential
     /// hot path, where one decode is shared by all profiles.
     pub fn run_parsed(&self, parsed: &PreparsedClass) -> ExecutionResult {
-        self.run_parsed_with_options(parsed, &[], false)
+        self.contained_startup(parsed, &mut Cov::disabled())
     }
 
-    /// Runs with coverage collection — the reference-JVM mode
-    /// (`--enable-native-coverage` in the paper's setup).
-    pub fn run_traced(&self, class_bytes: &[u8]) -> ExecutionResult {
-        self.run_with_options(class_bytes, &[], true)
-    }
-
-    /// [`Jvm::run_traced`] over an already-decoded classfile.
-    pub fn run_traced_parsed(&self, parsed: &PreparsedClass) -> ExecutionResult {
-        self.run_parsed_with_options(parsed, &[], true)
-    }
-
-    /// Runs with coverage collection into a caller-owned reusable buffer:
-    /// the campaign hot path. `scratch` is cleared, records the run's
-    /// probes, and keeps its word-array allocation across calls; the
-    /// returned result carries `trace: None` — the trace *is* `scratch`.
+    /// Runs with coverage collection into a caller-owned reusable buffer —
+    /// the reference-JVM mode (`--enable-native-coverage` in the paper's
+    /// setup). `scratch` is cleared, records the run's probes, and keeps
+    /// its word-array allocation across calls.
     pub fn run_traced_into(&self, class_bytes: &[u8], scratch: &mut TraceFile) -> ExecutionResult {
         self.run_traced_into_parsed(&preparse(class_bytes), scratch)
     }
 
-    /// [`Jvm::run_traced_into`] over an already-decoded classfile.
+    /// [`Jvm::run_traced_into`] over an already-decoded classfile: the
+    /// campaign hot path.
     pub fn run_traced_into_parsed(
         &self,
         parsed: &PreparsedClass,
         scratch: &mut TraceFile,
     ) -> ExecutionResult {
         let mut cov = Cov::enabled_reusing(std::mem::take(scratch));
-        let outcome = self.contained_startup(parsed, &[], &mut cov);
+        let result = self.contained_startup(parsed, &mut cov);
         *scratch = cov.into_trace().unwrap_or_default();
-        ExecutionResult {
-            outcome,
-            trace: None,
-        }
+        result
     }
 
-    /// Full-control entry point: extra classpath entries and optional
-    /// coverage.
-    pub fn run_with_options(
-        &self,
-        class_bytes: &[u8],
-        classpath: &[Vec<u8>],
-        collect_coverage: bool,
-    ) -> ExecutionResult {
-        self.run_parsed_with_options(&preparse(class_bytes), classpath, collect_coverage)
-    }
-
-    /// Full-control entry point over an already-decoded classfile. Every
-    /// byte-level entry point is a thin wrapper over this one, so the
-    /// bytes path and the parsed path execute the identical pipeline —
-    /// including the identical coverage-probe pattern.
-    pub fn run_parsed_with_options(
-        &self,
-        parsed: &PreparsedClass,
-        classpath: &[Vec<u8>],
-        collect_coverage: bool,
-    ) -> ExecutionResult {
-        let mut cov = if collect_coverage {
-            Cov::enabled()
-        } else {
-            Cov::disabled()
-        };
-        let outcome = self.contained_startup(parsed, classpath, &mut cov);
-        ExecutionResult {
-            outcome,
-            trace: cov.into_trace(),
-        }
-    }
-
+    /// The one pipeline call behind every entry point, so the bytes path
+    /// and the parsed path, traced or not, execute the identical pipeline
+    /// and fire the identical coverage-probe pattern.
+    ///
     /// Fault containment: `progress` tracks the deepest phase the pipeline
     /// entered, so a panic inside any stage becomes a deterministic crash
     /// verdict attributed to that phase. Coverage probes fired before the
     /// panic survive (the trace of a crashed run is its partial trace —
     /// itself deterministic).
-    fn contained_startup(
-        &self,
-        parsed: &PreparsedClass,
-        classpath: &[Vec<u8>],
-        cov: &mut Cov,
-    ) -> Outcome {
+    fn contained_startup(&self, parsed: &PreparsedClass, cov: &mut Cov) -> ExecutionResult {
         let progress = Cell::new(Phase::Loading);
-        match run_contained(|| self.startup(parsed, classpath, cov, &progress)) {
+        let outcome = match run_contained(|| self.startup(parsed, cov, &progress)) {
             Ok(outcome) => outcome,
             Err(detail) => Outcome::crashed(progress.get(), detail),
-        }
+        };
+        ExecutionResult { outcome }
     }
 
-    fn startup(
-        &self,
-        parsed: &PreparsedClass,
-        classpath: &[Vec<u8>],
-        cov: &mut Cov,
-        progress: &Cell<Phase>,
-    ) -> Outcome {
+    fn startup(&self, parsed: &PreparsedClass, cov: &mut Cov, progress: &Cell<Phase>) -> Outcome {
         progress.set(Phase::Loading);
         probe!(cov);
         // --- Creation & loading: replay the (shared) parse verdict -----
@@ -293,13 +257,8 @@ impl Jvm {
             }
         };
         let main_name = main_class.name.clone();
-        let mut user_classes = vec![main_class];
-        for extra in classpath {
-            if let Ok(cf) = ClassFile::from_bytes(extra) {
-                user_classes.push(Arc::new(UserClass::summarize(cf)));
-            }
-        }
-        let world = World::with_library(self.base_library(), user_classes);
+        let user_classes = std::iter::once(main_class).chain(self.classpath.iter().cloned());
+        let world = World::with_library(self.base_library(), user_classes.collect());
         // The main class was inserted first, but stay panic-free on the
         // lookup: a miss is a VM bug, reported as an internal error. The
         // borrow shares the overlay's `Arc` — no per-run classfile copy.
@@ -463,6 +422,11 @@ mod tests {
         Jvm::new(spec).run(&lower_class(class).to_bytes()).outcome
     }
 
+    fn traced(jvm: &Jvm, bytes: &[u8]) -> (ExecutionResult, TraceFile) {
+        let mut trace = TraceFile::new();
+        (jvm.run_traced_into(bytes, &mut trace), trace)
+    }
+
     #[test]
     fn hello_runs_on_all_five() {
         let class = IrClass::with_hello_main("ok/Hello", "Completed!");
@@ -553,7 +517,9 @@ mod tests {
             for input in inputs {
                 let parsed = preparse(input);
                 assert_eq!(jvm.run(input), jvm.run_parsed(&parsed));
-                assert_eq!(jvm.run_traced(input), jvm.run_traced_parsed(&parsed));
+                let mut trace = TraceFile::new();
+                let from_parsed = (jvm.run_traced_into_parsed(&parsed, &mut trace), trace);
+                assert_eq!(traced(&jvm, input), from_parsed);
             }
         }
     }
@@ -565,7 +531,7 @@ mod tests {
         for spec in VmSpec::all_five() {
             let cached = Jvm::new(spec.clone());
             let cold = Jvm::uncached(spec);
-            assert_eq!(cached.run_traced(&bytes), cold.run_traced(&bytes));
+            assert_eq!(traced(&cached, &bytes), traced(&cold, &bytes));
         }
     }
 
@@ -573,8 +539,7 @@ mod tests {
     fn reference_vm_produces_coverage() {
         let class = IrClass::with_hello_main("cov/T", "x");
         let jvm = Jvm::new(VmSpec::hotspot9());
-        let result = jvm.run_traced(&lower_class(&class).to_bytes());
-        let trace = result.trace.expect("trace collected");
+        let (_, trace) = traced(&jvm, &lower_class(&class).to_bytes());
         assert!(trace.stats().stmt > 10);
         assert!(trace.stats().br > 5);
     }
@@ -591,8 +556,8 @@ mod tests {
         });
         b.interfaces.push("java/lang/Runnable".into());
         let jvm = Jvm::new(VmSpec::hotspot9());
-        let ta = jvm.run_traced(&lower_class(&a).to_bytes()).trace.unwrap();
-        let tb = jvm.run_traced(&lower_class(&b).to_bytes()).trace.unwrap();
+        let (_, ta) = traced(&jvm, &lower_class(&a).to_bytes());
+        let (_, tb) = traced(&jvm, &lower_class(&b).to_bytes());
         assert_ne!(ta, tb);
     }
 

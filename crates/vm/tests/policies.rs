@@ -2,6 +2,7 @@
 //! multi-class classpaths, and coverage determinism.
 
 use classfuzz_classfile::ClassAccess;
+use classfuzz_coverage::TraceFile;
 use classfuzz_jimple::builder::default_constructor;
 use classfuzz_jimple::{lower::lower_class, IrClass, JType};
 use classfuzz_vm::{Jvm, JvmErrorKind, Phase, VmSpec};
@@ -72,21 +73,25 @@ fn classpath_extra_classes_are_resolvable() {
     let main_bytes = lower_class(&main).to_bytes();
 
     let jvm = Jvm::new(VmSpec::hotspot9());
-    let without = jvm.run(&main_bytes).outcome;
+    let run_with = |extras: &[Vec<u8>]| jvm.clone().with_classpath(extras).run(&main_bytes);
+    let without = run_with(&[]).outcome;
     assert_eq!(without.phase(), Phase::Loading);
     assert_eq!(
         without.error().unwrap().kind,
         JvmErrorKind::NoClassDefFoundError
     );
 
-    let with = jvm
-        .run_with_options(&main_bytes, &[helper_bytes], false)
-        .outcome;
+    // [undecodable, helper]
+    let extras = [vec![0xCA, 0xFE, 0xBA], helper_bytes];
+    let with = run_with(&extras[1..]).outcome;
     assert_eq!(
         with.phase(),
         Phase::Invoked,
         "classpath superclass resolves: {with}"
     );
+    // An extra that fails to decode is skipped: it changes no outcome.
+    assert_eq!(run_with(&extras).outcome, with);
+    assert_eq!(run_with(&extras[..1]).outcome, without);
 }
 
 #[test]
@@ -145,7 +150,9 @@ fn classpath_static_call_across_classes() {
 
     let jvm = Jvm::new(VmSpec::hotspot9());
     let out = jvm
-        .run_with_options(&main_bytes, &[util_bytes], false)
+        .clone()
+        .with_classpath(&[util_bytes])
+        .run(&main_bytes)
         .outcome;
     match out {
         classfuzz_vm::Outcome::Invoked { stdout } => assert_eq!(stdout, vec!["42"]),
@@ -160,14 +167,13 @@ fn classpath_static_call_across_classes() {
 fn traces_are_deterministic_and_profile_sensitive() {
     let bytes = lower_class(&IrClass::with_hello_main("v/Trace", "x")).to_bytes();
     let reference = Jvm::new(VmSpec::hotspot9());
-    let a = reference.run_traced(&bytes).trace.unwrap();
-    let b = reference.run_traced(&bytes).trace.unwrap();
+    let (mut a, mut b) = (TraceFile::new(), TraceFile::new());
+    let traced = reference.run_traced_into(&bytes, &mut a);
+    reference.run_traced_into(&bytes, &mut b);
     assert_eq!(a, b, "identical runs produce identical traces");
 
     // Tracing does not change the observable outcome.
-    let traced = reference.run_traced(&bytes).outcome;
-    let plain = reference.run(&bytes).outcome;
-    assert_eq!(traced, plain);
+    assert_eq!(traced, reference.run(&bytes));
 }
 
 #[test]
@@ -179,6 +185,7 @@ fn outcome_independent_of_coverage_collection_for_rejections() {
     let bytes = lower_class(&class).to_bytes();
     for spec in VmSpec::all_five() {
         let jvm = Jvm::new(spec);
-        assert_eq!(jvm.run(&bytes).outcome, jvm.run_traced(&bytes).outcome);
+        let traced = jvm.run_traced_into(&bytes, &mut TraceFile::new());
+        assert_eq!(jvm.run(&bytes), traced);
     }
 }

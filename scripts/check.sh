@@ -38,6 +38,11 @@ step() {
 step fmt cargo fmt --all --check
 step build cargo build --release --workspace
 step test cargo test -q --workspace
+# The campaign benchmark is its own workspace, outside --workspace: build
+# and test it here so a change to the VM's public surface cannot break it
+# silently. Its target dir sits under target/, which the CI cache covers.
+step campaignbench env CARGO_TARGET_DIR=target/campaignbench \
+    cargo test -q --manifest-path campaignbench/Cargo.toml
 # The adversarial-input suite on its own line so a containment regression
 # is visible as such, not buried in the workspace run.
 step no_panic cargo test -q --test no_panic

@@ -15,7 +15,7 @@ use classfuzz::core::engine::{
     run_campaign, run_campaign_parallel, Algorithm, CampaignConfig, CampaignResult, Schedule,
 };
 use classfuzz::core::seeds::SeedCorpus;
-use classfuzz::coverage::{GlobalCoverage, UniquenessCriterion};
+use classfuzz::coverage::{GlobalCoverage, TraceFile, UniquenessCriterion};
 use classfuzz::jimple::lower::lower_class;
 use classfuzz::vm::{Jvm, VmSpec};
 
@@ -28,10 +28,8 @@ fn suite_coverage(result: &CampaignResult) -> GlobalCoverage {
     let reference = Jvm::new(VmSpec::hotspot9());
     let mut global = GlobalCoverage::new();
     for bytes in result.test_bytes() {
-        let trace = reference
-            .run_traced(&bytes)
-            .trace
-            .expect("accepted classes have reference traces");
+        let mut trace = TraceFile::new();
+        reference.run_traced_into(&bytes, &mut trace);
         global.absorb(&trace);
     }
     global
@@ -197,15 +195,13 @@ fn async_multi_shard_acceptance_rejects_duplicate_statistics() {
     let mut seen = BTreeSet::new();
     for seed in &seeds {
         let bytes = lower_class(seed).to_bytes();
-        if let Some(trace) = reference.run_traced(&bytes).trace {
-            seen.insert((trace.stats().stmt, trace.stats().br));
-        }
+        let mut trace = TraceFile::new();
+        reference.run_traced_into(&bytes, &mut trace);
+        seen.insert((trace.stats().stmt, trace.stats().br));
     }
     for bytes in result.test_bytes() {
-        let trace = reference
-            .run_traced(&bytes)
-            .trace
-            .expect("accepted classes have reference traces");
+        let mut trace = TraceFile::new();
+        reference.run_traced_into(&bytes, &mut trace);
         let key = (trace.stats().stmt, trace.stats().br);
         assert!(
             seen.insert(key),

@@ -773,7 +773,7 @@ fn deep_inheritance_chain_raises_resolution_depth_exceeded() {
     let (main, classpath) = deep_chain_setup(40);
     for spec in VmSpec::all_five() {
         let name = spec.name.clone();
-        let result = Jvm::new(spec).run_with_options(&main, &classpath, false);
+        let result = Jvm::new(spec).with_classpath(&classpath).run(&main);
         match &result.outcome {
             Outcome::Rejected { phase, error } => {
                 assert_eq!(*phase, Phase::Runtime, "phase on {name}");
@@ -791,7 +791,7 @@ fn deep_inheritance_chain_raises_resolution_depth_exceeded() {
     let (main, classpath) = deep_chain_setup(8);
     for spec in VmSpec::all_five() {
         let name = spec.name.clone();
-        let result = Jvm::new(spec).run_with_options(&main, &classpath, false);
+        let result = Jvm::new(spec).with_classpath(&classpath).run(&main);
         assert_eq!(
             result.outcome.phase(),
             Phase::Invoked,

@@ -8,6 +8,7 @@
 
 use classfuzz::classfile::ClassFile;
 use classfuzz::core::seeds::SeedCorpus;
+use classfuzz::coverage::TraceFile;
 use classfuzz::vm::{preparse, Jvm, VmSpec};
 use proptest::prelude::*;
 
@@ -46,9 +47,12 @@ fn pipeline_survives(bytes: &[u8]) -> Result<(), String> {
     // The reference profile also collects coverage: the trace must be
     // identical between the two paths, or campaign determinism breaks.
     let reference = Jvm::new(VmSpec::hotspot9());
+    let (mut from_bytes, mut from_parsed) = (TraceFile::new(), TraceFile::new());
+    let bytes_run = reference.run_traced_into(bytes, &mut from_bytes);
+    let parsed_run = reference.run_traced_into_parsed(&parsed, &mut from_parsed);
     prop_assert_eq!(
-        reference.run_traced(bytes),
-        reference.run_traced_parsed(&parsed),
+        (bytes_run, from_bytes),
+        (parsed_run, from_parsed),
         "reference trace diverged between the bytes path and the parsed path"
     );
     Ok(())

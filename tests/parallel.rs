@@ -10,7 +10,7 @@ use classfuzz::core::engine::{
     Schedule,
 };
 use classfuzz::core::seeds::SeedCorpus;
-use classfuzz::coverage::{SuiteIndex, UniquenessCriterion};
+use classfuzz::coverage::{SuiteIndex, TraceFile, UniquenessCriterion};
 use classfuzz::jimple::lower::lower_class;
 use classfuzz::vm::{Jvm, VmSpec};
 
@@ -26,10 +26,8 @@ fn rebuild_index(result: &CampaignResult, criterion: UniquenessCriterion) -> Sui
     let reference = Jvm::new(VmSpec::hotspot9());
     let mut index = SuiteIndex::new(criterion);
     for bytes in result.test_bytes() {
-        let trace = reference
-            .run_traced(&bytes)
-            .trace
-            .expect("accepted classes have reference traces");
+        let mut trace = TraceFile::new();
+        reference.run_traced_into(&bytes, &mut trace);
         index.insert(&trace);
     }
     index
@@ -94,15 +92,13 @@ fn four_shards_accept_no_duplicate_traces_under_stbr() {
     let mut seen = std::collections::BTreeSet::new();
     for seed in &seeds {
         let bytes = lower_class(seed).to_bytes();
-        if let Some(trace) = reference.run_traced(&bytes).trace {
-            seen.insert((trace.stats().stmt, trace.stats().br));
-        }
+        let mut trace = TraceFile::new();
+        reference.run_traced_into(&bytes, &mut trace);
+        seen.insert((trace.stats().stmt, trace.stats().br));
     }
     for bytes in result.test_bytes() {
-        let trace = reference
-            .run_traced(&bytes)
-            .trace
-            .expect("accepted classes have reference traces");
+        let mut trace = TraceFile::new();
+        reference.run_traced_into(&bytes, &mut trace);
         let key = (trace.stats().stmt, trace.stats().br);
         assert!(
             seen.insert(key),

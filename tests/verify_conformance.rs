@@ -18,10 +18,11 @@ use classfuzz::classfile::{
     CodeAttribute, ConstIndex, ConstantPool, ExceptionTableEntry, Instruction, MethodAccess, Opcode,
 };
 use classfuzz::core::seeds::SeedCorpus;
+use classfuzz::coverage::TraceFile;
 use classfuzz::jimple::lower::lower_class;
 use classfuzz::jimple::IrClass;
 use classfuzz::mutation::{registry, MutationCtx};
-use classfuzz::vm::{preparse, ExecOutcome, Jvm, Phase, VmSpec};
+use classfuzz::vm::{preparse, ExecOutcome, ExecutionResult, Jvm, Phase, PreparsedClass, VmSpec};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -107,21 +108,36 @@ fn build_main(
         .to_bytes()
 }
 
+/// One traced run over a shared decode: the outcome and its coverage.
+fn traced(jvm: &Jvm, parsed: &PreparsedClass) -> (ExecutionResult, TraceFile) {
+    let mut trace = TraceFile::new();
+    (jvm.run_traced_into_parsed(parsed, &mut trace), trace)
+}
+
+/// [`traced`] from raw bytes, decoding inside the run.
+fn traced_bytes(jvm: &Jvm, bytes: &[u8]) -> (ExecutionResult, TraceFile) {
+    let mut trace = TraceFile::new();
+    (jvm.run_traced_into(bytes, &mut trace), trace)
+}
+
 /// The conformance contract of the analyze-once layer: for one decode of
 /// `bytes`, the shared-table run, the cold per-call-analysis run, and a
 /// warm rerun over the filled table produce identical traced results on
-/// every profile — outcome and coverage trace, bit for bit.
+/// every profile — outcome and coverage trace, bit for bit — and so does
+/// a shared run that decodes the bytes itself.
 fn assert_shared_matches_cold(bytes: &[u8], what: &str) {
     let parsed = preparse(bytes);
     for spec in VmSpec::all_five() {
         let name = spec.name.clone();
         let shared = Jvm::new(spec.clone());
         let cold = Jvm::cold_verify(spec);
-        let s = shared.run_traced_parsed(&parsed);
-        let c = cold.run_traced_parsed(&parsed);
+        let s = traced(&shared, &parsed);
+        let c = traced(&cold, &parsed);
         assert_eq!(s, c, "{what}: shared vs cold diverged on {name}");
-        let warm = shared.run_traced_parsed(&parsed);
+        let warm = traced(&shared, &parsed);
         assert_eq!(s, warm, "{what}: warm rerun diverged on {name}");
+        let from_bytes = traced_bytes(&shared, bytes);
+        assert_eq!(s, from_bytes, "{what}: bytes vs parsed diverged on {name}");
     }
 }
 
@@ -379,11 +395,13 @@ proptest! {
                 let name = spec.name.clone();
                 let shared = Jvm::new(spec.clone());
                 let cold = Jvm::cold_verify(spec);
-                let s = shared.run_traced_parsed(&parsed);
-                let c = cold.run_traced_parsed(&parsed);
+                let s = traced(&shared, &parsed);
+                let c = traced(&cold, &parsed);
                 prop_assert_eq!(&s, &c, "shared vs cold diverged for {} on {}", class.name, &name);
-                let warm = shared.run_traced_parsed(&parsed);
+                let warm = traced(&shared, &parsed);
                 prop_assert_eq!(&s, &warm, "warm rerun diverged for {} on {}", class.name, &name);
+                let from_bytes = traced_bytes(&shared, &bytes);
+                prop_assert_eq!(&s, &from_bytes, "bytes vs parsed diverged for {} on {}", class.name, &name);
             }
         }
     }
