@@ -15,8 +15,9 @@ use classfuzz_core::seeds::SeedCorpus;
 use classfuzz_coverage::UniquenessCriterion;
 use classfuzz_vm::{preparse, Jvm, VmSpec};
 
-use crate::per_sec;
+use crate::alloc_count::allocation_events;
 use crate::scenario::Metric;
+use crate::{interleaved, per_sec, rate};
 
 /// The fixed-seed mutant batch every scenario measures: the `GenClasses`
 /// of the campaign configuration pinned bit-for-bit by
@@ -47,26 +48,32 @@ pub fn run(repeats: usize) -> Vec<Metric> {
 /// * `exec`: `preparsed` plus verdict normalization, the `exec_key` and
 ///   taxonomy classification — the per-candidate work `fuzz --exec-diff`
 ///   adds.
+///
+/// It also reports `allocs_per_class_preparse`: allocator events per
+/// `preparse`, counted over one pass of the batch. The counter is live
+/// only under the `covbench` binary, so library tests see zeros.
 pub(crate) fn measure(batch: &[Vec<u8>], repeats: usize) -> Vec<Metric> {
     let harness = DifferentialHarness::paper_five();
     let cold_jvms: Vec<Jvm> = VmSpec::all_five().into_iter().map(Jvm::uncached).collect();
     let classes = batch.len();
 
-    let preparsed = per_sec(repeats, || {
+    // One counted pass of the parse alone: allocator events are a
+    // deterministic property of the batch, so one pass is exact.
+    let before_preparse = allocation_events();
+    for bytes in batch {
+        std::hint::black_box(preparse(std::hint::black_box(bytes)));
+    }
+    let preparse_events = allocation_events() - before_preparse;
+
+    let preparsed_batch = || {
         for bytes in batch {
             let parsed = preparse(bytes);
             let vector = harness.run_parsed(std::hint::black_box(&parsed));
             std::hint::black_box(vector.key());
         }
         classes
-    });
-    let wrapper = per_sec(repeats, || {
-        for bytes in batch {
-            std::hint::black_box(harness.run(std::hint::black_box(bytes)));
-        }
-        classes
-    });
-    let cold = per_sec(repeats, || {
+    };
+    let cold_batch = || {
         for bytes in batch {
             for jvm in &cold_jvms {
                 // One decode *per profile*: the cold path must not share
@@ -76,8 +83,8 @@ pub(crate) fn measure(batch: &[Vec<u8>], repeats: usize) -> Vec<Metric> {
             }
         }
         classes
-    });
-    let exec = per_sec(repeats, || {
+    };
+    let exec_batch = || {
         for bytes in batch {
             let parsed = preparse(bytes);
             let vector = harness.run_parsed(std::hint::black_box(&parsed));
@@ -86,7 +93,17 @@ pub(crate) fn measure(batch: &[Vec<u8>], repeats: usize) -> Vec<Metric> {
             std::hint::black_box(vector.classify_exec());
         }
         classes
+    };
+    // Each ratio floor compares arms timed alternately within a repeat.
+    let shared = interleaved(repeats, || rate(preparsed_batch), || rate(cold_batch));
+    let observed = interleaved(repeats, || rate(exec_batch), || rate(preparsed_batch));
+    let wrapper = per_sec(repeats, || {
+        for bytes in batch {
+            std::hint::black_box(harness.run(std::hint::black_box(bytes)));
+        }
+        classes
     });
+    let (preparsed, cold, exec) = (shared.first, shared.second, observed.first);
 
     vec![
         Metric::count("batch_size", classes),
@@ -94,10 +111,15 @@ pub(crate) fn measure(batch: &[Vec<u8>], repeats: usize) -> Vec<Metric> {
         Metric::new("classes_per_sec_preparsed", preparsed, 1),
         Metric::new("classes_per_sec_bytes", wrapper, 1),
         Metric::new("classes_per_sec_cold", cold, 1),
-        Metric::new("harness_speedup", preparsed / cold.max(1e-9), 2),
+        Metric::new("harness_speedup", shared.ratio, 2),
         Metric::new("classes_per_sec_startup", preparsed, 1),
         Metric::new("classes_per_sec_exec", exec, 1),
-        Metric::new("exec_overhead_ratio", exec / preparsed.max(1e-9), 2),
+        Metric::new("exec_overhead_ratio", observed.ratio, 2),
+        Metric::new(
+            "allocs_per_class_preparse",
+            preparse_events as f64 / classes.max(1) as f64,
+            1,
+        ),
     ]
 }
 

@@ -20,8 +20,8 @@ use classfuzz_classfile::{
 use classfuzz_vm::interp::{Machine, RtValue};
 use classfuzz_vm::{Cov, UserClass, VmSpec, World};
 
-use crate::per_sec;
 use crate::scenario::Metric;
+use crate::{interleaved, rate};
 
 /// Helper invocations per `main` execution: enough that per-invoke
 /// preparation dominates the cold arm without nearing the step budget.
@@ -165,7 +165,7 @@ pub(crate) fn measure(execs: usize, repeats: usize) -> Vec<Metric> {
     run_once(&world, &spec, &class, false);
 
     let execs_per_sec = |cold: bool| {
-        per_sec(repeats, || {
+        rate(|| {
             for _ in 0..execs {
                 run_once(
                     std::hint::black_box(&world),
@@ -177,8 +177,8 @@ pub(crate) fn measure(execs: usize, repeats: usize) -> Vec<Metric> {
             execs
         })
     };
-    let cold = execs_per_sec(true);
-    let prepared = execs_per_sec(false);
+    let timed = interleaved(repeats, || execs_per_sec(false), || execs_per_sec(true));
+    let (prepared, cold) = (timed.first, timed.second);
 
     vec![
         Metric::count("calls", CALLS as usize),
@@ -186,7 +186,7 @@ pub(crate) fn measure(execs: usize, repeats: usize) -> Vec<Metric> {
         Metric::count("repeats", repeats),
         Metric::new("execs_per_sec_cold", cold, 1),
         Metric::new("execs_per_sec_prepared", prepared, 1),
-        Metric::new("prepared_speedup", prepared / cold.max(1e-9), 2),
+        Metric::new("prepared_speedup", timed.ratio, 2),
     ]
 }
 

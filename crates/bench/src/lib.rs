@@ -87,18 +87,63 @@ pub fn median(mut samples: Vec<f64>) -> f64 {
     samples[samples.len() / 2]
 }
 
+/// The throughput of one run of `op`, in items per second; `op` returns
+/// how many items it processed.
+pub fn rate(op: impl FnOnce() -> usize) -> f64 {
+    let start = Instant::now();
+    let items = op();
+    items as f64 / start.elapsed().as_secs_f64().max(1e-9)
+}
+
 /// The median throughput of `op` over `repeats` timed runs, in items per
 /// second; each run of `op` returns how many items it processed.
 pub fn per_sec(repeats: usize, mut op: impl FnMut() -> usize) -> f64 {
-    median(
-        (0..repeats)
-            .map(|_| {
-                let start = Instant::now();
-                let items = op();
-                items as f64 / start.elapsed().as_secs_f64().max(1e-9)
-            })
-            .collect(),
-    )
+    median((0..repeats).map(|_| rate(&mut op)).collect())
+}
+
+/// Two arms of a scenario measured by [`interleaved`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ArmPair {
+    /// The first arm's median throughput.
+    pub first: f64,
+    /// The second arm's median throughput.
+    pub second: f64,
+    /// The median over repeats of `first / second` within one repeat.
+    pub ratio: f64,
+}
+
+/// Measures two arms alternately: each repeat runs both, one right after
+/// the other, and swaps which goes first. Each closure runs its arm once
+/// and returns its throughput (usually via [`rate`]).
+///
+/// The in-run ratio floors gate [`ArmPair::ratio`], the median of the
+/// per-repeat ratios. Both arms of a repeat run in the same host state,
+/// so a host that flips between fast and slow moves both together, and
+/// the flip cancels out of their ratio. Arms timed in separate blocks
+/// would carry the flip into the ratio instead.
+pub fn interleaved(
+    repeats: usize,
+    mut first: impl FnMut() -> f64,
+    mut second: impl FnMut() -> f64,
+) -> ArmPair {
+    let (mut firsts, mut seconds, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for repeat in 0..repeats {
+        let (a, b) = if repeat % 2 == 0 {
+            let a = first();
+            (a, second())
+        } else {
+            let b = second();
+            (first(), b)
+        };
+        firsts.push(a);
+        seconds.push(b);
+        ratios.push(a / b.max(1e-9));
+    }
+    ArmPair {
+        first: median(firsts),
+        second: median(seconds),
+        ratio: median(ratios),
+    }
 }
 
 /// The seed corpus for a scale.
@@ -301,6 +346,33 @@ pub fn version_sweep(versions: &[u16]) -> Vec<(u16, Vec<u8>, Vec<u8>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn interleaved_gates_the_median_per_repeat_ratio() {
+        // The host runs at full speed in some repeats and at half in
+        // others; both arms of a repeat see the same speed.
+        let host = [1.0, 0.5, 1.0, 0.5, 0.5];
+        let order = std::cell::RefCell::new(Vec::new());
+        let (mut a, mut b) = (0, 0);
+        let pair = interleaved(
+            host.len(),
+            || {
+                order.borrow_mut().push('a');
+                a += 1;
+                4.0 * host[a - 1]
+            },
+            || {
+                order.borrow_mut().push('b');
+                b += 1;
+                2.0 * host[b - 1]
+            },
+        );
+        // The flips cancel out of every per-repeat ratio.
+        assert_eq!(pair.ratio, 2.0);
+        assert_eq!((pair.first, pair.second), (2.0, 1.0));
+        // Each repeat runs both arms, and the leading arm alternates.
+        assert_eq!(order.into_inner().iter().collect::<String>(), "abbaabbaab");
+    }
 
     #[test]
     fn small_scale_pipeline_end_to_end() {

@@ -23,8 +23,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::alloc_count::allocation_events;
-use crate::per_sec;
 use crate::scenario::Metric;
+use crate::{interleaved, rate};
 
 /// Iteration budget of one batch — the `tests/coverage_equiv.rs` campaign
 /// length, so the accept/skip mix matches the pinned campaign.
@@ -103,8 +103,12 @@ pub fn run(repeats: usize) -> Vec<Metric> {
     );
     let per_class = |events: u64| events as f64 / produced.max(1) as f64;
 
-    let cold_rate = per_sec(repeats, || cold_batch(&seeds, &mutators));
-    let scratch_rate = per_sec(repeats, || scratch_batch(&seeds, &mutators));
+    let timed = interleaved(
+        repeats,
+        || rate(|| scratch_batch(&seeds, &mutators)),
+        || rate(|| cold_batch(&seeds, &mutators)),
+    );
+    let (scratch_rate, cold_rate) = (timed.first, timed.second);
 
     vec![
         Metric::count("iterations", BATCH_ITERATIONS),
@@ -112,7 +116,7 @@ pub fn run(repeats: usize) -> Vec<Metric> {
         Metric::count("repeats", repeats),
         Metric::new("classes_per_sec_cold", cold_rate, 1),
         Metric::new("classes_per_sec_scratch", scratch_rate, 1),
-        Metric::new("mutate_speedup", scratch_rate / cold_rate.max(1e-9), 2),
+        Metric::new("mutate_speedup", timed.ratio, 2),
         Metric::new("allocs_per_class_cold", per_class(cold_events), 1),
         Metric::new("allocs_per_class_scratch", per_class(scratch_events), 1),
     ]

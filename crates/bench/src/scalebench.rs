@@ -8,7 +8,8 @@
 //! * throughput is campaign iterations per second of a fixed-seed
 //!   classfuzz`[stbr]` run, median over `repeats`;
 //! * the scaling ratio compares the async engine at `shards` worker
-//!   threads against itself at one;
+//!   threads against itself at one, the two timed alternately within each
+//!   repeat; it is the median of the per-repeat ratios;
 //! * the cross-check runs both schedules at one shard — the budget where
 //!   discrepancy-set equality is well-defined, because each engine then
 //!   replays the deterministic sequential campaign — and requires the
@@ -23,8 +24,8 @@ use classfuzz_core::engine::{
 use classfuzz_core::seeds::SeedCorpus;
 use classfuzz_coverage::UniquenessCriterion;
 
-use crate::median;
 use crate::scenario::Metric;
+use crate::{interleaved, median};
 
 /// Seed-corpus size for the throughput campaigns.
 const SCALE_SEEDS: usize = 12;
@@ -68,22 +69,25 @@ pub fn run(repeats: usize) -> Vec<Metric> {
     let shards = cores.clamp(2, 4);
     let seeds = SeedCorpus::generate(SCALE_SEEDS, SCALE_RNG_SEED).into_classes();
 
-    // Median iterations/second over `repeats`, by the campaign's clock.
+    // Iterations/second of one campaign, by the campaign's clock.
     let iters_per_sec = |schedule: Schedule, shards: usize| {
         let config = scale_config(SCALE_ITERATIONS, schedule);
-        median(
-            (0..repeats)
-                .map(|_| {
-                    let result = run_campaign_parallel(&seeds, &config, shards)
-                        .expect("benchmark campaign must not fail");
-                    config.iterations as f64 / result.elapsed.as_secs_f64().max(1e-9)
-                })
-                .collect(),
-        )
+        let result = run_campaign_parallel(&seeds, &config, shards)
+            .expect("benchmark campaign must not fail");
+        config.iterations as f64 / result.elapsed.as_secs_f64().max(1e-9)
     };
-    let lockstep_iters_per_sec = iters_per_sec(Schedule::Lockstep, 1);
-    let async_iters_per_sec_1shard = iters_per_sec(Schedule::Async, 1);
-    let async_iters_per_sec_multi = iters_per_sec(Schedule::Async, shards);
+    let lockstep_iters_per_sec = median(
+        (0..repeats)
+            .map(|_| iters_per_sec(Schedule::Lockstep, 1))
+            .collect(),
+    );
+    // The scaling floor compares the two async arms timed alternately.
+    let scaling = interleaved(
+        repeats,
+        || iters_per_sec(Schedule::Async, shards),
+        || iters_per_sec(Schedule::Async, 1),
+    );
+    let (async_iters_per_sec_multi, async_iters_per_sec_1shard) = (scaling.first, scaling.second);
 
     // Fixed-budget cross-check at one shard, where both schedules replay
     // the deterministic sequential campaign and set equality is exact.
@@ -103,11 +107,7 @@ pub fn run(repeats: usize) -> Vec<Metric> {
         Metric::new("lockstep_iters_per_sec", lockstep_iters_per_sec, 1),
         Metric::new("async_iters_per_sec_1shard", async_iters_per_sec_1shard, 1),
         Metric::new("async_iters_per_sec_multi", async_iters_per_sec_multi, 1),
-        Metric::new(
-            "scaling_ratio",
-            async_iters_per_sec_multi / async_iters_per_sec_1shard.max(1e-9),
-            2,
-        ),
+        Metric::new("scaling_ratio", scaling.ratio, 2),
         Metric::new(
             "async_vs_lockstep_ratio",
             async_iters_per_sec_1shard / lockstep_iters_per_sec.max(1e-9),

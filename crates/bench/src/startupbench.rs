@@ -22,8 +22,8 @@
 use classfuzz_classfile::{ClassFile, CodeAttribute, Instruction, MethodAccess, Opcode};
 use classfuzz_vm::{preparse, Jvm, VmSpec};
 
-use crate::per_sec;
 use crate::scenario::Metric;
+use crate::{interleaved, rate};
 
 /// Worker methods in the benchmark class: each is analyzed once on the
 /// shared path and once *per eager profile* on the cold path.
@@ -138,15 +138,19 @@ pub(crate) fn measure(starts: usize, repeats: usize) -> Vec<Metric> {
     run_once(&bytes, false);
 
     let startups_per_sec = |cold: bool| {
-        per_sec(repeats, || {
+        rate(|| {
             for _ in 0..starts {
                 run_once(std::hint::black_box(&bytes), cold);
             }
             starts
         })
     };
-    let cold = startups_per_sec(true);
-    let shared = startups_per_sec(false);
+    let timed = interleaved(
+        repeats,
+        || startups_per_sec(false),
+        || startups_per_sec(true),
+    );
+    let (shared, cold) = (timed.first, timed.second);
 
     vec![
         Metric::count("methods", METHODS),
@@ -155,7 +159,7 @@ pub(crate) fn measure(starts: usize, repeats: usize) -> Vec<Metric> {
         Metric::count("repeats", repeats),
         Metric::new("startups_per_sec_cold", cold, 1),
         Metric::new("startups_per_sec_shared", shared, 1),
-        Metric::new("shared_speedup", shared / cold.max(1e-9), 2),
+        Metric::new("shared_speedup", timed.ratio, 2),
     ]
 }
 

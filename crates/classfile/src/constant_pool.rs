@@ -165,12 +165,22 @@ impl Constant {
 #[derive(Debug, Default)]
 pub struct ConstantPool {
     entries: Vec<Constant>,
-    /// Utf8 interning index: hash of the text → indices of `Utf8` entries
-    /// with that hash, in slot order. Keyed by hash instead of an owned
+    /// How many leading `entries` the two interning maps cover. Only the
+    /// interning calls read the maps, and each first catches them up to
+    /// the whole pool ([`ConstantPool::sync_index`]), so a parsed pool
+    /// that is only ever looked up never builds them.
+    indexed: usize,
+    /// Utf8 interning index: hash of the text → the lowest index of a
+    /// `Utf8` entry with that hash. Keyed by hash instead of an owned
     /// `String` so interning a fresh string allocates it exactly once (the
-    /// copy in `entries`); lookups verify candidates against `entries`, so
-    /// hash collisions only cost a scan, never a wrong index.
-    utf8_dedup: HashMap<u64, Vec<ConstIndex>>,
+    /// copy in `entries`). A candidate whose text differs is a hash
+    /// collision, resolved by scanning `entries`, so a collision costs a
+    /// scan, never a wrong index.
+    utf8_index: HashMap<u64, ConstIndex>,
+    /// Index of every other entry kind: (tag, payload bits) → the lowest
+    /// index holding exactly that entry. Bit keys make `Float`/`Double`
+    /// interning bit-exact (NaN payloads and `-0.0` stay distinct).
+    bits_index: HashMap<(u8, u64), ConstIndex>,
     /// String buffers salvaged by [`ConstantPool::clear`], reused by the
     /// next interning misses. Transient scratch, not pool value: cleared
     /// pools re-intern mostly the same names, so the buffers cycle instead
@@ -185,23 +195,41 @@ fn utf8_hash(text: &str) -> u64 {
     h.finish()
 }
 
+/// The `bits_index` key of a non-Utf8 entry: its tag and its whole payload
+/// packed into 64 bits. `None` for `Utf8` and the padding slot.
+fn bits_key(constant: &Constant) -> Option<(u8, u64)> {
+    let pair = |hi: u16, lo: u16| (hi as u64) << 16 | lo as u64;
+    let bits = match *constant {
+        Constant::Utf8(_) | Constant::Unusable => return None,
+        Constant::Integer(v) => v as u32 as u64,
+        Constant::Float(v) => v.to_bits() as u64,
+        Constant::Long(v) => v as u64,
+        Constant::Double(v) => v.to_bits(),
+        Constant::Class(i) | Constant::String(i) | Constant::MethodType(i) => i.0 as u64,
+        Constant::FieldRef(a, b)
+        | Constant::MethodRef(a, b)
+        | Constant::InterfaceMethodRef(a, b)
+        | Constant::NameAndType(a, b) => pair(a.0, b.0),
+        Constant::MethodHandle(kind, i) => pair(kind as u16, i.0),
+        Constant::InvokeDynamic(bootstrap, i) => pair(bootstrap, i.0),
+    };
+    Some((constant.tag()?, bits))
+}
+
 impl PartialEq for ConstantPool {
-    /// Pools are equal when their slots are: the dedup index is a cache
-    /// derived from `entries`, not part of the pool's value.
+    /// Pools are equal when their slots are: the interning index is a
+    /// cache derived from `entries`, not part of the pool's value.
     fn eq(&self, other: &ConstantPool) -> bool {
         self.entries == other.entries
     }
 }
 
 impl Clone for ConstantPool {
-    /// Clones the pool's value (entries + dedup index); the salvage list
-    /// is per-instance scratch and starts empty in the copy.
+    /// Clones the pool's value, its entries. The interning index is a
+    /// cache the copy rebuilds on its first interning call, and the
+    /// salvage list is per-instance scratch that starts empty.
     fn clone(&self) -> Self {
-        ConstantPool {
-            entries: self.entries.clone(),
-            utf8_dedup: self.utf8_dedup.clone(),
-            recycled: Vec::new(),
-        }
+        ConstantPool::from_entries(self.entries.clone())
     }
 }
 
@@ -211,11 +239,23 @@ impl ConstantPool {
         ConstantPool::default()
     }
 
+    /// A pool over `entries` as laid out on the wire: each wide entry
+    /// already followed by its padding slot. No index is built; the first
+    /// interning call builds it.
+    pub(crate) fn from_entries(entries: Vec<Constant>) -> Self {
+        debug_assert!(entries.len() <= MAX_POOL_SLOTS);
+        ConstantPool {
+            entries,
+            ..ConstantPool::default()
+        }
+    }
+
     /// Number of slots (the classfile's `constant_pool_count` is this + 1).
     ///
     /// Never exceeds [`MAX_POOL_SLOTS`]: [`push`](Self::push) saturates and
-    /// [`try_push`](Self::try_push) errors at the JVMS ceiling, so this cast
-    /// cannot truncate.
+    /// [`try_push`](Self::try_push) errors at the JVMS ceiling, and a parsed
+    /// pool holds fewer slots than its `u16` count, so this cast cannot
+    /// truncate.
     pub fn slot_count(&self) -> u16 {
         self.entries.len() as u16
     }
@@ -256,16 +296,12 @@ impl ConstantPool {
     /// # Errors
     ///
     /// [`PoolFullError`] when the entry's slots (2 for `Long`/`Double`)
-    /// would push the pool past [`MAX_POOL_SLOTS`]. The pool — including
-    /// the UTF-8 dedup map — is unchanged on failure.
+    /// would push the pool past [`MAX_POOL_SLOTS`]. The pool is unchanged
+    /// on failure.
     pub fn try_push(&mut self, constant: Constant) -> Result<ConstIndex, PoolFullError> {
         let needed = if constant.is_wide() { 2 } else { 1 };
         if self.entries.len() + needed > MAX_POOL_SLOTS {
             return Err(PoolFullError { needed });
-        }
-        if let Constant::Utf8(ref s) = constant {
-            let idx = ConstIndex(self.entries.len() as u16 + 1);
-            self.utf8_dedup.entry(utf8_hash(s)).or_default().push(idx);
         }
         self.entries.push(constant);
         let index = ConstIndex(self.entries.len() as u16);
@@ -275,13 +311,36 @@ impl ConstantPool {
         Ok(index)
     }
 
+    /// Extends the interning maps over the entries appended since they
+    /// were last caught up, in slot order, so each key keeps its lowest
+    /// index.
+    fn sync_index(&mut self) {
+        for (i, constant) in self.entries.iter().enumerate().skip(self.indexed) {
+            let index = ConstIndex(i as u16 + 1);
+            match constant {
+                Constant::Utf8(text) => {
+                    self.utf8_index.entry(utf8_hash(text)).or_insert(index);
+                }
+                other => {
+                    if let Some(key) = bits_key(other) {
+                        self.bits_index.entry(key).or_insert(index);
+                    }
+                }
+            }
+        }
+        self.indexed = self.entries.len();
+    }
+
     /// Interns a `Utf8` entry, reusing the lowest-indexed identical entry.
     pub fn utf8(&mut self, text: &str) -> ConstIndex {
-        if let Some(bucket) = self.utf8_dedup.get(&utf8_hash(text)) {
-            for &idx in bucket {
-                if self.utf8_text(idx) == Some(text) {
-                    return idx;
-                }
+        self.sync_index();
+        let hash = utf8_hash(text);
+        if let Some(&candidate) = self.utf8_index.get(&hash) {
+            if self.utf8_text(candidate) == Some(text) {
+                return candidate;
+            }
+            if let Some(found) = self.scan_utf8(text) {
+                return found;
             }
         }
         let owned = match self.recycled.pop() {
@@ -292,7 +351,20 @@ impl ConstantPool {
             }
             None => text.to_string(),
         };
-        self.push(Constant::Utf8(owned))
+        let index = self.push(Constant::Utf8(owned));
+        if index.0 != 0 {
+            self.utf8_index.entry(hash).or_insert(index);
+            self.indexed = self.entries.len();
+        }
+        index
+    }
+
+    /// The lowest index of a `Utf8` entry reading `text`: the fallback
+    /// when the index's candidate for the hash is a collision.
+    fn scan_utf8(&self, text: &str) -> Option<ConstIndex> {
+        self.iter()
+            .find(|(_, c)| matches!(c, Constant::Utf8(s) if s == text))
+            .map(|(i, _)| i)
     }
 
     /// Empties the pool while retaining its allocated capacity — the
@@ -305,7 +377,9 @@ impl ConstantPool {
                 Constant::Utf8(s) => Some(s),
                 _ => None,
             }));
-        self.utf8_dedup.clear();
+        self.utf8_index.clear();
+        self.bits_index.clear();
+        self.indexed = 0;
     }
 
     /// Interns a `Class` entry for the binary name `name`.
@@ -332,26 +406,12 @@ impl ConstantPool {
 
     /// Interns a `Float` entry (bit-exact comparison).
     pub fn float(&mut self, value: f32) -> ConstIndex {
-        for (i, c) in self.iter() {
-            if let Constant::Float(v) = c {
-                if v.to_bits() == value.to_bits() {
-                    return i;
-                }
-            }
-        }
-        self.push(Constant::Float(value))
+        self.find_or_push(Constant::Float(value))
     }
 
     /// Interns a `Double` entry (bit-exact comparison).
     pub fn double(&mut self, value: f64) -> ConstIndex {
-        for (i, c) in self.iter() {
-            if let Constant::Double(v) = c {
-                if v.to_bits() == value.to_bits() {
-                    return i;
-                }
-            }
-        }
-        self.push(Constant::Double(value))
+        self.find_or_push(Constant::Double(value))
     }
 
     /// Interns a `NameAndType` entry.
@@ -387,13 +447,23 @@ impl ConstantPool {
         self.find_or_push(Constant::InterfaceMethodRef(c, nt))
     }
 
+    /// Interns a non-Utf8 entry through `bits_index`. (Every caller
+    /// passes a keyed kind; a `Utf8` or padding slot would be appended
+    /// verbatim.)
     fn find_or_push(&mut self, constant: Constant) -> ConstIndex {
-        for (i, c) in self.iter() {
-            if *c == constant {
-                return i;
-            }
+        self.sync_index();
+        let Some(key) = bits_key(&constant) else {
+            return self.push(constant);
+        };
+        if let Some(&index) = self.bits_index.get(&key) {
+            return index;
         }
-        self.push(constant)
+        let index = self.push(constant);
+        if index.0 != 0 {
+            self.bits_index.insert(key, index);
+            self.indexed = self.entries.len();
+        }
+        index
     }
 
     /// Resolves a `Utf8` entry to its text.
@@ -567,6 +637,55 @@ mod tests {
     }
 
     #[test]
+    fn parsed_pools_index_on_first_intern() {
+        let mut cp = ConstantPool::from_entries(vec![
+            Constant::Utf8("x".into()),
+            Constant::Long(1),
+            Constant::Unusable,
+        ]);
+        // Lookups never build the index.
+        assert_eq!(cp.utf8_text(ConstIndex(1)), Some("x"));
+        assert_eq!(cp.entry(ConstIndex(2)), Some(&Constant::Long(1)));
+        assert_eq!(cp.indexed, 0);
+        assert!(cp.utf8_index.is_empty() && cp.bits_index.is_empty());
+        // The first interning call indexes every entry, wide ones included.
+        assert_eq!(cp.long(1), ConstIndex(2));
+        assert_eq!(cp.indexed, 3);
+        assert_eq!(cp.utf8("x"), ConstIndex(1));
+        assert_eq!(cp.slot_count(), 3);
+    }
+
+    #[test]
+    fn utf8_hash_collision_falls_back_to_a_scan() {
+        let mut cp = ConstantPool::new();
+        let a = cp.utf8("a");
+        let b = cp.utf8("b");
+        // Plant a wrong candidate, as a colliding hash would: the text
+        // check rejects it and the scan finds the real entry.
+        cp.utf8_index.insert(utf8_hash("b"), a);
+        assert_eq!(cp.utf8("b"), b);
+        // A colliding text with no entry yet is pushed, and found again
+        // by the scan while the map keeps its lower candidate.
+        cp.utf8_index.insert(utf8_hash("c"), a);
+        let c = cp.utf8("c");
+        assert_eq!(c, ConstIndex(3));
+        assert_eq!(cp.utf8_text(c), Some("c"));
+        assert_eq!(cp.utf8_index[&utf8_hash("c")], a);
+        assert_eq!(cp.utf8("c"), c);
+        assert_eq!(cp.slot_count(), 3);
+    }
+
+    #[test]
+    fn clones_rebuild_their_index() {
+        let mut cp = ConstantPool::new();
+        let a = cp.class("A");
+        let mut copy = cp.clone();
+        assert_eq!(copy.indexed, 0);
+        assert_eq!(copy.class("A"), a);
+        assert_eq!(copy, cp);
+    }
+
+    #[test]
     fn float_interning_is_bit_exact() {
         let mut cp = ConstantPool::new();
         let a = cp.float(0.0);
@@ -575,5 +694,9 @@ mod tests {
         let c = cp.float(f32::NAN);
         let d = cp.float(f32::NAN);
         assert_eq!(c, d);
+        // Another NaN payload is another entry; doubles behave alike.
+        assert_ne!(cp.float(f32::from_bits(0x7fc0_0001)), c);
+        assert_ne!(cp.double(0.0), cp.double(-0.0));
+        assert_eq!(cp.double(f64::NAN), cp.double(f64::NAN));
     }
 }

@@ -27,6 +27,14 @@ pub enum ClassReadError {
         /// Constant-pool slot of the offending entry.
         index: u16,
     },
+    /// A `CONSTANT_Long` or `CONSTANT_Double` sat in the pool's last slot,
+    /// so its second slot lies past `constant_pool_count` (JVMS §4.4.5).
+    WideEntryPastPool {
+        /// Constant-pool slot of the wide entry.
+        index: u16,
+        /// The classfile's `constant_pool_count`.
+        count: u16,
+    },
     /// A `CONSTANT_Utf8` entry contained invalid modified-UTF-8.
     InvalidUtf8 {
         /// Constant-pool slot of the offending entry.
@@ -75,6 +83,13 @@ impl fmt::Display for ClassReadError {
             }
             ClassReadError::UnknownConstantTag { tag, index } => {
                 write!(f, "unknown constant-pool tag {tag} at index {index}")
+            }
+            ClassReadError::WideEntryPastPool { index, count } => {
+                write!(
+                    f,
+                    "wide constant-pool entry at index {index} needs slot {} but constant_pool_count is {count}",
+                    *index as u32 + 1
+                )
             }
             ClassReadError::InvalidUtf8 { index } => {
                 write!(f, "invalid modified UTF-8 in constant-pool entry {index}")

@@ -355,6 +355,23 @@ impl fmt::Display for Instruction {
 /// is the verifier's job.
 pub fn decode_code(code: &[u8]) -> Result<Vec<(u32, Instruction)>, ClassReadError> {
     let mut out = Vec::new();
+    decode_each(code, |pc, insn| out.push((pc, insn)))?;
+    Ok(out)
+}
+
+/// Decodes a whole code array into its instructions alone — the reader's
+/// form of [`decode_code`], with no `(pc, instruction)` pairs to strip.
+pub(crate) fn decode_instructions(code: &[u8]) -> Result<Vec<Instruction>, ClassReadError> {
+    // Instructions average about two bytes; presizing for that spares
+    // most methods every regrowth step.
+    let mut out = Vec::with_capacity(code.len() / 2 + 1);
+    decode_each(code, |_, insn| out.push(insn))?;
+    Ok(out)
+}
+
+/// The decode loop behind [`decode_code`] and [`decode_instructions`]:
+/// hands each instruction, with the pc of its opcode, to `sink`.
+fn decode_each(code: &[u8], mut sink: impl FnMut(u32, Instruction)) -> Result<(), ClassReadError> {
     let mut pc = 0usize;
     while pc < code.len() {
         let start = pc;
@@ -510,9 +527,9 @@ pub fn decode_code(code: &[u8]) -> Result<Vec<(u32, Instruction)>, ClassReadErro
                 }
             }
         };
-        out.push((start as u32, insn));
+        sink(start as u32, insn);
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Encodes a list of instructions back into a code array.

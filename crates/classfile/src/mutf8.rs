@@ -58,6 +58,11 @@ pub(crate) fn encode_into(s: &str, out: &mut Vec<u8>) {
 /// Returns `None` on malformed input (truncated sequences, bad continuation
 /// bytes, or an unpaired surrogate).
 pub(crate) fn decode(bytes: &[u8]) -> Option<String> {
+    // The mirror of `encode_into`'s fast path: NUL-free ASCII decodes to
+    // itself, so it is copied once instead of pushed char by char.
+    if bytes.is_ascii() && !bytes.contains(&0) {
+        return std::str::from_utf8(bytes).ok().map(str::to_owned);
+    }
     let mut out = String::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
@@ -133,6 +138,8 @@ mod tests {
         assert_eq!(e, vec![0xC0, 0x80]);
         assert_eq!(decode(&e).as_deref(), Some("\0"));
         assert_eq!(decode(&[0x00]), None);
+        // A raw NUL inside otherwise-ASCII text is still rejected.
+        assert_eq!(decode(b"ab\0c"), None);
     }
 
     #[test]

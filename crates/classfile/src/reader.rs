@@ -5,7 +5,7 @@ use crate::class::{ClassFile, FieldInfo, MethodInfo, MAGIC};
 use crate::constant_pool::{ConstIndex, Constant, ConstantPool};
 use crate::error::ClassReadError;
 use crate::flags::{ClassAccess, FieldAccess, MethodAccess};
-use crate::instruction::decode_code;
+use crate::instruction::decode_instructions;
 use crate::mutf8;
 
 struct Cursor<'a> {
@@ -98,16 +98,22 @@ pub(crate) fn read_class(bytes: &[u8]) -> Result<ClassFile, ClassReadError> {
 }
 
 fn read_constant_pool(c: &mut Cursor<'_>) -> Result<ConstantPool, ClassReadError> {
-    let count = c.u2("constant_pool_count")?;
-    let mut cp = ConstantPool::new();
-    let mut index: u16 = 1;
+    let count = c.u2("constant_pool_count")? as usize;
+    // Every entry takes at least three bytes, so a forged count cannot
+    // reserve more than the input could fill.
+    let remaining = c.bytes.len().saturating_sub(c.pos);
+    let mut entries = Vec::with_capacity(count.saturating_sub(1).min(remaining / 3));
+    // Slots run 1..count with count <= u16::MAX, so every slot number fits
+    // a u16 and the parsed pool never exceeds MAX_POOL_SLOTS.
+    let mut index = 1usize;
     while index < count {
+        let slot = index as u16;
         let tag = c.u1("constant tag")?;
         let entry = match tag {
             1 => {
                 let len = c.u2("Utf8 length")? as usize;
                 let raw = c.take(len, "Utf8 bytes")?;
-                let text = mutf8::decode(raw).ok_or(ClassReadError::InvalidUtf8 { index })?;
+                let text = mutf8::decode(raw).ok_or(ClassReadError::InvalidUtf8 { index: slot })?;
                 Constant::Utf8(text)
             }
             3 => Constant::Integer(c.u4("Integer")? as i32),
@@ -149,13 +155,25 @@ fn read_constant_pool(c: &mut Cursor<'_>) -> Result<ConstantPool, ClassReadError
                 c.u2("InvokeDynamic bootstrap")?,
                 ConstIndex(c.u2("InvokeDynamic nat")?),
             ),
-            _ => return Err(ClassReadError::UnknownConstantTag { tag, index }),
+            _ => return Err(ClassReadError::UnknownConstantTag { tag, index: slot }),
         };
-        let wide = entry.is_wide();
-        cp.push(entry);
-        index += if wide { 2 } else { 1 };
+        if entry.is_wide() {
+            // JVMS §4.4.5: the slot after a Long or Double must exist too.
+            if index + 1 >= count {
+                return Err(ClassReadError::WideEntryPastPool {
+                    index: slot,
+                    count: count as u16,
+                });
+            }
+            entries.push(entry);
+            entries.push(Constant::Unusable);
+            index += 2;
+        } else {
+            entries.push(entry);
+            index += 1;
+        }
     }
-    Ok(cp)
+    Ok(ConstantPool::from_entries(entries))
 }
 
 fn read_field(c: &mut Cursor<'_>, cp: &ConstantPool) -> Result<FieldInfo, ClassReadError> {
@@ -232,7 +250,7 @@ fn read_code(data: &[u8], cp: &ConstantPool) -> Result<Attribute, ClassReadError
     let max_locals = c.u2("max_locals")?;
     let code_len = c.u4("code_length")? as usize;
     let code = c.take(code_len, "code")?;
-    let instructions = decode_code(code)?.into_iter().map(|(_, i)| i).collect();
+    let instructions = decode_instructions(code)?;
     let handler_count = c.u2("exception_table_length")?;
     let mut exception_table = Vec::with_capacity(handler_count as usize);
     for _ in 0..handler_count {

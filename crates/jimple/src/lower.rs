@@ -5,7 +5,9 @@
 //! made the types inconsistent, the produced bytecode is inconsistent in
 //! exactly the same way Soot dumps inconsistent Jimple — which is the point.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::LazyLock;
 
 use classfuzz_classfile::attributes::{Attribute, CodeAttribute, ExceptionTableEntry};
 use classfuzz_classfile::{
@@ -178,8 +180,21 @@ fn lower_method(
     }
 }
 
-/// Per-method assembler state.
-struct Asm<'a> {
+/// The static type of a pushed value. Types the IR spells out are
+/// borrowed from the method being lowered (`'m`), and the reference types
+/// lowering names on its own from the statics below; only primitives and
+/// the types of `new` expressions are owned.
+type Ty<'m> = Cow<'m, JType>;
+
+static OBJECT: LazyLock<JType> = LazyLock::new(JType::jobject);
+static STRING: LazyLock<JType> = LazyLock::new(JType::string);
+static CLASS: LazyLock<JType> = LazyLock::new(|| JType::object("java/lang/Class"));
+static THROWABLE: LazyLock<JType> = LazyLock::new(|| JType::object("java/lang/Throwable"));
+
+/// Per-method assembler state. `'m` is the lowered [`IrMethod`]: the
+/// assembler borrows its parameter and return types and its local names
+/// and types instead of copying them.
+struct Asm<'a, 'm> {
     cp: &'a mut ConstantPool,
     descriptors: &'a mut DescriptorCache,
     /// Emitted instructions; `Branch` targets and switch targets hold *label
@@ -187,18 +202,18 @@ struct Asm<'a> {
     insns: Vec<Instruction>,
     /// Label id → index into `insns` of the first instruction after it.
     label_at: HashMap<u32, usize>,
-    slots: HashMap<String, (u16, JType)>,
+    slots: HashMap<&'m str, (u16, Ty<'m>)>,
     next_slot: u16,
     depth: i32,
     max_depth: i32,
     is_static: bool,
-    params: Vec<JType>,
-    ret: Option<JType>,
+    params: &'m [JType],
+    ret: Option<&'m JType>,
 }
 
-fn lower_body(
-    method: &IrMethod,
-    body: &Body,
+fn lower_body<'m>(
+    method: &'m IrMethod,
+    body: &'m Body,
     cp: &mut ConstantPool,
     descriptors: &mut DescriptorCache,
 ) -> CodeAttribute {
@@ -208,15 +223,16 @@ fn lower_body(
     let mut asm = Asm {
         cp,
         descriptors,
-        insns: Vec::new(),
+        // Most statements lower to one to three instructions.
+        insns: Vec::with_capacity(body.stmts.len() * 2),
         label_at: HashMap::new(),
-        slots: HashMap::new(),
+        slots: HashMap::with_capacity(body.locals.len()),
         next_slot: 0,
         depth: 0,
         max_depth: 0,
         is_static,
-        params: method.params.clone(),
-        ret: method.ret.clone(),
+        params: &method.params,
+        ret: method.ret.as_ref(),
     };
     if !is_static {
         asm.next_slot = 1; // slot 0 = this
@@ -228,7 +244,7 @@ fn lower_body(
         let slot = asm.next_slot;
         asm.next_slot += local.ty.slot_width();
         asm.slots
-            .insert(local.name.clone(), (slot, local.ty.clone()));
+            .insert(&local.name, (slot, Cow::Borrowed(&local.ty)));
     }
     for stmt in &body.stmts {
         asm.stmt(stmt);
@@ -290,7 +306,7 @@ fn lower_body(
     }
 }
 
-impl Asm<'_> {
+impl<'m> Asm<'_, 'm> {
     fn emit(&mut self, insn: Instruction) {
         self.insns.push(insn);
     }
@@ -306,30 +322,29 @@ impl Asm<'_> {
 
     /// Slot and declared type of a local; unknown names (dangling after a
     /// mutation) get a fresh reference-typed slot so lowering stays total.
-    fn local(&mut self, name: &str) -> (u16, JType) {
+    fn local(&mut self, name: &'m str) -> (u16, Ty<'m>) {
         if let Some((slot, ty)) = self.slots.get(name) {
             return (*slot, ty.clone());
         }
         let slot = self.next_slot;
         self.next_slot += 1;
-        let ty = JType::jobject();
-        self.slots.insert(name.to_string(), (slot, ty.clone()));
-        (slot, ty)
+        self.slots.insert(name, (slot, Cow::Borrowed(&OBJECT)));
+        (slot, Cow::Borrowed(&OBJECT))
     }
 
-    fn param_slot(&self, n: u16) -> (u16, JType) {
+    fn param_slot(&self, n: u16) -> (u16, Ty<'m>) {
         let mut slot = if self.is_static { 0 } else { 1 };
         for (i, p) in self.params.iter().enumerate() {
             if i as u16 == n {
-                return (slot, p.clone());
+                return (slot, Cow::Borrowed(p));
             }
             slot += p.slot_width();
         }
-        (slot, JType::jobject()) // out-of-range parameter reference
+        (slot, Cow::Borrowed(&OBJECT)) // out-of-range parameter reference
     }
 
     /// Pushes a value, returning its static type (`None` = null).
-    fn value(&mut self, v: &Value) -> Option<JType> {
+    fn value(&mut self, v: &'m Value) -> Option<Ty<'m>> {
         match v {
             Value::Local(name) => {
                 let (slot, ty) = self.local(name);
@@ -340,7 +355,7 @@ impl Asm<'_> {
         }
     }
 
-    fn constant(&mut self, c: &Const) -> Option<JType> {
+    fn constant(&mut self, c: &Const) -> Option<Ty<'m>> {
         match c {
             Const::Int(v) => {
                 let insn = match *v {
@@ -364,7 +379,7 @@ impl Asm<'_> {
                 };
                 self.emit(insn);
                 self.push(1);
-                Some(JType::Int)
+                Some(Cow::Owned(JType::Int))
             }
             Const::Long(v) => {
                 let insn = match *v {
@@ -377,7 +392,7 @@ impl Asm<'_> {
                 };
                 self.emit(insn);
                 self.push(2);
-                Some(JType::Long)
+                Some(Cow::Owned(JType::Long))
             }
             Const::Float(v) => {
                 let insn = if v.to_bits() == 0.0f32.to_bits() {
@@ -392,7 +407,7 @@ impl Asm<'_> {
                 };
                 self.emit(insn);
                 self.push(1);
-                Some(JType::Float)
+                Some(Cow::Owned(JType::Float))
             }
             Const::Double(v) => {
                 let insn = if v.to_bits() == 0.0f64.to_bits() {
@@ -405,13 +420,13 @@ impl Asm<'_> {
                 };
                 self.emit(insn);
                 self.push(2);
-                Some(JType::Double)
+                Some(Cow::Owned(JType::Double))
             }
             Const::Str(s) => {
                 let idx = self.cp.string(s);
                 self.emit(ldc_for(idx));
                 self.push(1);
-                Some(JType::string())
+                Some(Cow::Borrowed(&STRING))
             }
             Const::Null => {
                 self.emit(Instruction::Simple(Opcode::AconstNull));
@@ -422,7 +437,7 @@ impl Asm<'_> {
                 let idx = self.cp.class(name);
                 self.emit(ldc_for(idx));
                 self.push(1);
-                Some(JType::object("java/lang/Class"))
+                Some(Cow::Borrowed(&CLASS))
             }
         }
     }
@@ -453,7 +468,7 @@ impl Asm<'_> {
 
     /// Emits an expression, returning the static type of the pushed value
     /// (`None` for null; the *store* opcode follows this type).
-    fn expr(&mut self, e: &Expr) -> Option<JType> {
+    fn expr(&mut self, e: &'m Expr) -> Option<Ty<'m>> {
         match e {
             Expr::Use(v) => self.value(v),
             Expr::BinOp(op, ty, a, b) => {
@@ -470,25 +485,25 @@ impl Asm<'_> {
                     _ => Opcode::Ineg,
                 };
                 self.emit(Instruction::Simple(op));
-                Some(ty.clone())
+                Some(Cow::Borrowed(ty))
             }
             Expr::Cast(ty, v) => {
                 let from = self.value(v);
-                self.cast(from.as_ref(), ty);
-                Some(ty.clone())
+                self.cast(from.as_deref(), ty);
+                Some(Cow::Borrowed(ty))
             }
             Expr::InstanceOf(class, v) => {
                 self.value(v);
                 let idx = self.cp.class(class);
                 self.emit(Instruction::InstanceOf(idx));
                 // pops a ref (1), pushes an int (1): net zero
-                Some(JType::Int)
+                Some(Cow::Owned(JType::Int))
             }
             Expr::New(class) => {
                 let idx = self.cp.class(class);
                 self.emit(Instruction::New(idx));
                 self.push(1);
-                Some(JType::object(class.clone()))
+                Some(Cow::Owned(JType::object(class.clone())))
             }
             Expr::NewArray(elem, len) => {
                 self.value(len);
@@ -505,12 +520,12 @@ impl Asm<'_> {
                         self.emit(Instruction::ANewArray(idx));
                     }
                 }
-                Some(JType::array(elem.clone()))
+                Some(Cow::Owned(JType::array(elem.clone())))
             }
             Expr::ArrayLen(v) => {
                 self.value(v);
                 self.emit(Instruction::Simple(Opcode::Arraylength));
-                Some(JType::Int)
+                Some(Cow::Owned(JType::Int))
             }
             Expr::ArrayLoad(elem, arr, idx) => {
                 self.value(arr);
@@ -519,14 +534,14 @@ impl Asm<'_> {
                 self.emit(Instruction::Simple(op));
                 self.pop(2);
                 self.push(elem.slot_width());
-                Some(elem.clone())
+                Some(Cow::Borrowed(elem))
             }
             Expr::StaticField(class, name, ty) => {
                 let desc = self.descriptors.field(ty);
                 let idx = self.cp.field_ref(class, name, desc);
                 self.emit(Instruction::Field(Opcode::Getstatic, idx));
                 self.push(ty.slot_width());
-                Some(ty.clone())
+                Some(Cow::Borrowed(ty))
             }
             Expr::InstanceField(recv, class, name, ty) => {
                 self.value(recv);
@@ -535,7 +550,7 @@ impl Asm<'_> {
                 self.emit(Instruction::Field(Opcode::Getfield, idx));
                 self.pop(1);
                 self.push(ty.slot_width());
-                Some(ty.clone())
+                Some(Cow::Borrowed(ty))
             }
             Expr::Invoke(inv) => self.invoke(inv),
             Expr::Param(n) => {
@@ -546,18 +561,18 @@ impl Asm<'_> {
             Expr::This => {
                 self.emit(Instruction::Local(Opcode::Aload, 0));
                 self.push(1);
-                Some(JType::jobject())
+                Some(Cow::Borrowed(&OBJECT))
             }
             Expr::CaughtException => {
                 // The exception object is already on the stack at handler
                 // entry; account for it without emitting code.
                 self.push(1);
-                Some(JType::object("java/lang/Throwable"))
+                Some(Cow::Borrowed(&THROWABLE))
             }
         }
     }
 
-    fn binop(&mut self, op: BinOp, ty: &JType) -> Option<JType> {
+    fn binop(&mut self, op: BinOp, ty: &JType) -> Option<Ty<'m>> {
         use BinOp::*;
         use Opcode::*;
         let (insn, result) = match (op, ty) {
@@ -603,7 +618,7 @@ impl Asm<'_> {
         // popped, one result pushed.
         self.pop(2 * ty.slot_width());
         self.push(result.slot_width());
-        Some(result)
+        Some(Cow::Owned(result))
     }
 
     fn cast(&mut self, from: Option<&JType>, to: &JType) {
@@ -654,7 +669,7 @@ impl Asm<'_> {
         self.push(to.slot_width());
     }
 
-    fn invoke(&mut self, inv: &InvokeExpr) -> Option<JType> {
+    fn invoke(&mut self, inv: &'m InvokeExpr) -> Option<Ty<'m>> {
         if let Some(recv) = &inv.receiver {
             self.value(recv);
         }
@@ -687,10 +702,10 @@ impl Asm<'_> {
         if let Some(ret) = &inv.ret {
             self.push(ret.slot_width());
         }
-        inv.ret.clone()
+        inv.ret.as_ref().map(Cow::Borrowed)
     }
 
-    fn stmt(&mut self, stmt: &Stmt) {
+    fn stmt(&mut self, stmt: &'m Stmt) {
         match stmt {
             Stmt::Assign { target, value } => self.assign(target, value),
             Stmt::Invoke(inv) => {
@@ -710,8 +725,8 @@ impl Asm<'_> {
             }
             Stmt::Return(Some(v)) => {
                 let vty = self.value(v);
-                let ty = self.ret.clone().or(vty);
-                let op = match &ty {
+                let ty = self.ret.or(vty.as_deref());
+                let op = match ty {
                     Some(t) if t.is_int_like() => Opcode::Ireturn,
                     Some(JType::Long) => Opcode::Lreturn,
                     Some(JType::Float) => Opcode::Freturn,
@@ -763,14 +778,14 @@ impl Asm<'_> {
         }
     }
 
-    fn assign(&mut self, target: &Target, value: &Expr) {
+    fn assign(&mut self, target: &'m Target, value: &'m Expr) {
         match target {
             Target::Local(name) => {
                 let ty = self.expr(value);
                 // Stores follow the *assigned value's* type; a later load
                 // follows the declared type. Type-mutated locals thus become
                 // verifier bait, mirroring the paper's Table 2 example.
-                let store_ty = ty.unwrap_or_else(JType::jobject);
+                let store_ty = ty.unwrap_or(Cow::Borrowed(&OBJECT));
                 let (slot, _) = self.local(name);
                 self.store_local(slot, &store_ty);
             }
@@ -800,9 +815,10 @@ impl Asm<'_> {
         }
     }
 
-    fn branch_if(&mut self, op: CondOp, a: &Value, b: Option<&Value>, target: Label) {
+    fn branch_if(&mut self, op: CondOp, a: &'m Value, b: Option<&'m Value>, target: Label) {
         let aty = self.value(a);
-        let a_is_ref = aty.as_ref().is_none_or(JType::is_reference);
+        let aty = aty.as_deref();
+        let a_is_ref = aty.is_none_or(JType::is_reference);
         match b {
             None => {
                 let insn = if a_is_ref {
@@ -810,13 +826,9 @@ impl Asm<'_> {
                         CondOp::Ne => Opcode::Ifnonnull,
                         _ => Opcode::Ifnull,
                     }
-                } else if aty
-                    .as_ref()
-                    .is_some_and(|t| t.is_wide() || *t == JType::Float)
-                {
+                } else if aty.is_some_and(|t| t.is_wide() || *t == JType::Float) {
                     // Compare wide/float against zero: emit the cmp first.
-                    let zero_ty = aty.clone().unwrap_or(JType::Long);
-                    match zero_ty {
+                    match aty.unwrap_or(&JType::Long) {
                         JType::Long => {
                             self.constant(&Const::Long(0));
                             self.emit(Instruction::Simple(Opcode::Lcmp));
@@ -845,16 +857,15 @@ impl Asm<'_> {
             }
             Some(b) => {
                 let bty = self.value(b);
-                let refs = a_is_ref && bty.as_ref().is_none_or(JType::is_reference);
-                let wide =
-                    aty.as_ref().is_some_and(|t| t.is_wide()) || matches!(aty, Some(JType::Float));
+                let refs = a_is_ref && bty.as_deref().is_none_or(JType::is_reference);
+                let wide = aty.is_some_and(|t| t.is_wide()) || matches!(aty, Some(JType::Float));
                 if wide {
                     let cmp = match aty {
                         Some(JType::Long) => Opcode::Lcmp,
                         Some(JType::Float) => Opcode::Fcmpl,
                         _ => Opcode::Dcmpl,
                     };
-                    let w = aty.as_ref().map_or(2, |t| t.slot_width());
+                    let w = aty.map_or(2, |t| t.slot_width());
                     self.emit(Instruction::Simple(cmp));
                     self.pop(2 * w);
                     self.push(1);
