@@ -21,10 +21,13 @@ use std::time::Instant;
 
 use classfuzz_core::analyze::{evaluate_suite, SuiteEvaluation};
 use classfuzz_core::diff::DifferentialHarness;
-use classfuzz_core::engine::{run_campaign_parallel, Algorithm, CampaignConfig, CampaignResult};
+use classfuzz_core::engine::{
+    run_campaign, run_campaign_parallel, Algorithm, CampaignConfig, CampaignResult,
+};
 use classfuzz_core::report::Table6Row;
 use classfuzz_core::seeds::SeedCorpus;
 use classfuzz_coverage::UniquenessCriterion;
+use classfuzz_jimple::IrClass;
 
 /// Experiment scale: how big the seed corpus and iteration budget are.
 ///
@@ -39,8 +42,8 @@ pub struct Scale {
     pub iterations: usize,
     /// Master RNG seed.
     pub rng_seed: u64,
-    /// Worker shards per campaign (1 = the sequential engine's behavior,
-    /// reproduced bit for bit by the parallel engine).
+    /// Worker shards per campaign: 1 runs the deterministic sequential
+    /// engine, more run the async engine.
     pub jobs: usize,
 }
 
@@ -146,6 +149,16 @@ pub fn interleaved(
     }
 }
 
+/// Runs one campaign at the scale's job count: the sequential engine at
+/// one job, the async engine above it.
+fn campaign(seeds: &[IrClass], config: &CampaignConfig, jobs: usize) -> CampaignResult {
+    if jobs <= 1 {
+        run_campaign(seeds, config)
+    } else {
+        run_campaign_parallel(seeds, config, jobs).expect("benchmark campaign must not fail")
+    }
+}
+
 /// The seed corpus for a scale.
 pub fn seed_corpus(scale: Scale) -> SeedCorpus {
     SeedCorpus::generate(scale.seeds, scale.rng_seed)
@@ -163,12 +176,11 @@ pub fn table4_campaigns(scale: Scale) -> Vec<CampaignResult> {
             } else {
                 scale.iterations
             };
-            run_campaign_parallel(
+            campaign(
                 &seeds,
                 &CampaignConfig::new(alg, iterations, scale.rng_seed),
                 scale.jobs,
             )
-            .expect("benchmark campaign must not fail")
         })
         .collect()
 }
@@ -176,7 +188,7 @@ pub fn table4_campaigns(scale: Scale) -> Vec<CampaignResult> {
 /// The classfuzz\[stbr\] campaign alone (Tables 5 and 7, Figure 4a/4b).
 pub fn classfuzz_stbr_campaign(scale: Scale) -> CampaignResult {
     let seeds = seed_corpus(scale).into_classes();
-    run_campaign_parallel(
+    campaign(
         &seeds,
         &CampaignConfig::new(
             Algorithm::Classfuzz(UniquenessCriterion::StBr),
@@ -185,18 +197,16 @@ pub fn classfuzz_stbr_campaign(scale: Scale) -> CampaignResult {
         ),
         scale.jobs,
     )
-    .expect("benchmark campaign must not fail")
 }
 
 /// The uniquefuzz campaign alone (Figure 4c).
 pub fn uniquefuzz_campaign(scale: Scale) -> CampaignResult {
     let seeds = seed_corpus(scale).into_classes();
-    run_campaign_parallel(
+    campaign(
         &seeds,
         &CampaignConfig::new(Algorithm::Uniquefuzz, scale.iterations, scale.rng_seed),
         scale.jobs,
     )
-    .expect("benchmark campaign must not fail")
 }
 
 /// Table 6: evaluates seeds, plus GenClasses and TestClasses of every
@@ -238,8 +248,6 @@ pub fn baseline_eval(scale: Scale) -> SuiteEvaluation {
 
 // --- Ablations and extensions ----------------------------------------------
 
-use classfuzz_core::engine::run_campaign as run_campaign_raw;
-
 /// Ablation: MCMC geometric parameter `p` vs. yield. Runs classfuzz\[stbr\]
 /// with each `p` and reports |TestClasses| — quantifying how sensitive
 /// Algorithm 1 is to the §2.2.2 estimate (3/129 ≈ 0.023).
@@ -255,7 +263,7 @@ pub fn ablation_p(scale: Scale, ps: &[f64]) -> Vec<(f64, usize)> {
                     scale.rng_seed,
                 )
             };
-            (p, run_campaign_raw(&seeds, &config).test_classes.len())
+            (p, run_campaign(&seeds, &config).test_classes.len())
         })
         .collect()
 }

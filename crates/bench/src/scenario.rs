@@ -251,12 +251,12 @@ const INTERP: Scenario = Scenario {
     },
 };
 
-/// The async engine's shard scaling and its one-shard async-vs-lockstep
-/// discrepancy cross-check (DESIGN.md §14). The baseline is pessimistic
+/// The async engine's shard scaling and its one-shard replay of the
+/// sequential campaign (DESIGN.md §14). The baseline is pessimistic
 /// against ~35,000 iterations/s measured warm on one core. The cross-check
 /// must pass unconditionally; where 2+ cores exist the scaling ratio must
 /// clear ≥1.5×, and on one core, where no scaling is observable, one async
-/// shard must instead stay within the budget of one lockstep shard.
+/// shard must instead stay within the budget of the sequential engine.
 const SCALE: Scenario = Scenario {
     name: "scale",
     run: scalebench::run,
@@ -264,7 +264,7 @@ const SCALE: Scenario = Scenario {
         let scaling = if value(run, "cores").unwrap_or(1.0) >= 2.0 {
             Gate::Floor("scaling_ratio", 1.5)
         } else {
-            Gate::Floor("async_vs_lockstep_ratio", 1.0 / BUDGET)
+            Gate::Floor("async_vs_sequential_ratio", 1.0 / BUDGET)
         };
         vec![
             Gate::Floor("crosscheck_pass", 1.0),

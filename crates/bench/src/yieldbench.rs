@@ -5,10 +5,10 @@
 //!
 //! Methodology (see EXPERIMENTS.md "Yield benchmark"):
 //!
-//! * both arms run the same lockstep one-shard classfuzz `[stbr]`
-//!   campaigns over the same classic-shape corpora (the template mix with
-//!   the most redundancy, hence where selection has the most to prune),
-//!   so the comparison is deterministic — the arms differ only in
+//! * both arms run the same sequential classfuzz `[stbr]` campaigns over
+//!   the same classic-shape corpora (the template mix with the most
+//!   redundancy, hence where selection has the most to prune), so the
+//!   comparison is deterministic — the arms differ only in
 //!   `--seed-select` and `--pool-cap`;
 //! * the budget is several short campaigns (distinct master RNG seeds)
 //!   rather than one long one: distinct startup keys saturate with
@@ -23,9 +23,7 @@
 use std::collections::BTreeSet;
 
 use classfuzz_core::diff::DifferentialHarness;
-use classfuzz_core::engine::{
-    run_campaign_parallel, Algorithm, CampaignConfig, CampaignResult, Schedule, SeedSelect,
-};
+use classfuzz_core::engine::{run_campaign, Algorithm, CampaignConfig, CampaignResult, SeedSelect};
 use classfuzz_core::seeds::{SeedCorpus, SeedShape};
 use classfuzz_coverage::UniquenessCriterion;
 
@@ -63,7 +61,6 @@ fn yield_config(rng_seed: u64, select: SeedSelect, pool_cap: Option<usize>) -> C
         YIELD_ITERATIONS,
         rng_seed,
     )
-    .with_schedule(Schedule::Lockstep)
     .with_seed_select(select);
     if let Some(cap) = pool_cap {
         config = config.with_pool_cap(cap);
@@ -81,8 +78,7 @@ fn run_arm(select: SeedSelect, pool_cap: Option<usize>) -> (usize, u64, u64) {
     for rng_seed in YIELD_RNG_SEEDS {
         let corpus = SeedCorpus::generate_shaped(YIELD_SEEDS, rng_seed, SeedShape::Classic);
         let config = yield_config(rng_seed, select, pool_cap);
-        let result = run_campaign_parallel(corpus.classes(), &config, 1)
-            .expect("yield benchmark campaign must not fail");
+        let result = run_campaign(corpus.classes(), &config);
         distill_passes += result.acceptance.distill_passes;
         distill_evicted += result.acceptance.distill_evicted;
         discrepancy_keys(&result, &mut keys);

@@ -12,8 +12,9 @@ commands:
   run    <file.class> [--vm NAME]     run on one profile (default hotspot9)
   diff   <file.class>                 run on all five profiles
   fuzz   [--seeds N] [--iterations N] [--rng-seed S]
-         [--criterion st|stbr|tr] [--jobs N] [--out DIR] [--crash-dir DIR]
-         [--engine async|lockstep]   free-running shards / deterministic rounds
+         [--criterion st|stbr|tr] [--out DIR] [--crash-dir DIR]
+         [--jobs N]                  1 (default): the deterministic sequential
+                                     loop; N > 1: N free-running shards
          [--exec-diff]               also difference execution outcomes
          [--seed-select uniform|maxcover]
                                      initial pool: whole corpus / greedy
@@ -107,7 +108,6 @@ const COMMANDS: &[(&str, bool, &[&str])] = &[
             "jobs",
             "out",
             "crash-dir",
-            "engine",
             "exec-diff",
             "seed-select",
             "pool-cap",

@@ -7,7 +7,7 @@
 //! classfuzz diff   <file.class>                  run on all five profiles
 //! classfuzz fuzz   [--seeds N] [--iterations N] [--rng-seed S]
 //!                  [--criterion st|stbr|tr] [--jobs N] [--out DIR]
-//!                  [--crash-dir DIR] [--engine async|lockstep] [--exec-diff]
+//!                  [--crash-dir DIR] [--exec-diff]
 //!                  [--seed-select uniform|maxcover] [--pool-cap N]
 //!                  [--seed-shape classic|deep|wide|exotic|versioned|mixed]
 //!                                                Algorithm 1 campaign;
@@ -32,7 +32,7 @@ use std::process::ExitCode;
 
 use classfuzz_core::diff::DifferentialHarness;
 use classfuzz_core::engine::{
-    run_campaign_parallel, Algorithm, CampaignConfig, Schedule, SeedSelect,
+    run_campaign, run_campaign_parallel, Algorithm, CampaignConfig, SeedSelect,
 };
 use classfuzz_core::seeds::{SeedCorpus, SeedShape};
 use classfuzz_coverage::UniquenessCriterion;
@@ -164,11 +164,6 @@ fn fuzz(parsed: &Parsed) -> Result<(), String> {
     if jobs == 0 {
         return Err("--jobs expects at least 1".to_string());
     }
-    let schedule = match parsed.flag("engine").unwrap_or("lockstep") {
-        "lockstep" => Schedule::Lockstep,
-        "async" => Schedule::Async,
-        other => return Err(format!("unknown engine {other:?} (async|lockstep)")),
-    };
     let out_dir = parsed.flag("out").map(PathBuf::from);
     let crash_dir = parsed.flag("crash-dir").map(PathBuf::from);
     let exec_diff = parsed.flag_bool("exec-diff");
@@ -192,14 +187,13 @@ fn fuzz(parsed: &Parsed) -> Result<(), String> {
     let corpus = SeedCorpus::generate_shaped(seeds, rng_seed, shape).into_classes();
     eprintln!(
         "fuzzing: {seeds} seeds ({shape}), {iterations} iterations, criterion {criterion}, \
-         {jobs} job(s), {schedule} engine, {seed_select} selection{}{}",
+         {jobs} job(s), {seed_select} selection{}{}",
         pool_cap
             .map(|c| format!(", pool cap {c}"))
             .unwrap_or_default(),
         if exec_diff { ", exec differencing" } else { "" }
     );
     let mut config = CampaignConfig::new(Algorithm::Classfuzz(criterion), iterations, rng_seed)
-        .with_schedule(schedule)
         .with_seed_select(seed_select);
     if let Some(cap) = pool_cap {
         config = config.with_pool_cap(cap);
@@ -219,7 +213,13 @@ fn fuzz(parsed: &Parsed) -> Result<(), String> {
     if exec_diff {
         config = config.with_exec_diff();
     }
-    let result = run_campaign_parallel(&corpus, &config, jobs).map_err(|e| e.to_string())?;
+    // One job runs the deterministic sequential loop; more run the async
+    // engine, whose multi-shard findings replay from their written bytes.
+    let result = if jobs == 1 {
+        run_campaign(&corpus, &config)
+    } else {
+        run_campaign_parallel(&corpus, &config, jobs).map_err(|e| e.to_string())?
+    };
     eprintln!(
         "generated {} classfiles, accepted {} representatives (succ {:.1}%)",
         result.gen_classes.len(),

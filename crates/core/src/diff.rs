@@ -170,7 +170,7 @@ impl fmt::Display for OutcomeVector {
     }
 }
 
-/// A set of JVMs driven in lockstep.
+/// A set of JVMs that each run the same class, side by side.
 ///
 /// # Examples
 ///

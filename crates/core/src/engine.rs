@@ -1,20 +1,20 @@
 //! The fuzzing campaigns: classfuzz (Algorithm 1) and the three comparison
 //! algorithms of §3.1.2 — uniquefuzz, greedyfuzz, randfuzz.
 //!
-//! Campaigns run either sequentially ([`run_campaign`]) or sharded across
-//! worker threads ([`run_campaign_parallel`]). The parallel engine is
-//! lockstep-deterministic: a one-shard run replays the sequential campaign
-//! bit for bit, and any shard count yields the same result for the same
-//! `(config, num_shards)` pair — see DESIGN.md, "Parallel campaign
-//! architecture".
+//! Campaigns run either sequentially ([`run_campaign`]) or on free-running
+//! worker shards ([`run_campaign_parallel`], the async engine). The
+//! sequential engine is deterministic, and a one-shard async run replays
+//! it bit for bit. Multi-shard runs are sound but not replayable: their
+//! acceptance order depends on thread interleaving — see DESIGN.md,
+//! "Parallel campaign architecture".
 //!
-//! Every engine runs the same campaign step from two private pieces: a
+//! Both engines run the same campaign step from two private pieces: a
 //! `Shard` (mutator lineup, RNG, selector, reference VM, scratch buffers)
 //! produces each iteration's candidate, and a `Ledger` records it — crash
 //! records, `GenClasses`, `TestClasses`, exec-diff — and assembles the
 //! [`CampaignResult`]. The sequential engine drives one shard inline; the
-//! two parallel schedulers run one shard per worker thread and record
-//! through the ledger on the calling thread.
+//! async engine runs one shard per worker thread and records through the
+//! ledger on the calling thread.
 //!
 //! All engines are fault-contained (see DESIGN.md, "Fault containment"):
 //! a panicking mutator becomes a recorded [`CrashRecord`] and the iteration
@@ -25,8 +25,7 @@
 
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Arc};
-use std::thread;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use classfuzz_coverage::{
@@ -49,29 +48,17 @@ use crate::diff::{DifferentialHarness, ExecDiscrepancy};
 
 mod async_mode;
 
-/// How a parallel campaign schedules its worker shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Schedule {
-    /// Lockstep rounds with a coordinator barrier: deterministic for a
-    /// fixed `(config, num_shards)`, bit-identical to the sequential
-    /// engine at one shard. The replay/CI oracle.
-    #[default]
-    Lockstep,
-    /// Free-running shards over shared atomic acceptance state: no round
-    /// barrier, so throughput scales with cores, but multi-shard runs are
-    /// nondeterministic (acceptance order depends on thread interleaving).
-    /// A one-shard async run still replays the sequential campaign — see
-    /// DESIGN.md, "Free-running async campaign scheduler".
-    Async,
-}
+pub use async_mode::run_campaign_parallel;
 
-impl fmt::Display for Schedule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Schedule::Lockstep => "lockstep",
-            Schedule::Async => "async",
-        })
-    }
+/// How a parallel campaign schedules its worker shards. There is one
+/// scheduler, the free-running async engine, so this selects nothing; it
+/// stays only because the campaign benchmark names it, and goes with the
+/// next change to that benchmark.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Schedule {
+    /// Free-running shards over shared atomic acceptance state — see
+    /// [`run_campaign_parallel`].
+    Async,
 }
 
 /// How the initial mutation pool is chosen from the generated seeds.
@@ -171,17 +158,11 @@ pub struct CampaignConfig {
     /// [`ExecReport`] per acceptance. Off by default — the startup matrix
     /// and all its snapshots are bit-identical with this disabled.
     pub exec_diff: bool,
-    /// Scheduling discipline for [`run_campaign_parallel`]: deterministic
-    /// lockstep rounds (the default) or the free-running async engine.
-    /// Both schedulers run the same per-shard step and record through the
-    /// same ledger as the sequential [`run_campaign`], which ignores this
-    /// field (it has no scheduler: its one shard runs inline).
-    pub schedule: Schedule,
-    /// Fault-injection self-test hook for the parallel engines: the named
+    /// Fault-injection self-test hook for the async engine: the named
     /// worker shard panics *outside* the per-iteration containment before
     /// its setup, exercising the shard-death last-gasp protocol without a
-    /// mutator in the loop. Both schedulers honour it; the sequential
-    /// engine, which has no shard thread, ignores it.
+    /// mutator in the loop. The sequential engine, which has no shard
+    /// thread, ignores it.
     pub inject_shard_death: Option<usize>,
     /// How the initial pool is chosen from the seeds (`--seed-select`).
     pub seed_select: SeedSelect,
@@ -204,16 +185,15 @@ impl CampaignConfig {
             crash_dir: None,
             inject_panic_mutator: false,
             exec_diff: false,
-            schedule: Schedule::default(),
             inject_shard_death: None,
             seed_select: SeedSelect::default(),
             pool_cap: None,
         }
     }
 
-    /// Select the parallel scheduling discipline.
-    pub fn with_schedule(mut self, schedule: Schedule) -> CampaignConfig {
-        self.schedule = schedule;
+    /// Kept for the campaign benchmark, which names it: [`Schedule`] has
+    /// one variant, so this returns the config unchanged.
+    pub fn with_schedule(self, _schedule: Schedule) -> CampaignConfig {
         self
     }
 
@@ -297,16 +277,18 @@ impl PoolEntry {
     }
 }
 
-/// How often (in executed iterations — lockstep rounds, async claimed
-/// iterations) a capped campaign distills its pool. Fixed so eviction
+/// How often (in executed iterations — the sequential loop's count, or
+/// the async engine's shared claimed-iteration count) a capped campaign
+/// distills its pool. Fixed so eviction
 /// points are a deterministic function of the iteration count alone.
 const DISTILL_INTERVAL: usize = 32;
 
 /// Distills `pool` in place: evicts entries whose coverage is subsumed by
 /// the union of the rest ([`distill_keep_mask`]), then — if still over
 /// `cap` — drops the smallest-coverage entries (ties toward the oldest)
-/// until the pool fits. Survivors keep their relative order, so every
-/// engine's replica distills to the same pool. Returns the eviction count.
+/// until the pool fits. Survivors keep their relative order, so both
+/// engines distill the same pool to the same result. Returns the eviction
+/// count.
 fn distill_pool(pool: &mut Vec<PoolEntry>, cap: usize) -> usize {
     // `pool_cap` is a public field, so a cap of 0 can arrive here; the
     // pool must never distill to nothing, or the pick RNG has no range.
@@ -355,9 +337,9 @@ struct DistillCounters {
 
 /// Lowers each seed exactly once (through one shared scratch), optionally
 /// tracing each seed's startup run, then applies the configured selection
-/// strategy — producing the pool every engine starts from. The parallel
-/// engines share the entries with all of their shard replicas by `Arc`
-/// handle instead of re-lowering per shard.
+/// strategy — producing the pool both engines start from. The async
+/// engine's shards share the entries by `Arc` handle instead of
+/// re-lowering per shard.
 ///
 /// Traces are recorded whenever the algorithm consults coverage *or* the
 /// seed-intelligence knobs need them (max-cover selection, distillation);
@@ -412,7 +394,7 @@ pub struct ShardStats {
     pub iterations: usize,
     /// Classfiles this shard generated (iterations minus failed mutations).
     pub generated: usize,
-    /// Of those, how many the coordinator accepted into `TestClasses`.
+    /// Of those, how many were accepted into `TestClasses`.
     pub accepted: usize,
 }
 
@@ -457,16 +439,17 @@ pub struct CrashRecord {
 }
 
 /// An unrecoverable engine fault: a worker shard died *outside* the
-/// contained regions (mutation and VM startup are panic-isolated), or a
-/// coordination channel closed early. Diagnosable, unlike the panic it
-/// replaces: it names the shard, the lockstep round, and the last
-/// classfile that shard generated.
+/// contained regions (mutation and VM startup are panic-isolated), or the
+/// OS refused a worker thread. Diagnosable, unlike the panic it replaces:
+/// it names the shard, how far it got, and the last classfile that shard
+/// generated.
 #[derive(Debug, Clone)]
 pub struct EngineError {
     /// The failing shard, when attributable.
     pub shard_id: Option<usize>,
-    /// The lockstep round in which the failure surfaced.
-    pub round: usize,
+    /// The iterations the ledger had recorded for the failing shard (for
+    /// the whole campaign when no shard is attributable).
+    pub iterations: usize,
     /// Bytes of the last classfile the failing shard generated, if any —
     /// the prime suspect for reproducing the fault.
     pub last_candidate: Option<Vec<u8>>,
@@ -477,13 +460,10 @@ pub struct EngineError {
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.shard_id {
-            Some(id) => write!(
-                f,
-                "shard {id} failed in round {}: {}",
-                self.round, self.message
-            )?,
-            None => write!(f, "engine failed in round {}: {}", self.round, self.message)?,
+            Some(id) => write!(f, "shard {id} failed")?,
+            None => write!(f, "engine failed")?,
         }
+        write!(f, " after {} iterations: {}", self.iterations, self.message)?;
         match &self.last_candidate {
             Some(bytes) => write!(f, " (last candidate: {} bytes)", bytes.len()),
             None => write!(f, " (no candidate generated yet)"),
@@ -624,8 +604,8 @@ impl Selector {
     }
 }
 
-/// The acceptance state of the engines that decide on one thread (the
-/// sequential engine and the lockstep coordinator).
+/// The sequential engine's acceptance state, decided on one thread (the
+/// async engine shares its own, lock- and atomic-based counterpart).
 enum Acceptance {
     Unique(SuiteIndex),
     Greedy(GlobalCoverage),
@@ -756,7 +736,7 @@ fn persist_crash(dir: &Path, index: usize, record: &CrashRecord) {
 /// Differences one accepted candidate's execution verdicts across the five
 /// profiles. Runs plain (no coverage, no tracing) and draws no RNG, so
 /// enabling `--exec-diff` perturbs neither the candidate stream nor the
-/// lockstep replay guarantees — it only appends to `exec_reports`.
+/// one-shard replay guarantee — it only appends to `exec_reports`.
 fn diff_execution(harness: &DifferentialHarness, gen_index: usize, bytes: &[u8]) -> ExecReport {
     let vector = harness.run(bytes);
     ExecReport {
@@ -815,7 +795,7 @@ enum Produced {
 
 /// One shard's working set: everything the shard-local half of an
 /// iteration reads or writes. The sequential engine drives one inline;
-/// each parallel worker thread builds its own through [`run_shard`].
+/// each async worker thread builds its own.
 struct Shard {
     mutators: Vec<Mutator>,
     rng: StdRng,
@@ -932,9 +912,9 @@ impl Shard {
 
     /// Whether a capped campaign distills after `completed` of `budget`
     /// iterations: after every DISTILL_INTERVAL-th, skipping the no-op pass
-    /// after the last. The one boundary rule of every engine — a function
-    /// of the iteration count alone, so replicas and engines distill at the
-    /// same points (between iterations, before the next pick).
+    /// after the last. The one boundary rule of both engines — a function
+    /// of the iteration count alone, so both distill at the same points
+    /// (between iterations, before the next pick).
     fn distill_due(&self, completed: usize, budget: usize) -> bool {
         self.pool_cap.is_some() && completed.is_multiple_of(DISTILL_INTERVAL) && completed < budget
     }
@@ -964,11 +944,10 @@ struct ShardOutcome {
 }
 
 /// The recording half of a campaign: everything the result accumulates,
-/// in verdict order. The sequential engine records inline, the lockstep
-/// coordinator once per shard per round, and the async collector as
-/// reports arrive — all through [`Ledger::record`], so every engine
-/// assembles crash records, `GenClasses`, `TestClasses` and exec-diff
-/// reports the same way.
+/// in verdict order. The sequential engine records inline and the async
+/// collector as reports arrive — both through [`Ledger::record`], so both
+/// engines assemble crash records, `GenClasses`, `TestClasses` and
+/// exec-diff reports the same way.
 struct Ledger<'a> {
     config: &'a CampaignConfig,
     start: Instant,
@@ -983,8 +962,7 @@ struct Ledger<'a> {
     /// suspect costs a refcount bump per candidate, not a byte copy.
     last_bytes: Vec<Option<Arc<Vec<u8>>>>,
     /// Execution differencing happens here, in acceptance order — the same
-    /// order in every engine at one shard, and deterministic under lockstep
-    /// at any shard count.
+    /// order in both engines at one shard.
     exec_harness: Option<DifferentialHarness>,
 }
 
@@ -1072,18 +1050,18 @@ impl<'a> Ledger<'a> {
         self.crashes.push(record);
     }
 
-    /// An engine failure in `round`, attributed to `shard_id` when known —
-    /// carrying that shard's last generated classfile as the prime suspect.
-    fn engine_error(
-        &mut self,
-        shard_id: Option<usize>,
-        round: usize,
-        message: String,
-    ) -> EngineError {
+    /// An engine failure, attributed to `shard_id` when known — carrying
+    /// that shard's recorded iteration count and its last generated
+    /// classfile as the prime suspect.
+    fn engine_error(&mut self, shard_id: Option<usize>, message: String) -> EngineError {
+        let iterations = match shard_id {
+            Some(id) => self.shard_stats[id].iterations,
+            None => self.shard_stats.iter().map(|s| s.iterations).sum(),
+        };
         let last = shard_id.and_then(|id| self.last_bytes[id].take());
         EngineError {
             shard_id,
-            round,
+            iterations,
             last_candidate: last.map(|b| b.as_ref().clone()),
             message,
         }
@@ -1178,229 +1156,6 @@ pub fn run_campaign(seeds: &[IrClass], config: &CampaignConfig) -> CampaignResul
 /// stream constant).
 pub fn shard_rng_seed(rng_seed: u64, shard_id: usize) -> u64 {
     rng_seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(shard_id as u64))
-}
-
-/// A worker shard's message to the thread that records its work: one
-/// iteration's product `T`, or — `Err` — the shard's last gasp after dying
-/// outside the contained regions, so the receiver can abort with a
-/// diagnosable [`EngineError`] instead of waiting on a report that never
-/// comes. Lockstep shards send the bare [`Produced`] (the coordinator
-/// decides); async shards send it with the verdict they already took.
-struct Report<T> {
-    shard_id: usize,
-    work: Result<T, String>,
-}
-
-/// A worker shard's thread body under either parallel scheduler: builds
-/// the shard and runs the scheduler's loop `body` over it. Mutation and VM
-/// startup contain their own panics; this outer containment is the shard's
-/// last line of defence — an escaped panic becomes a last-gasp report
-/// instead of a scope abort that loses the whole campaign's progress.
-/// Returns `None` when the shard died.
-fn run_shard<T>(
-    config: &CampaignConfig,
-    shard_id: usize,
-    report_tx: &mpsc::Sender<Report<T>>,
-    body: impl FnOnce(&mut Shard),
-) -> Option<ShardOutcome> {
-    let ran = run_contained(|| {
-        if config.inject_shard_death == Some(shard_id) {
-            panic!("injected shard death (containment self-test)");
-        }
-        let mut shard = Shard::new(config, shard_id);
-        body(&mut shard);
-        shard.finish()
-    });
-    match ran {
-        Ok(outcome) => Some(outcome),
-        Err(detail) => {
-            let _ = report_tx.send(Report {
-                shard_id,
-                work: Err(detail),
-            });
-            None
-        }
-    }
-}
-
-/// Joins every worker shard, collecting their outcomes (a default one for
-/// a shard that died and already reported it). A shard that panicked past
-/// even [`run_shard`]'s containment fails the campaign.
-fn join_shards(
-    handles: Vec<thread::ScopedJoinHandle<'_, Option<ShardOutcome>>>,
-    ledger: &mut Ledger<'_>,
-) -> Result<Vec<ShardOutcome>, EngineError> {
-    let mut outcomes = Vec::with_capacity(handles.len());
-    let mut error = None;
-    for (shard_id, handle) in handles.into_iter().enumerate() {
-        match handle.join() {
-            Ok(outcome) => outcomes.push(outcome.unwrap_or_default()),
-            Err(_) => {
-                let round = ledger.shard_stats[shard_id].iterations;
-                let message = "worker shard panicked past its containment".to_string();
-                error.get_or_insert_with(|| ledger.engine_error(Some(shard_id), round, message));
-            }
-        }
-    }
-    error.map_or(Ok(outcomes), Err)
-}
-
-/// The coordinator's per-round verdict, broadcast to every active shard.
-struct RoundReply {
-    /// Did *this* shard's candidate enter `TestClasses`? (Drives the
-    /// shard-local selector's success bookkeeping.)
-    accepted_own: bool,
-    /// Every class accepted this round, in shard-id order — each shard
-    /// appends these to its pool replica, keeping all pools identical.
-    /// Entries are `Arc` handles: broadcasting to N shards bumps
-    /// refcounts, it does not copy classes or bytes.
-    additions: Vec<PoolEntry>,
-}
-
-/// Runs one campaign sharded across `num_shards` worker threads.
-///
-/// When [`CampaignConfig::schedule`] is [`Schedule::Async`] this dispatches
-/// to the free-running engine (see [`Schedule`] and DESIGN.md §14);
-/// everything below describes the default lockstep discipline.
-///
-/// Each shard owns its own RNG (seeded by [`shard_rng_seed`]), its own
-/// reference [`Jvm`], selector, and mutation-pool replica; the coordinator
-/// (the calling thread) owns the global acceptance state and arbitrates
-/// uniqueness. Shards proceed in lockstep rounds — one iteration per shard
-/// per round — and the coordinator judges each round's candidates in
-/// shard-id order, so the result is deterministic for a fixed
-/// `(config, num_shards)`:
-///
-/// * `num_shards == 1` (or 0, treated as 1) is **bit-identical** to
-///   [`run_campaign`] apart from the wall-clock field;
-/// * any shard count yields the same `CampaignResult` on every run.
-///
-/// `gen_classes` is ordered round-major, shard-minor. The per-shard
-/// breakdown lands in [`CampaignResult::shard_stats`]; `mutator_stats` is
-/// the elementwise sum over shards.
-///
-/// Contained faults (panicking mutators, crashing VM runs) are *recorded*,
-/// not fatal — see [`CampaignResult::crashes`]. The crash verdicts are
-/// deterministic, so they preserve the replay guarantees above.
-///
-/// # Errors
-///
-/// [`EngineError`] when a worker shard dies outside the contained regions
-/// or a coordination channel closes early — diagnosable (shard id, round,
-/// last candidate) instead of the panic-on-join it replaces.
-pub fn run_campaign_parallel(
-    seeds: &[IrClass],
-    config: &CampaignConfig,
-    num_shards: usize,
-) -> Result<CampaignResult, EngineError> {
-    if config.schedule == Schedule::Async {
-        return async_mode::run_campaign_async(seeds, config, num_shards);
-    }
-    let num_shards = num_shards.max(1);
-    let mut ledger = Ledger::new(config, seeds.len(), num_shards);
-    let mut acceptance = Acceptance::new(config.algorithm);
-    // Seeds are lowered (and, when needed, traced and selected) exactly
-    // once, here; every shard's pool replica shares these entries by `Arc`
-    // handle.
-    let seed_pool = prepare_seed_pool(seeds, config);
-    acceptance.seed(&seed_pool);
-
-    // Iteration split: the remainder goes to the lowest shard ids, so the
-    // set of shards still active in any round is a prefix of 0..num_shards.
-    let budget = campaign_budget(seeds, config);
-    let per_shard: Vec<usize> = (0..num_shards)
-        .map(|s| budget / num_shards + usize::from(s < budget % num_shards))
-        .collect();
-    let rounds = per_shard[0];
-
-    let outcomes = thread::scope(|scope| {
-        let (report_tx, report_rx) = mpsc::channel::<Report<Produced>>();
-        let mut reply_txs: Vec<mpsc::Sender<RoundReply>> = Vec::with_capacity(num_shards);
-        let mut handles = Vec::with_capacity(num_shards);
-
-        for (shard_id, &my_iterations) in per_shard.iter().enumerate() {
-            let (reply_tx, reply_rx) = mpsc::channel::<RoundReply>();
-            reply_txs.push(reply_tx);
-            let report_tx = report_tx.clone();
-            // The shard's pool replica: seeds plus every accepted mutant,
-            // appended in the coordinator's broadcast order.
-            let mut pool = seed_pool.clone();
-            handles.push(scope.spawn(move || {
-                run_shard(config, shard_id, &report_tx, |shard| {
-                    for round in 0..my_iterations {
-                        let work = Ok(shard.produce(&pool, seeds));
-                        if report_tx.send(Report { shard_id, work }).is_err() {
-                            break;
-                        }
-                        let Ok(reply) = reply_rx.recv() else {
-                            break;
-                        };
-                        if reply.accepted_own {
-                            shard.record_success();
-                        }
-                        pool.extend(reply.additions);
-                        if shard.distill_due(round + 1, my_iterations) {
-                            shard.distill(&mut pool);
-                        }
-                    }
-                })
-            }));
-        }
-        drop(report_tx);
-
-        // Coordinator: collect each round's reports, judge and record them
-        // in shard-id order, broadcast the verdicts. Any failure breaks out
-        // with an EngineError; dropping the reply channels then releases
-        // every still-blocked shard.
-        let mut engine_error = None;
-        'rounds: for round in 0..rounds {
-            let active = per_shard.iter().filter(|&&n| n > round).count();
-            let mut round_work: Vec<Option<Produced>> = (0..active).map(|_| None).collect();
-            for _ in 0..active {
-                let Ok(Report { shard_id, work }) = report_rx.recv() else {
-                    let message = "every worker shard disconnected mid-round".to_string();
-                    engine_error = Some(ledger.engine_error(None, round, message));
-                    break 'rounds;
-                };
-                match work {
-                    Ok(produced) => round_work[shard_id] = Some(produced),
-                    Err(detail) => {
-                        let message = format!("worker shard died outside containment: {detail}");
-                        engine_error = Some(ledger.engine_error(Some(shard_id), round, message));
-                        break 'rounds;
-                    }
-                }
-            }
-            let mut additions: Vec<PoolEntry> = Vec::new();
-            let mut accepted_flags = vec![false; active];
-            for (shard_id, work) in round_work.into_iter().enumerate() {
-                let Some(produced) = work else {
-                    let message = "active shard failed to report its round".to_string();
-                    engine_error = Some(ledger.engine_error(Some(shard_id), round, message));
-                    break 'rounds;
-                };
-                accepted_flags[shard_id] = acceptance.decide(&produced);
-                additions.extend(ledger.record(shard_id, produced, accepted_flags[shard_id]));
-            }
-            for (reply_tx, accepted_own) in reply_txs.iter().zip(accepted_flags) {
-                let _ = reply_tx.send(RoundReply {
-                    accepted_own,
-                    additions: additions.clone(),
-                });
-            }
-        }
-
-        // Release any shard still blocked on a reply, then collect outcomes.
-        drop(reply_txs);
-        let joined = join_shards(handles, &mut ledger);
-        engine_error.map_or(joined, Err)
-    })?;
-
-    // Replicas distill identically, so shard 0's counters (the shard with
-    // the full round count — the one a sequential run mirrors) stand for
-    // the campaign.
-    let distill = outcomes[0].distill;
-    Ok(ledger.finish(acceptance.telemetry(), distill, outcomes))
 }
 
 #[cfg(test)]
@@ -1582,20 +1337,20 @@ mod tests {
     fn engine_error_renders_diagnosably() {
         let err = EngineError {
             shard_id: Some(2),
-            round: 17,
+            iterations: 17,
             last_candidate: Some(vec![0xca, 0xfe]),
             message: "worker shard died outside containment: boom".to_string(),
         };
         let text = err.to_string();
         assert!(text.contains("shard 2"), "got: {text}");
-        assert!(text.contains("round 17"), "got: {text}");
+        assert!(text.contains("after 17 iterations"), "got: {text}");
         assert!(text.contains("boom"), "got: {text}");
         let headless = EngineError {
             shard_id: None,
-            round: 0,
+            iterations: 0,
             last_candidate: None,
-            message: "every worker shard disconnected mid-round".to_string(),
+            message: "cannot spawn worker shard 3: out of threads".to_string(),
         };
-        assert!(headless.to_string().contains("disconnected"));
+        assert!(headless.to_string().contains("cannot spawn"));
     }
 }

@@ -1,4 +1,5 @@
-//! The free-running asynchronous campaign engine (ROADMAP item 2).
+//! The free-running asynchronous campaign engine: the one engine behind
+//! [`run_campaign_parallel`], at any shard count.
 //!
 //! Shards run unsynchronized over shared acceptance state: accepted traces
 //! are published into a global bitset by word-wise `AtomicU64::fetch_or`
@@ -7,8 +8,8 @@
 //! and the iteration budget is a single `fetch_add` counter — no round
 //! barrier, so the slowest candidate in flight never gates its peers.
 //!
-//! Determinism is deliberately scoped to the lockstep engine: with two or
-//! more free-running shards the acceptance *order* depends on thread
+//! Determinism is deliberately scoped to one shard: with two or more
+//! free-running shards the acceptance *order* depends on thread
 //! interleaving, so `gen_classes` ordering and (for the uniqueness
 //! criteria) the exact accepted set may vary run to run. What is invariant
 //! is soundness: every accepted candidate was unique (or coverage-growing)
@@ -17,9 +18,9 @@
 //! through the atomic-OR publication itself (greedy), where each bit's
 //! 0→1 transition is observed by exactly one thread. A one-shard async run
 //! replays the sequential campaign bit for bit — same RNG stream, same
-//! pool contents at every pick, same acceptance sequence — which is what
-//! the replay-with-lockstep workflow in the README leans on. See
-//! DESIGN.md §14 for the full argument.
+//! pool contents at every pick, same acceptance sequence. A multi-shard
+//! finding is replayed from its persisted bytes, not from the campaign.
+//! See DESIGN.md §14 for the full argument.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -28,10 +29,11 @@ use std::thread;
 use classfuzz_coverage::{AtomicCoverage, SuiteIndex, TraceFile, UniquenessCriterion};
 use classfuzz_jimple::IrClass;
 use classfuzz_mcmc::AcceptanceTelemetry;
+use classfuzz_vm::run_contained;
 
 use super::{
-    campaign_budget, join_shards, prepare_seed_pool, run_shard, Algorithm, CampaignConfig,
-    CampaignResult, DistillCounters, EngineError, Ledger, PoolEntry, Produced, Report, Shard,
+    campaign_budget, prepare_seed_pool, Algorithm, CampaignConfig, CampaignResult, DistillCounters,
+    EngineError, Ledger, PoolEntry, Produced, Shard, ShardOutcome,
 };
 
 fn read_lock<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
@@ -208,7 +210,7 @@ impl AsyncAcceptance {
     }
 
     /// The index-side telemetry, read back from the shared atomic counters
-    /// (all-zero for greedyfuzz/randfuzz, mirroring the lockstep engine).
+    /// (all-zero for greedyfuzz/randfuzz, mirroring the sequential engine).
     fn telemetry(&self, counters: &AsyncCounters) -> AcceptanceTelemetry {
         match self {
             AsyncAcceptance::Unique { .. } => counters.telemetry(),
@@ -278,17 +280,24 @@ impl AsyncShared<'_> {
     }
 }
 
+/// How many iterations a shard reports to the collector at once. One
+/// message per iteration would wake the collector once per iteration,
+/// and on a busy core every wake is a context switch; batching keeps a
+/// shard's own reports in order.
+const REPORT_BATCH: usize = 32;
+
 /// One shard's free-running loop: claim an iteration, opportunistically
-/// sync the pool replica, produce (the same `Shard::produce` as the other
-/// engines), decide acceptance against the shared state, publish accepted
-/// entries, and stream the result to the collector. Never blocks on a
-/// peer: the only lock held across a decision is the index write lock,
-/// and the mpsc send is unbounded.
+/// sync the pool replica, produce (the same `Shard::produce` as the
+/// sequential engine), decide acceptance against the shared state, publish
+/// accepted entries, and queue the result in `batch` for the collector.
+/// Never blocks on a peer: the only lock held across a decision is the
+/// index write lock, and the mpsc send is unbounded.
 fn shard_loop(
     shared: &AsyncShared<'_>,
     shard: &mut Shard,
     shard_id: usize,
-    report_tx: &mpsc::Sender<Report<(Produced, bool)>>,
+    report_tx: &mpsc::Sender<Report>,
+    batch: &mut Vec<(Produced, bool)>,
 ) {
     // The shard's replica is an `Arc` clone of the latest published
     // snapshot — distillation may shrink the shared pool, so replicas
@@ -316,34 +325,136 @@ fn shard_loop(
             });
         }
         // Boundary distillation over the shared iteration count, with the
-        // other engines' rule, so a one-shard async run prunes at exactly
-        // the sequential engine's boundaries.
+        // sequential engine's rule, so a one-shard async run prunes at
+        // exactly its boundaries.
         if shard.distill_due(it + 1, shared.budget) {
             (pool, pool_version) = shared.update_pool(|next| shard.distill(next) > 0);
         }
-        let work = Ok((produced, accepted));
-        if report_tx.send(Report { shard_id, work }).is_err() {
+        batch.push((produced, accepted));
+        if batch.len() == REPORT_BATCH && !send_batch(report_tx, shard_id, batch) {
             break;
         }
     }
 }
 
-/// Runs one campaign across `num_shards` free-running worker threads —
-/// the [`super::Schedule::Async`] implementation behind
-/// [`super::run_campaign_parallel`].
+/// Sends the shard's queued reports, if any; `false` once the collector
+/// has hung up.
+fn send_batch(
+    report_tx: &mpsc::Sender<Report>,
+    shard_id: usize,
+    batch: &mut Vec<(Produced, bool)>,
+) -> bool {
+    if batch.is_empty() {
+        return true;
+    }
+    let work = Ok(std::mem::replace(batch, Vec::with_capacity(REPORT_BATCH)));
+    report_tx.send(Report { shard_id, work }).is_ok()
+}
+
+/// A worker shard's message to the collector: a batch of iterations'
+/// products, each with the verdict the shard already took, or — `Err` —
+/// the shard's last gasp after dying outside the contained regions, so the
+/// collector can abort with a diagnosable [`EngineError`].
+struct Report {
+    shard_id: usize,
+    work: Result<Vec<(Produced, bool)>, String>,
+}
+
+/// A worker shard's thread body: builds the shard and runs its loop.
+/// Mutation and VM startup contain their own panics; this outer
+/// containment is the shard's last line of defence — an escaped panic
+/// becomes a last-gasp report instead of a scope abort that loses the
+/// whole campaign's progress. Returns `None` when the shard died.
+fn run_shard(
+    shared: &AsyncShared<'_>,
+    config: &CampaignConfig,
+    shard_id: usize,
+    report_tx: &mpsc::Sender<Report>,
+) -> Option<ShardOutcome> {
+    let mut batch = Vec::with_capacity(REPORT_BATCH);
+    let ran = run_contained(|| {
+        if config.inject_shard_death == Some(shard_id) {
+            panic!("injected shard death (containment self-test)");
+        }
+        let mut shard = Shard::new(config, shard_id);
+        shard_loop(shared, &mut shard, shard_id, report_tx, &mut batch);
+        shard.finish()
+    });
+    // What the shard queued before it finished or died reaches the ledger
+    // ahead of any last gasp.
+    send_batch(report_tx, shard_id, &mut batch);
+    match ran {
+        Ok(outcome) => Some(outcome),
+        Err(detail) => {
+            let _ = report_tx.send(Report {
+                shard_id,
+                work: Err(detail),
+            });
+            None
+        }
+    }
+}
+
+/// Joins every worker shard, collecting their outcomes (a default one for
+/// a shard that died and already reported it). A shard that panicked past
+/// even [`run_shard`]'s containment fails the campaign.
+fn join_shards(
+    handles: Vec<thread::ScopedJoinHandle<'_, Option<ShardOutcome>>>,
+    ledger: &mut Ledger<'_>,
+) -> Result<Vec<ShardOutcome>, EngineError> {
+    let mut outcomes = Vec::with_capacity(handles.len());
+    let mut error = None;
+    for (shard_id, handle) in handles.into_iter().enumerate() {
+        match handle.join() {
+            Ok(outcome) => outcomes.push(outcome.unwrap_or_default()),
+            Err(_) => {
+                let message = "worker shard panicked past its containment".to_string();
+                error.get_or_insert_with(|| ledger.engine_error(Some(shard_id), message));
+            }
+        }
+    }
+    error.map_or(Ok(outcomes), Err)
+}
+
+/// Runs one campaign across `num_shards` free-running worker threads.
+///
+/// Each shard owns its own RNG (seeded by [`super::shard_rng_seed`]), its
+/// own reference VM, selector and pool replica; acceptance is decided
+/// shard-side against shared state (see the module docs and DESIGN.md
+/// §14). Shards claim iterations from one shared counter, so a stalled
+/// shard's budget flows to its peers. At most `min(num_shards, budget)`
+/// shards are spawned (and at least one): a shard beyond the budget could
+/// never claim an iteration.
+///
+/// * `num_shards == 1` (or 0, treated as 1) is **bit-identical** to
+///   [`super::run_campaign`] apart from the wall-clock field;
+/// * with more shards the result is sound — every accepted candidate was
+///   unique (or coverage-growing) against the suite at its acceptance —
+///   but `gen_classes` lands in arrival order and the accepted set may
+///   vary run to run.
+///
+/// The per-shard breakdown lands in [`CampaignResult::shard_stats`];
+/// `mutator_stats` is the elementwise sum over shards. Contained faults
+/// (panicking mutators, crashing VM runs) are *recorded*, not fatal — see
+/// [`CampaignResult::crashes`].
 ///
 /// The collector (the calling thread) drains the report channel as shards
-/// stream results and records each through the same ledger as the other
-/// engines, with the verdict its shard already decided: `gen_classes`
-/// lands in arrival order, and a dying shard's last gasp raises the stop flag
-/// so peers wind down instead of wedging — then surfaces as a structured
-/// [`EngineError`] naming the shard and its iteration count at death.
-pub(super) fn run_campaign_async(
+/// stream results and records each through the same ledger as the
+/// sequential engine, with the verdict its shard already decided.
+///
+/// # Errors
+///
+/// [`EngineError`] when a worker shard dies outside the contained regions
+/// or the OS refuses a worker thread. A dying shard's last gasp raises the
+/// stop flag so peers wind down instead of wedging; the error names the
+/// shard, its recorded iterations and its last candidate.
+pub fn run_campaign_parallel(
     seeds: &[IrClass],
     config: &CampaignConfig,
     num_shards: usize,
 ) -> Result<CampaignResult, EngineError> {
-    let num_shards = num_shards.max(1);
+    let budget = campaign_budget(seeds, config);
+    let num_shards = num_shards.min(budget).max(1);
     let mut ledger = Ledger::new(config, seeds.len(), num_shards);
     let acceptance = AsyncAcceptance::new(config.algorithm);
     let seed_pool = prepare_seed_pool(seeds, config);
@@ -357,40 +468,49 @@ pub(super) fn run_campaign_async(
         }),
         acceptance,
         counters: AsyncCounters::default(),
-        budget: campaign_budget(seeds, config),
+        budget,
         next_iteration: AtomicUsize::new(0),
         stop: AtomicBool::new(false),
     };
 
     let outcomes = thread::scope(|scope| {
-        let (report_tx, report_rx) = mpsc::channel::<Report<(Produced, bool)>>();
+        let (report_tx, report_rx) = mpsc::channel::<Report>();
         let shared = &shared;
-        let handles: Vec<_> = (0..num_shards)
-            .map(|shard_id| {
-                let report_tx = report_tx.clone();
-                scope.spawn(move || {
-                    run_shard(config, shard_id, &report_tx, |shard| {
-                        shard_loop(shared, shard, shard_id, &report_tx);
-                    })
-                })
-            })
-            .collect();
+        let mut engine_error = None;
+        let mut handles = Vec::with_capacity(num_shards);
+        for shard_id in 0..num_shards {
+            let report_tx = report_tx.clone();
+            let spawned = thread::Builder::new().spawn_scoped(scope, move || {
+                run_shard(shared, config, shard_id, &report_tx)
+            });
+            match spawned {
+                Ok(handle) => handles.push(handle),
+                Err(e) => {
+                    // The shards already running wind down through the
+                    // stop flag; the collector below still drains them.
+                    shared.stop.store(true, Ordering::Relaxed);
+                    let message = format!("cannot spawn worker shard {shard_id}: {e}");
+                    engine_error = Some(ledger.engine_error(None, message));
+                    break;
+                }
+            }
+        }
         drop(report_tx);
 
         // Collector: drain until every shard hangs up. Shards never wait
         // for the collector (sends are unbounded), so draining to
         // disconnect cannot wedge, even mid-failure.
-        let mut engine_error = None;
         for Report { shard_id, work } in report_rx.iter() {
             match work {
-                Ok((produced, accepted)) => {
-                    ledger.record(shard_id, produced, accepted);
+                Ok(batch) => {
+                    for (produced, accepted) in batch {
+                        ledger.record(shard_id, produced, accepted);
+                    }
                 }
                 Err(detail) => {
-                    let round = ledger.shard_stats[shard_id].iterations;
                     let message = format!("worker shard died outside containment: {detail}");
                     engine_error
-                        .get_or_insert_with(|| ledger.engine_error(Some(shard_id), round, message));
+                        .get_or_insert_with(|| ledger.engine_error(Some(shard_id), message));
                     // Free-running peers poll this each iteration; a dead
                     // shard must not leave them burning the rest of the
                     // budget on a campaign that will error out.

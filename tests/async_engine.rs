@@ -3,19 +3,20 @@
 //! * a one-shard async run replays the sequential campaign bit for bit
 //!   (same RNG stream, same pool at every pick, same acceptance sequence);
 //! * multi-shard runs are nondeterministic in *order* but sound in
-//!   *acceptance* (no duplicate traces enter the suite) and equivalent in
-//!   *findings* (the fixed-budget discrepancy key set matches lockstep's);
+//!   *acceptance* (no duplicate traces enter the suite) and keep finding
+//!   the sequential campaign's discrepancies;
 //! * a shard dying outside containment ends the campaign with a
-//!   structured `EngineError` without wedging its free-running peers.
+//!   structured `EngineError` without wedging its free-running peers;
+//! * any shard count runs, however far past the budget it asks.
 
 use std::collections::BTreeSet;
 
 use classfuzz::core::diff::DifferentialHarness;
 use classfuzz::core::engine::{
-    run_campaign, run_campaign_parallel, Algorithm, CampaignConfig, CampaignResult, Schedule,
+    run_campaign, run_campaign_parallel, Algorithm, CampaignConfig, CampaignResult,
 };
 use classfuzz::core::seeds::SeedCorpus;
-use classfuzz::coverage::{GlobalCoverage, TraceFile, UniquenessCriterion};
+use classfuzz::coverage::{GlobalCoverage, SuiteIndex, TraceFile, UniquenessCriterion};
 use classfuzz::jimple::lower::lower_class;
 use classfuzz::vm::{Jvm, VmSpec};
 
@@ -35,6 +36,21 @@ fn suite_coverage(result: &CampaignResult) -> GlobalCoverage {
     global
 }
 
+/// Rebuilds the coverage-uniqueness index a campaign's accepted suite
+/// induces, by re-running every test class on the reference VM. Comparing
+/// these indices compares the *trace contents* behind the acceptance
+/// decisions, not just the counts.
+fn rebuild_index(result: &CampaignResult, criterion: UniquenessCriterion) -> SuiteIndex {
+    let reference = Jvm::new(VmSpec::hotspot9());
+    let mut index = SuiteIndex::new(criterion);
+    for bytes in result.test_bytes() {
+        let mut trace = TraceFile::new();
+        reference.run_traced_into(&bytes, &mut trace);
+        index.insert(&trace);
+    }
+    index
+}
+
 /// The set of startup-phase discrepancy keys a campaign's suite triggers.
 fn discrepancy_keys(result: &CampaignResult) -> BTreeSet<String> {
     let harness = DifferentialHarness::paper_five();
@@ -51,10 +67,11 @@ fn discrepancy_keys(result: &CampaignResult) -> BTreeSet<String> {
 fn one_shard_async_replays_sequential_for_every_algorithm() {
     let seeds = small_seeds();
     for algorithm in Algorithm::table4_lineup() {
-        let config = CampaignConfig::new(algorithm, 60, 17).with_schedule(Schedule::Async);
+        let config = CampaignConfig::new(algorithm, 60, 17);
         let sequential = run_campaign(&seeds, &config);
         let parallel = run_campaign_parallel(&seeds, &config, 1).expect("engine error");
 
+        assert_eq!(sequential.iterations, parallel.iterations, "{algorithm}");
         assert_eq!(
             sequential.test_classes, parallel.test_classes,
             "{algorithm}: accepted indices diverge"
@@ -76,7 +93,19 @@ fn one_shard_async_replays_sequential_for_every_algorithm() {
             sequential.mutator_stats, parallel.mutator_stats,
             "{algorithm}"
         );
+        assert_eq!(sequential.shard_stats, parallel.shard_stats, "{algorithm}");
+        assert_eq!(sequential.acceptance, parallel.acceptance, "{algorithm}");
         assert_eq!(sequential.crashes, parallel.crashes, "{algorithm}");
+        // The accepted suites induce identical trace indices.
+        let criterion = match algorithm {
+            Algorithm::Classfuzz(c) => c,
+            _ => UniquenessCriterion::StBr,
+        };
+        assert_eq!(
+            rebuild_index(&sequential, criterion),
+            rebuild_index(&parallel, criterion),
+            "{algorithm}: trace-index contents diverge"
+        );
         // The ISSUE's floor is superset-of-or-equal coverage; bit-identical
         // replay gives exact equality.
         assert_eq!(
@@ -99,7 +128,6 @@ fn one_shard_async_replays_sequential_with_seed_intelligence_on() {
     let seeds = small_seeds();
     for algorithm in Algorithm::table4_lineup() {
         let config = CampaignConfig::new(algorithm, 90, 17)
-            .with_schedule(Schedule::Async)
             .with_seed_select(SeedSelect::MaxCover)
             .with_pool_cap(4);
         let sequential = run_campaign(&seeds, &config);
@@ -134,29 +162,26 @@ fn one_shard_async_replays_sequential_with_seed_intelligence_on() {
 }
 
 #[test]
-fn async_discrepancy_key_set_matches_lockstep_at_fixed_budget() {
+fn async_discrepancy_key_set_matches_sequential_at_fixed_budget() {
     // The fixed-budget cross-check, run where discrepancy-set equality is
-    // well-defined: at one shard both schedules are deterministic (each
-    // replays the sequential campaign), so the async engine must surface
-    // *exactly* the lockstep engine's discrepancy keys from the same
-    // pinned corpus and budget. At two or more shards the accepted set is
-    // interleaving-dependent and the key sets only overlap — that weaker
-    // property is asserted separately below. See DESIGN.md §14.
+    // well-defined: at one shard the async engine replays the sequential
+    // campaign, so it must surface *exactly* its discrepancy keys from the
+    // same pinned corpus and budget. At two or more shards the accepted
+    // set is interleaving-dependent and the key sets only overlap — that
+    // weaker property is asserted separately below. See DESIGN.md §14.
     let seeds = SeedCorpus::generate(12, 21).into_classes();
     let config = CampaignConfig::new(Algorithm::Classfuzz(UniquenessCriterion::StBr), 600, 21);
-    let lockstep = run_campaign_parallel(&seeds, &config, 1).expect("lockstep engine error");
-    let async_run =
-        run_campaign_parallel(&seeds, &config.clone().with_schedule(Schedule::Async), 1)
-            .expect("async engine error");
-    let lockstep_keys = discrepancy_keys(&lockstep);
+    let sequential = run_campaign(&seeds, &config);
+    let async_run = run_campaign_parallel(&seeds, &config, 1).expect("async engine error");
+    let sequential_keys = discrepancy_keys(&sequential);
     let async_keys = discrepancy_keys(&async_run);
     assert!(
-        !lockstep_keys.is_empty(),
+        !sequential_keys.is_empty(),
         "the pinned corpus must trigger discrepancies"
     );
     assert_eq!(
-        lockstep_keys, async_keys,
-        "async and lockstep must find the same discrepancy key set"
+        sequential_keys, async_keys,
+        "async and sequential must find the same discrepancy key set"
     );
 }
 
@@ -165,19 +190,18 @@ fn multi_shard_async_finds_overlapping_discrepancy_keys() {
     // At three free-running shards the candidate stream depends on thread
     // interleaving, so exact key-set equality is not a defined property;
     // what must hold is that the async engine keeps *finding* the corpus's
-    // discrepancies — a non-empty key set sharing its core with lockstep's.
+    // discrepancies — a non-empty key set sharing its core with the
+    // sequential campaign's.
     let seeds = SeedCorpus::generate(12, 21).into_classes();
     let config = CampaignConfig::new(Algorithm::Classfuzz(UniquenessCriterion::StBr), 600, 21);
-    let lockstep = run_campaign_parallel(&seeds, &config, 3).expect("lockstep engine error");
-    let async_run =
-        run_campaign_parallel(&seeds, &config.clone().with_schedule(Schedule::Async), 3)
-            .expect("async engine error");
-    let lockstep_keys = discrepancy_keys(&lockstep);
+    let sequential = run_campaign(&seeds, &config);
+    let async_run = run_campaign_parallel(&seeds, &config, 3).expect("async engine error");
+    let sequential_keys = discrepancy_keys(&sequential);
     let async_keys = discrepancy_keys(&async_run);
     assert!(!async_keys.is_empty(), "async found no discrepancies");
     assert!(
-        lockstep_keys.intersection(&async_keys).next().is_some(),
-        "async ({async_keys:?}) and lockstep ({lockstep_keys:?}) share no keys"
+        sequential_keys.intersection(&async_keys).next().is_some(),
+        "async ({async_keys:?}) and sequential ({sequential_keys:?}) share no keys"
     );
 }
 
@@ -186,8 +210,7 @@ fn async_multi_shard_acceptance_rejects_duplicate_statistics() {
     // Soundness under concurrency: the double-checked write-lock insert
     // must never let two shards both accept equal [stbr] statistics.
     let seeds = small_seeds();
-    let config = CampaignConfig::new(Algorithm::Classfuzz(UniquenessCriterion::StBr), 150, 5)
-        .with_schedule(Schedule::Async);
+    let config = CampaignConfig::new(Algorithm::Classfuzz(UniquenessCriterion::StBr), 150, 5);
     let result = run_campaign_parallel(&seeds, &config, 4).expect("engine error");
     assert!(!result.test_classes.is_empty(), "campaign accepted nothing");
 
@@ -218,37 +241,68 @@ fn async_multi_shard_acceptance_rejects_duplicate_statistics() {
 #[test]
 fn async_shard_death_surfaces_structured_engine_error() {
     let seeds = small_seeds();
-    let config = CampaignConfig::new(Algorithm::Classfuzz(UniquenessCriterion::StBr), 400, 7)
-        .with_schedule(Schedule::Async)
-        .with_shard_death_injection(1);
-    let err = run_campaign_parallel(&seeds, &config, 3)
-        .expect_err("an injected shard death must fail the campaign");
-    assert_eq!(err.shard_id, Some(1), "the dead shard must be named");
-    assert!(
-        err.message.contains("died outside containment"),
-        "message: {}",
-        err.message
-    );
-    assert!(
-        err.message.contains("injected shard death"),
-        "the panic detail must ride along: {}",
-        err.message
-    );
+    let configs = [
+        (CampaignConfig::new(Algorithm::Uniquefuzz, 50, 29), 2),
+        (
+            CampaignConfig::new(Algorithm::Classfuzz(UniquenessCriterion::StBr), 400, 7),
+            3,
+        ),
+    ];
+    for (config, shards) in configs {
+        let config = config.with_shard_death_injection(1);
+        let case = format!("{}, {shards} shards", config.algorithm);
+        let err = run_campaign_parallel(&seeds, &config, shards)
+            .expect_err("an injected shard death must fail the campaign");
+        assert_eq!(
+            err.shard_id,
+            Some(1),
+            "{case}: the dead shard must be named"
+        );
+        assert_eq!(
+            err.iterations, 0,
+            "{case}: the shard died before its first report"
+        );
+        assert!(
+            err.message.contains("died outside containment"),
+            "{case}: message: {}",
+            err.message
+        );
+        assert!(
+            err.message.contains("injected shard death"),
+            "{case}: the panic detail must ride along: {}",
+            err.message
+        );
+    }
     // The surviving shards wound down through the stop flag rather than
-    // wedging — reaching this line at all is the real assertion, but the
-    // injection fired before shard 1 consumed any budget, so its peers
-    // can never have spent the whole 400.
+    // wedging — reaching this line at all is the real assertion.
+}
+
+#[test]
+fn a_million_shards_run_a_ten_iteration_campaign() {
+    // Only as many shards as the budget has iterations are spawned, so a
+    // shard count far past what the OS can start still runs to budget.
+    let seeds = small_seeds();
+    let config = CampaignConfig::new(Algorithm::Randfuzz, 10, 3);
+    let result = run_campaign_parallel(&seeds, &config, 1_000_000).expect("engine error");
+    assert_eq!(result.shard_stats.len(), 10);
+    let iterations: usize = result.shard_stats.iter().map(|s| s.iterations).sum();
+    assert_eq!(iterations, 10);
+    // A mutation that does not apply consumes its iteration without
+    // generating a class; randfuzz accepts every class it generates.
+    let generated: usize = result.shard_stats.iter().map(|s| s.generated).sum();
+    assert_eq!(generated, result.gen_classes.len());
+    assert_eq!(result.test_classes.len(), result.gen_classes.len());
 }
 
 #[test]
 fn async_degenerate_campaigns_return_empty_results() {
-    let config = CampaignConfig::new(Algorithm::Randfuzz, 50, 1).with_schedule(Schedule::Async);
+    let config = CampaignConfig::new(Algorithm::Randfuzz, 50, 1);
     let empty = run_campaign_parallel(&[], &config, 4).expect("engine error");
     assert!(empty.gen_classes.is_empty());
     assert!(empty.test_classes.is_empty());
     let none = run_campaign_parallel(
         &small_seeds(),
-        &CampaignConfig::new(Algorithm::Randfuzz, 0, 1).with_schedule(Schedule::Async),
+        &CampaignConfig::new(Algorithm::Randfuzz, 0, 1),
         4,
     )
     .expect("engine error");

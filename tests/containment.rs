@@ -1,9 +1,9 @@
 //! Fault-containment integration tests (see DESIGN.md, "Fault
 //! containment"): a campaign with an always-panicking mutator in the
 //! rotation must run to its full budget, record every injected panic as a
-//! crash, persist reproducers to the crash corpus, and stay deterministic
-//! — with `num_shards = 1` bit-identical to the sequential engine,
-//! crashes included.
+//! crash, persist reproducers to the crash corpus, and — at one shard —
+//! replay the sequential engine bit for bit, crashes included. Shard
+//! death is pinned in `tests/async_engine.rs`.
 
 use std::path::PathBuf;
 
@@ -18,12 +18,17 @@ fn small_seeds() -> Vec<IrClass> {
 }
 
 /// Uniquefuzz selects mutators uniformly, so the injected chaos mutator
-/// (1 of 130) is actually drawn within these budgets; MCMC's local walk
-/// rarely reaches the last index in a short campaign. Seed 29 is chosen so
-/// every shard count below hits the chaos mutator at least once.
+/// (1 of 130) is actually drawn; MCMC's local walk rarely reaches the last
+/// index in a short campaign. Seed 29 hits it within the one-shard
+/// budgets below.
 fn chaos_config(iterations: usize) -> CampaignConfig {
     CampaignConfig::new(Algorithm::Uniquefuzz, iterations, 29).with_panic_injection()
 }
+
+/// The budget of the multi-shard chaos campaigns. Their shards' streams
+/// depend on thread interleaving, so no seed pins a hit; at this budget a
+/// 1-in-130 draw misses every iteration with probability below 1e-6.
+const MULTI_SHARD_CHAOS_ITERATIONS: usize = 2000;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("classfuzz_{tag}_{}", std::process::id()));
@@ -35,13 +40,14 @@ fn temp_dir(tag: &str) -> PathBuf {
 #[test]
 fn chaos_campaign_runs_to_budget_and_records_crashes() {
     let seeds = small_seeds();
-    let result = run_campaign_parallel(&seeds, &chaos_config(120), 4).expect("engine error");
+    let config = chaos_config(MULTI_SHARD_CHAOS_ITERATIONS);
+    let result = run_campaign_parallel(&seeds, &config, 4).expect("engine error");
     // Every iteration completed despite the panicking mutator.
     let iters: usize = result.shard_stats.iter().map(|s| s.iterations).sum();
-    assert_eq!(iters, 120);
+    assert_eq!(iters, MULTI_SHARD_CHAOS_ITERATIONS);
     assert!(
         !result.crashes.is_empty(),
-        "chaos mutator never selected in 120 iterations"
+        "chaos mutator never selected in {iters} iterations"
     );
     for crash in &result.crashes {
         assert!(matches!(crash.site, CrashSite::Mutator { .. }));
@@ -82,21 +88,10 @@ fn one_shard_chaos_campaign_replays_sequential_crashes_exactly() {
 }
 
 #[test]
-fn multi_shard_chaos_campaigns_are_deterministic() {
-    let seeds = small_seeds();
-    let config = chaos_config(100);
-    let a = run_campaign_parallel(&seeds, &config, 4).expect("engine error");
-    let b = run_campaign_parallel(&seeds, &config, 4).expect("engine error");
-    assert_eq!(a.crashes, b.crashes);
-    assert_eq!(a.test_classes, b.test_classes);
-    assert_eq!(a.shard_stats, b.shard_stats);
-}
-
-#[test]
 fn parallel_engine_writes_the_crash_corpus() {
     let dir = temp_dir("crashcorpus");
     let seeds = small_seeds();
-    let config = chaos_config(120).with_crash_dir(dir.clone());
+    let config = chaos_config(MULTI_SHARD_CHAOS_ITERATIONS).with_crash_dir(dir.clone());
     let result = run_campaign_parallel(&seeds, &config, 4).expect("engine error");
     assert!(!result.crashes.is_empty());
     for (i, crash) in result.crashes.iter().enumerate() {
@@ -119,7 +114,8 @@ fn rerunning_into_a_populated_crash_dir_preserves_prior_reproducers() {
     let dir = temp_dir("crashrerun");
     let seeds = small_seeds();
     let config = chaos_config(120).with_crash_dir(dir.clone());
-    let first = run_campaign_parallel(&seeds, &config, 2).expect("engine error");
+    // One shard, so the rerun replays the first run's crashes exactly.
+    let first = run_campaign_parallel(&seeds, &config, 1).expect("engine error");
     assert!(!first.crashes.is_empty());
     let before: std::collections::BTreeMap<String, Vec<u8>> = std::fs::read_dir(&dir)
         .expect("read corpus dir")
@@ -132,7 +128,7 @@ fn rerunning_into_a_populated_crash_dir_preserves_prior_reproducers() {
 
     // Same campaign again, same directory: persist_crash must bump past
     // the first run's files instead of overwriting them.
-    let second = run_campaign_parallel(&seeds, &config, 2).expect("engine error");
+    let second = run_campaign_parallel(&seeds, &config, 1).expect("engine error");
     assert_eq!(first.crashes, second.crashes, "chaos replay must match");
     for (name, bytes) in &before {
         assert_eq!(
@@ -151,29 +147,15 @@ fn rerunning_into_a_populated_crash_dir_preserves_prior_reproducers() {
 }
 
 #[test]
-fn lockstep_shard_death_surfaces_structured_engine_error() {
-    let seeds = small_seeds();
-    let config = CampaignConfig::new(Algorithm::Uniquefuzz, 50, 29).with_shard_death_injection(1);
-    // Reaching the assertions at all is half the test: the surviving shard
-    // must be released from its round barrier, not left waiting forever.
-    let err = run_campaign_parallel(&seeds, &config, 2)
-        .expect_err("an injected shard death must fail the lockstep campaign");
-    assert_eq!(err.shard_id, Some(1), "the dead shard must be named");
-    assert_eq!(err.round, 0, "the shard died before its first report");
-    assert!(
-        err.message.contains("died outside containment")
-            && err.message.contains("injected shard death"),
-        "message: {}",
-        err.message
-    );
-}
-
-#[test]
 fn chaos_iterations_still_count_toward_selector_stats() {
     let seeds = small_seeds();
-    let result = run_campaign_parallel(&seeds, &chaos_config(60), 2).expect("engine error");
+    let config = chaos_config(MULTI_SHARD_CHAOS_ITERATIONS);
+    let result = run_campaign_parallel(&seeds, &config, 2).expect("engine error");
     let selected: u64 = result.mutator_stats.iter().map(|s| s.selected).sum();
-    assert_eq!(selected, 60, "a crashed iteration is consumed, not retried");
+    assert_eq!(
+        selected, MULTI_SHARD_CHAOS_ITERATIONS as u64,
+        "a crashed iteration is consumed, not retried"
+    );
     // The chaos mutator sits one past the paper's 129 and never succeeds.
     let chaos = result.mutator_stats.last().expect("stats non-empty");
     assert!(chaos.selected > 0);

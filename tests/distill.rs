@@ -3,15 +3,14 @@
 //! * max-cover selection is a pure function of the corpus (a fixed-seed
 //!   campaign with `--seed-select maxcover` replays bit for bit);
 //! * live distillation fires at fixed iteration boundaries, so a capped
-//!   pool evolves identically across reruns, engines, and shard counts
-//!   that share a deterministic schedule;
+//!   pool evolves identically across reruns, and in the async engine at
+//!   one shard as in the sequential engine;
 //! * distillation never evicts the class under mutation's ancestry out
 //!   from under a deterministic replay — the eviction decision is made
 //!   from the same pool state at the same boundary everywhere.
 
 use classfuzz::core::engine::{
-    run_campaign, run_campaign_parallel, Algorithm, CampaignConfig, CampaignResult, Schedule,
-    SeedSelect,
+    run_campaign, run_campaign_parallel, Algorithm, CampaignConfig, CampaignResult, SeedSelect,
 };
 use classfuzz::core::seeds::{SeedCorpus, SeedShape};
 use classfuzz::coverage::UniquenessCriterion;
@@ -97,43 +96,20 @@ fn maxcover_selection_reorders_but_replays_deterministically() {
 }
 
 #[test]
-fn lockstep_multi_shard_capped_campaign_is_deterministic() {
-    // Lockstep stays deterministic at any shard count; distillation must
-    // not break that. Each shard distills its own replica at the same
-    // round boundary, so two three-shard runs agree bit for bit.
-    let seeds = corpus();
-    let config = capped_config(240).with_schedule(Schedule::Lockstep);
-    let first = run_campaign_parallel(&seeds, &config, 3).expect("engine error");
-    let second = run_campaign_parallel(&seeds, &config, 3).expect("engine error");
-    assert_eq!(first.test_classes, second.test_classes);
-    assert_eq!(gen_stream(&first), gen_stream(&second));
-    assert_eq!(
-        first.acceptance.distill_passes,
-        second.acceptance.distill_passes
-    );
-    assert_eq!(
-        first.acceptance.distill_evicted,
-        second.acceptance.distill_evicted
-    );
-}
-
-#[test]
-fn one_shard_lockstep_matches_sequential_with_distillation_on() {
+fn one_shard_async_matches_sequential_with_distillation_on() {
     let seeds = corpus();
     let config = capped_config(200);
     let sequential = run_campaign(&seeds, &config);
-    let lockstep =
-        run_campaign_parallel(&seeds, &config.clone().with_schedule(Schedule::Lockstep), 1)
-            .expect("engine error");
-    assert_eq!(sequential.test_classes, lockstep.test_classes);
-    assert_eq!(gen_stream(&sequential), gen_stream(&lockstep));
+    let one_shard = run_campaign_parallel(&seeds, &config, 1).expect("engine error");
+    assert_eq!(sequential.test_classes, one_shard.test_classes);
+    assert_eq!(gen_stream(&sequential), gen_stream(&one_shard));
     assert_eq!(
         sequential.acceptance.distill_passes,
-        lockstep.acceptance.distill_passes
+        one_shard.acceptance.distill_passes
     );
     assert_eq!(
         sequential.acceptance.distill_evicted,
-        lockstep.acceptance.distill_evicted
+        one_shard.acceptance.distill_evicted
     );
 }
 
@@ -170,13 +146,12 @@ fn zero_pool_cap_runs_every_engine_to_its_full_budget() {
     let runs = [
         ("sequential", sequential),
         (
-            "lockstep",
-            run_campaign_parallel(&seeds, &config, 2).expect("lockstep engine error"),
+            "async, 1 shard",
+            run_campaign_parallel(&seeds, &config, 1).expect("async engine error"),
         ),
         (
-            "async",
-            run_campaign_parallel(&seeds, &config.clone().with_schedule(Schedule::Async), 1)
-                .expect("async engine error"),
+            "async, 2 shards",
+            run_campaign_parallel(&seeds, &config, 2).expect("async engine error"),
         ),
     ];
     for (engine, result) in &runs {

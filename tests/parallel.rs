@@ -1,83 +1,20 @@
-//! Deterministic-replay tests for the sharded campaign engine.
-//!
-//! The contract under test (see DESIGN.md, "Parallel campaign
-//! architecture"): a one-shard parallel campaign replays the sequential
-//! engine bit for bit, and any shard count is deterministic and preserves
-//! the acceptance invariants of the algorithm it runs.
+//! Tests for the sharded campaign engine (see DESIGN.md, "Parallel
+//! campaign architecture"): any shard count preserves the acceptance
+//! invariants and the budget accounting of the algorithm it runs, and a
+//! degenerate campaign returns the sequential engine's empty result.
+//! The one-shard replay of the sequential engine is pinned in
+//! `tests/async_engine.rs`.
 
 use classfuzz::core::engine::{
-    run_campaign, run_campaign_parallel, shard_rng_seed, Algorithm, CampaignConfig, CampaignResult,
-    Schedule,
+    run_campaign, run_campaign_parallel, shard_rng_seed, Algorithm, CampaignConfig,
 };
 use classfuzz::core::seeds::SeedCorpus;
-use classfuzz::coverage::{SuiteIndex, TraceFile, UniquenessCriterion};
+use classfuzz::coverage::{TraceFile, UniquenessCriterion};
 use classfuzz::jimple::lower::lower_class;
 use classfuzz::vm::{Jvm, VmSpec};
 
 fn small_seeds() -> Vec<classfuzz::jimple::IrClass> {
     SeedCorpus::generate(10, 93).into_classes()
-}
-
-/// Rebuilds the coverage-uniqueness index a campaign's accepted suite
-/// induces, by re-running every test class on the reference VM. Comparing
-/// these indices compares the *trace contents* behind the acceptance
-/// decisions, not just the counts.
-fn rebuild_index(result: &CampaignResult, criterion: UniquenessCriterion) -> SuiteIndex {
-    let reference = Jvm::new(VmSpec::hotspot9());
-    let mut index = SuiteIndex::new(criterion);
-    for bytes in result.test_bytes() {
-        let mut trace = TraceFile::new();
-        reference.run_traced_into(&bytes, &mut trace);
-        index.insert(&trace);
-    }
-    index
-}
-
-#[test]
-fn one_shard_replays_sequential_for_every_algorithm() {
-    let seeds = small_seeds();
-    for algorithm in Algorithm::table4_lineup() {
-        let config = CampaignConfig::new(algorithm, 60, 17);
-        let sequential = run_campaign(&seeds, &config);
-        let parallel = run_campaign_parallel(&seeds, &config, 1).expect("engine error");
-
-        assert_eq!(sequential.iterations, parallel.iterations, "{algorithm}");
-        assert_eq!(
-            sequential.gen_classes.len(),
-            parallel.gen_classes.len(),
-            "{algorithm}: generated counts diverge"
-        );
-        assert_eq!(
-            sequential.test_classes, parallel.test_classes,
-            "{algorithm}: accepted indices diverge"
-        );
-        for (i, (s, p)) in sequential
-            .gen_classes
-            .iter()
-            .zip(&parallel.gen_classes)
-            .enumerate()
-        {
-            assert_eq!(s.bytes, p.bytes, "{algorithm}: class {i} bytes diverge");
-            assert_eq!(s.mutator_id, p.mutator_id, "{algorithm}: class {i} mutator");
-            assert_eq!(s.accepted, p.accepted, "{algorithm}: class {i} verdict");
-        }
-        assert_eq!(
-            sequential.mutator_stats, parallel.mutator_stats,
-            "{algorithm}"
-        );
-        assert_eq!(sequential.shard_stats, parallel.shard_stats, "{algorithm}");
-
-        // The accepted suites induce identical trace indices.
-        let criterion = match algorithm {
-            Algorithm::Classfuzz(c) => c,
-            _ => UniquenessCriterion::StBr,
-        };
-        assert_eq!(
-            rebuild_index(&sequential, criterion),
-            rebuild_index(&parallel, criterion),
-            "{algorithm}: trace-index contents diverge"
-        );
-    }
 }
 
 #[test]
@@ -108,29 +45,15 @@ fn four_shards_accept_no_duplicate_traces_under_stbr() {
 }
 
 #[test]
-fn multi_shard_campaigns_are_deterministic() {
-    let seeds = small_seeds();
-    let config = CampaignConfig::new(Algorithm::Classfuzz(UniquenessCriterion::StBr), 100, 23);
-    let a = run_campaign_parallel(&seeds, &config, 4).expect("engine error");
-    let b = run_campaign_parallel(&seeds, &config, 4).expect("engine error");
-    assert_eq!(a.test_classes, b.test_classes);
-    assert_eq!(a.shard_stats, b.shard_stats);
-    assert_eq!(a.mutator_stats, b.mutator_stats);
-    assert_eq!(
-        a.gen_classes.iter().map(|g| &g.bytes).collect::<Vec<_>>(),
-        b.gen_classes.iter().map(|g| &g.bytes).collect::<Vec<_>>()
-    );
-}
-
-#[test]
 fn shard_accounting_adds_up() {
     let seeds = small_seeds();
     let config = CampaignConfig::new(Algorithm::Uniquefuzz, 101, 3);
     let result = run_campaign_parallel(&seeds, &config, 4).expect("engine error");
     assert_eq!(result.shard_stats.len(), 4);
-    // 101 = 26 + 25 + 25 + 25: the remainder lands on the lowest shard ids.
-    let iters: Vec<usize> = result.shard_stats.iter().map(|s| s.iterations).collect();
-    assert_eq!(iters, vec![26, 25, 25, 25]);
+    // Shards steal work from one shared counter, so the split varies run
+    // to run; the total is the budget.
+    let iterations: usize = result.shard_stats.iter().map(|s| s.iterations).sum();
+    assert_eq!(iterations, 101);
     let generated: usize = result.shard_stats.iter().map(|s| s.generated).sum();
     let accepted: usize = result.shard_stats.iter().map(|s| s.accepted).sum();
     assert_eq!(generated, result.gen_classes.len());
@@ -166,7 +89,7 @@ fn degenerate_campaigns_return_empty_results() {
     assert!(none.gen_classes.is_empty());
     assert_eq!(none.secs_per_test(), 0.0);
 
-    // At one shard, every engine assembles the same empty result.
+    // At one shard, both engines assemble the same empty result.
     let seeds = small_seeds();
     for algorithm in [
         Algorithm::Randfuzz,
@@ -175,19 +98,12 @@ fn degenerate_campaigns_return_empty_results() {
         for (seeds, iterations) in [(&[][..], 50), (&seeds[..], 0)] {
             let config = CampaignConfig::new(algorithm, iterations, 1);
             let sequential = run_campaign(seeds, &config);
-            let lockstep = run_campaign_parallel(seeds, &config, 1).expect("lockstep engine error");
-            let async_run =
-                run_campaign_parallel(seeds, &config.clone().with_schedule(Schedule::Async), 1)
-                    .expect("async engine error");
+            let async_run = run_campaign_parallel(seeds, &config, 1).expect("async engine error");
             let case = format!(
                 "{algorithm}, {} seeds, {iterations} iterations",
                 seeds.len()
             );
-            for (engine, result) in [
-                ("sequential", &sequential),
-                ("lockstep", &lockstep),
-                ("async", &async_run),
-            ] {
+            for (engine, result) in [("sequential", &sequential), ("async", &async_run)] {
                 assert!(result.gen_classes.is_empty(), "{engine}: {case}");
                 assert!(result.test_classes.is_empty(), "{engine}: {case}");
                 assert!(result.crashes.is_empty(), "{engine}: {case}");
