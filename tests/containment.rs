@@ -2,8 +2,9 @@
 //! containment"): a campaign with an always-panicking mutator in the
 //! rotation must run to its full budget, record every injected panic as a
 //! crash, persist reproducers to the crash corpus, and — at one shard —
-//! replay the sequential engine bit for bit, crashes included. Shard
-//! death is pinned in `tests/async_engine.rs`.
+//! replay the sequential engine bit for bit, crashes included — and a
+//! shard dying outside containment must fail the campaign with a
+//! structured `EngineError` instead of a hang.
 
 use std::path::PathBuf;
 
@@ -144,6 +145,24 @@ fn rerunning_into_a_populated_crash_dir_preserves_prior_reproducers() {
         "every crash of both runs keeps its own classfile + sidecar pair"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn lockstep_shard_death_surfaces_structured_engine_error() {
+    let seeds = small_seeds();
+    let config = CampaignConfig::new(Algorithm::Uniquefuzz, 50, 29).with_shard_death_injection(1);
+    // Reaching the assertions at all is half the test: the surviving shard
+    // must wind down through the stop flag, not run on or hang.
+    let err = run_campaign_parallel(&seeds, &config, 2)
+        .expect_err("an injected shard death must fail the campaign");
+    assert_eq!(err.shard_id, Some(1), "the dead shard must be named");
+    assert_eq!(err.iterations, 0, "the shard died before its first report");
+    assert!(
+        err.message.contains("died outside containment")
+            && err.message.contains("injected shard death"),
+        "message: {}",
+        err.message
+    );
 }
 
 #[test]

@@ -1,20 +1,81 @@
 //! Tests for the sharded campaign engine (see DESIGN.md, "Parallel
-//! campaign architecture"): any shard count preserves the acceptance
+//! campaign architecture"): a one-shard parallel campaign replays the
+//! sequential engine bit for bit, any shard count preserves the acceptance
 //! invariants and the budget accounting of the algorithm it runs, and a
 //! degenerate campaign returns the sequential engine's empty result.
-//! The one-shard replay of the sequential engine is pinned in
-//! `tests/async_engine.rs`.
 
 use classfuzz::core::engine::{
-    run_campaign, run_campaign_parallel, shard_rng_seed, Algorithm, CampaignConfig,
+    run_campaign, run_campaign_parallel, shard_rng_seed, Algorithm, CampaignConfig, CampaignResult,
 };
 use classfuzz::core::seeds::SeedCorpus;
-use classfuzz::coverage::{TraceFile, UniquenessCriterion};
+use classfuzz::coverage::{SuiteIndex, TraceFile, UniquenessCriterion};
 use classfuzz::jimple::lower::lower_class;
 use classfuzz::vm::{Jvm, VmSpec};
 
 fn small_seeds() -> Vec<classfuzz::jimple::IrClass> {
     SeedCorpus::generate(10, 93).into_classes()
+}
+
+/// Rebuilds the coverage-uniqueness index a campaign's accepted suite
+/// induces, by re-running every test class on the reference VM. Comparing
+/// these indices compares the *trace contents* behind the acceptance
+/// decisions, not just the counts.
+fn rebuild_index(result: &CampaignResult, criterion: UniquenessCriterion) -> SuiteIndex {
+    let reference = Jvm::new(VmSpec::hotspot9());
+    let mut index = SuiteIndex::new(criterion);
+    for bytes in result.test_bytes() {
+        let mut trace = TraceFile::new();
+        reference.run_traced_into(&bytes, &mut trace);
+        index.insert(&trace);
+    }
+    index
+}
+
+#[test]
+fn one_shard_replays_sequential_for_every_algorithm() {
+    let seeds = small_seeds();
+    for algorithm in Algorithm::table4_lineup() {
+        let config = CampaignConfig::new(algorithm, 60, 17);
+        let sequential = run_campaign(&seeds, &config);
+        let parallel = run_campaign_parallel(&seeds, &config, 1).expect("engine error");
+
+        assert_eq!(sequential.iterations, parallel.iterations, "{algorithm}");
+        assert_eq!(
+            sequential.gen_classes.len(),
+            parallel.gen_classes.len(),
+            "{algorithm}: generated counts diverge"
+        );
+        assert_eq!(
+            sequential.test_classes, parallel.test_classes,
+            "{algorithm}: accepted indices diverge"
+        );
+        for (i, (s, p)) in sequential
+            .gen_classes
+            .iter()
+            .zip(&parallel.gen_classes)
+            .enumerate()
+        {
+            assert_eq!(s.bytes, p.bytes, "{algorithm}: class {i} bytes diverge");
+            assert_eq!(s.mutator_id, p.mutator_id, "{algorithm}: class {i} mutator");
+            assert_eq!(s.accepted, p.accepted, "{algorithm}: class {i} verdict");
+        }
+        assert_eq!(
+            sequential.mutator_stats, parallel.mutator_stats,
+            "{algorithm}"
+        );
+        assert_eq!(sequential.shard_stats, parallel.shard_stats, "{algorithm}");
+
+        // The accepted suites induce identical trace indices.
+        let criterion = match algorithm {
+            Algorithm::Classfuzz(c) => c,
+            _ => UniquenessCriterion::StBr,
+        };
+        assert_eq!(
+            rebuild_index(&sequential, criterion),
+            rebuild_index(&parallel, criterion),
+            "{algorithm}: trace-index contents diverge"
+        );
+    }
 }
 
 #[test]
