@@ -5,11 +5,11 @@
 //! layout exactly so indices written by [`crate::ClassFile::to_bytes`] match
 //! what a real JVM expects.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
+
+use rustc_hash::{FxHashMap, FxHasher};
 
 /// The most pool slots a classfile can carry: `constant_pool_count` is a
 /// `u16` holding *slots + 1* (JVMS §4.1), so 65534 slots is the ceiling.
@@ -176,11 +176,11 @@ pub struct ConstantPool {
     /// copy in `entries`). A candidate whose text differs is a hash
     /// collision, resolved by scanning `entries`, so a collision costs a
     /// scan, never a wrong index.
-    utf8_index: HashMap<u64, ConstIndex>,
+    utf8_index: FxHashMap<u64, ConstIndex>,
     /// Index of every other entry kind: (tag, payload bits) → the lowest
     /// index holding exactly that entry. Bit keys make `Float`/`Double`
     /// interning bit-exact (NaN payloads and `-0.0` stay distinct).
-    bits_index: HashMap<(u8, u64), ConstIndex>,
+    bits_index: FxHashMap<(u8, u64), ConstIndex>,
     /// String buffers salvaged by [`ConstantPool::clear`], reused by the
     /// next interning misses. Transient scratch, not pool value: cleared
     /// pools re-intern mostly the same names, so the buffers cycle instead
@@ -188,10 +188,12 @@ pub struct ConstantPool {
     recycled: Vec<String>,
 }
 
-/// Deterministic (fixed-key SipHash) hash of a Utf8 entry's text.
+/// FxHash of a Utf8 entry's text: the `utf8_index` key. Any hash is
+/// sound here, because a colliding candidate costs a scan, never a wrong
+/// index (DESIGN.md §12).
 fn utf8_hash(text: &str) -> u64 {
-    let mut h = DefaultHasher::new();
-    text.hash(&mut h);
+    let mut h = FxHasher::default();
+    h.write(text.as_bytes());
     h.finish()
 }
 

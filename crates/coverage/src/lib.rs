@@ -48,10 +48,12 @@
 
 pub mod baseline;
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+use rustc_hash::FxHashMap;
 
 /// A statement-site or branch-site identifier.
 ///
@@ -105,10 +107,10 @@ pub struct SiteUniverse {
 
 #[derive(Debug, Default)]
 struct UniverseInner {
-    stmt_slots: HashMap<SiteId, u32>,
+    stmt_slots: FxHashMap<SiteId, u32>,
     /// Reverse map: slot → site.
     stmt_sites: Vec<SiteId>,
-    branch_bases: HashMap<SiteId, u32>,
+    branch_bases: FxHashMap<SiteId, u32>,
     /// Reverse map: base / 2 → site.
     branch_sites: Vec<SiteId>,
 }
@@ -508,7 +510,7 @@ pub struct SuiteIndex {
     /// `[tr]` only: accepted traces, stored once, in acceptance order.
     traces: Vec<TraceFile>,
     /// `[tr]` only: fingerprint → indices into `traces`.
-    fp_buckets: HashMap<u64, Vec<u32>>,
+    fp_buckets: FxHashMap<u64, Vec<u32>>,
     len: usize,
     counters: IndexCounters,
 }
@@ -534,7 +536,7 @@ impl SuiteIndex {
             criterion,
             seen_stats: BTreeSet::new(),
             traces: Vec::new(),
-            fp_buckets: HashMap::new(),
+            fp_buckets: FxHashMap::default(),
             len: 0,
             counters: IndexCounters::default(),
         }

@@ -227,10 +227,14 @@ impl IrClass {
     /// The paper supplements every mutant this way so "normally invoked" is
     /// observable (§2.2.1).
     pub fn ensure_main(&mut self, message: &str) -> bool {
-        let has_main = self
-            .methods
-            .iter()
-            .any(|m| m.name == "main" && m.params == vec![JType::array(JType::string())]);
+        // Matched in place: this runs for every method of every mutant.
+        let has_main = self.methods.iter().any(|m| {
+            let [JType::Array(component)] = m.params.as_slice() else {
+                return false;
+            };
+            m.name == "main"
+                && matches!(&**component, JType::Object(name) if name == "java/lang/String")
+        });
         if has_main {
             return false;
         }
@@ -264,6 +268,28 @@ mod tests {
         assert!(c.ensure_main("Completed!"));
         assert!(!c.ensure_main("Completed!"));
         assert_eq!(c.methods.len(), 1);
+    }
+
+    #[test]
+    fn ensure_main_wants_exactly_a_string_array() {
+        // Neither `main(Object[])` nor `main(String)` is the entry point,
+        // so the printing `main(String[])` is still supplemented.
+        for params in [
+            vec![JType::array(JType::jobject())],
+            vec![JType::string()],
+            vec![JType::array(JType::array(JType::string()))],
+        ] {
+            let mut c = IrClass::new("A");
+            c.methods.push(IrMethod::abstract_method(
+                MethodAccess::PUBLIC | MethodAccess::STATIC,
+                "main",
+                params,
+                None,
+            ));
+            assert!(c.ensure_main("Completed!"));
+            assert_eq!(c.methods.len(), 2);
+            assert_eq!(c.methods[1].descriptor(), "([Ljava/lang/String;)V");
+        }
     }
 
     #[test]

@@ -6,13 +6,13 @@
 //! exactly the same way Soot dumps inconsistent Jimple — which is the point.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::LazyLock;
 
 use classfuzz_classfile::attributes::{Attribute, CodeAttribute, ExceptionTableEntry};
 use classfuzz_classfile::{
     ClassFile, ConstIndex, ConstantPool, FieldInfo, Instruction, MethodInfo, Opcode,
 };
+use rustc_hash::FxHashMap;
 
 use crate::class::{Body, IrClass, IrMethod};
 use crate::stmt::{BinOp, CondOp, Const, Expr, InvokeExpr, InvokeKind, Label, Stmt, Target, Value};
@@ -24,7 +24,7 @@ use crate::types::{write_method_descriptor, JType};
 /// lowering loop stops allocating a fresh `String` per descriptor mention.
 #[derive(Debug, Default)]
 pub struct DescriptorCache {
-    memo: HashMap<JType, Box<str>>,
+    memo: FxHashMap<JType, Box<str>>,
     buf: String,
 }
 
@@ -201,8 +201,8 @@ struct Asm<'a, 'm> {
     /// ids* until `finish` patches them to code offsets.
     insns: Vec<Instruction>,
     /// Label id → index into `insns` of the first instruction after it.
-    label_at: HashMap<u32, usize>,
-    slots: HashMap<&'m str, (u16, Ty<'m>)>,
+    label_at: FxHashMap<u32, usize>,
+    slots: FxHashMap<&'m str, (u16, Ty<'m>)>,
     next_slot: u16,
     depth: i32,
     max_depth: i32,
@@ -225,8 +225,8 @@ fn lower_body<'m>(
         descriptors,
         // Most statements lower to one to three instructions.
         insns: Vec::with_capacity(body.stmts.len() * 2),
-        label_at: HashMap::new(),
-        slots: HashMap::with_capacity(body.locals.len()),
+        label_at: FxHashMap::default(),
+        slots: FxHashMap::with_capacity_and_hasher(body.locals.len(), Default::default()),
         next_slot: 0,
         depth: 0,
         max_depth: 0,
@@ -258,7 +258,7 @@ fn lower_body<'m>(
         pc += insn.encoded_len(pc);
     }
     offsets.push(pc); // offset just past the last instruction
-    let label_pc = |label_id: u32, label_at: &HashMap<u32, usize>| -> u32 {
+    let label_pc = |label_id: u32, label_at: &FxHashMap<u32, usize>| -> u32 {
         match label_at.get(&label_id) {
             Some(&idx) => offsets[idx],
             None => 0, // dangling label (mutation artifact): branch to entry

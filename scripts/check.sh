@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # The full local gate — the single entrypoint .github/workflows/ci.yml
 # mirrors (see README, "CI contract"). Run from anywhere; works fully
-# offline against the vendored crates/{rand,proptest,criterion} shims.
+# offline against the vendored crates/{rand,proptest,criterion,rustc-hash}
+# shims.
 #
 # The root manifest is both a package and the workspace root; its
 # `default-members` lists the root and every member crate, so plain
