@@ -324,7 +324,7 @@ fn bench_coverage(c: &mut Criterion) {
 }
 
 fn bench_coverage_bitset_vs_baseline(c: &mut Criterion) {
-    // The bench-gate scenario (see crates/bench/src/covbench.rs): a 1k
+    // The synthetic suite of crates/bench/src/covbench.rs: a 1k
     // accepted [tr] suite whose traces all share one statistic, probed
     // with duplicates — the steady-state rejection path. The baseline
     // index scans the whole bucket per probe; the bitset index answers

@@ -10,9 +10,7 @@
 //! scenario's load-bearing check is a machine-independent in-run floor.
 //! Adding a scenario is one more entry in [`SCENARIOS`].
 
-use crate::{
-    covbench, harnessbench, interpbench, mutatebench, scalebench, startupbench, yieldbench,
-};
+use crate::{harnessbench, interpbench, mutatebench, scalebench, startupbench, yieldbench};
 
 /// The regression budget: a [`Gate::Budget`] metric may be at most this
 /// factor worse than its committed baseline (20%).
@@ -159,26 +157,7 @@ impl Scenario {
 }
 
 /// Every gated scenario, in the order `covbench` runs them.
-pub static SCENARIOS: [Scenario; 7] = [COVERAGE, HARNESS, MUTATE, INTERP, SCALE, YIELD, STARTUP];
-
-/// The `[tr]` acceptance hot path (DESIGN.md §10): bitset index vs the
-/// retained `BTreeSet` reference model on a same-statistic synthetic
-/// suite, plus a fixed-seed classfuzz`[tr]` campaign's acceptance rate.
-/// The baseline is pessimistic against a warm release run (bitset probe
-/// ~48 ns, merge ~56 ns, ~3,700 accepted/s measured); the load-bearing
-/// check is the ≥5× probe speedup over the reference model.
-const COVERAGE: Scenario = Scenario {
-    name: "coverage",
-    run: covbench::run,
-    gates: |_| {
-        vec![
-            Gate::Floor("tr_is_unique_speedup", 5.0),
-            Gate::Budget("tr_is_unique_ns_bitset", Better::Lower),
-            Gate::Budget("merge_ns_bitset", Better::Lower),
-            Gate::Budget("accepted_per_sec", Better::Higher),
-        ]
-    },
-};
+pub static SCENARIOS: [Scenario; 6] = [HARNESS, MUTATE, INTERP, SCALE, YIELD, STARTUP];
 
 /// The share-everything five-VM harness (DESIGN.md §11) and the
 /// `--exec-diff` observer on top of it (§13), on the pinned 138-class

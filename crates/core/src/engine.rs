@@ -1,22 +1,22 @@
 //! The fuzzing campaigns: classfuzz (Algorithm 1) and the three comparison
 //! algorithms of §3.1.2 — uniquefuzz, greedyfuzz, randfuzz.
 //!
-//! Campaigns run either sequentially ([`run_campaign`]) or on free-running
-//! worker shards ([`run_campaign_parallel`], the async engine). The
-//! sequential engine is deterministic, and a one-shard async run replays
-//! it bit for bit. Multi-shard runs are sound but not replayable: their
-//! acceptance order depends on thread interleaving — see DESIGN.md,
-//! "Parallel campaign architecture".
+//! Every campaign runs one loop, the shard loop of Algorithm 1 (pick,
+//! mutate, trace, accept, record), over shared acceptance and pool state.
+//! [`run_campaign`] runs one shard inline on the calling thread and is
+//! deterministic; [`run_campaign_parallel`] runs one shard per worker
+//! thread. A one-shard parallel run replays [`run_campaign`] bit for bit.
+//! Multi-shard runs are sound but not replayable: their acceptance order
+//! depends on thread interleaving — see DESIGN.md, "Parallel campaign
+//! architecture".
 //!
-//! Both engines run the same campaign step from two private pieces: a
-//! `Shard` (mutator lineup, RNG, selector, reference VM, scratch buffers)
-//! produces each iteration's candidate, and a `Ledger` records it — crash
-//! records, `GenClasses`, `TestClasses`, exec-diff — and assembles the
-//! [`CampaignResult`]. The sequential engine drives one shard inline; the
-//! async engine runs one shard per worker thread and records through the
-//! ledger on the calling thread.
+//! The loop is built from two private pieces: a `Shard` (mutator lineup,
+//! RNG, selector, reference VM, scratch buffers) produces each iteration's
+//! candidate, and the shard's own `Ledger` records it — crash records,
+//! `GenClasses`, `TestClasses`, exec-diff. The shards' ledgers are merged
+//! in shard order into the [`CampaignResult`].
 //!
-//! All engines are fault-contained (see DESIGN.md, "Fault containment"):
+//! All campaigns are fault-contained (see DESIGN.md, "Fault containment"):
 //! a panicking mutator becomes a recorded [`CrashRecord`] and the iteration
 //! is skipped; a panicking VM run surfaces as a crash verdict on the
 //! candidate (the VM layer contains its own panics); and a worker shard
@@ -25,12 +25,12 @@
 
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use classfuzz_coverage::{
-    distill_keep_mask, greedy_max_cover_order, GlobalCoverage, SuiteIndex, TraceFile,
-    UniquenessCriterion,
+    distill_keep_mask, greedy_max_cover_order, TraceFile, UniquenessCriterion,
 };
 use classfuzz_jimple::{
     lower::{lower_class_bytes, LowerScratch},
@@ -49,6 +49,7 @@ use crate::diff::{DifferentialHarness, ExecDiscrepancy};
 mod async_mode;
 
 pub use async_mode::run_campaign_parallel;
+use async_mode::{shard_loop, AsyncShared};
 
 /// How a parallel campaign schedules its worker shards. There is one
 /// scheduler, the free-running async engine, so this selects nothing; it
@@ -158,11 +159,11 @@ pub struct CampaignConfig {
     /// [`ExecReport`] per acceptance. Off by default — the startup matrix
     /// and all its snapshots are bit-identical with this disabled.
     pub exec_diff: bool,
-    /// Fault-injection self-test hook for the async engine: the named
-    /// worker shard panics *outside* the per-iteration containment before
-    /// its setup, exercising the shard-death last-gasp protocol without a
-    /// mutator in the loop. The sequential engine, which has no shard
-    /// thread, ignores it.
+    /// Fault-injection self-test hook for [`run_campaign_parallel`]: the
+    /// named worker shard panics *outside* the per-iteration containment
+    /// before its setup, exercising the shard-death path without a mutator
+    /// in the loop. [`run_campaign`], which runs its one shard inline with
+    /// no containment wrapper, ignores it.
     pub inject_shard_death: Option<usize>,
     /// How the initial pool is chosen from the seeds (`--seed-select`).
     pub seed_select: SeedSelect,
@@ -277,18 +278,17 @@ impl PoolEntry {
     }
 }
 
-/// How often (in executed iterations — the sequential loop's count, or
-/// the async engine's shared claimed-iteration count) a capped campaign
-/// distills its pool. Fixed so eviction
-/// points are a deterministic function of the iteration count alone.
+/// How often (in claimed iterations, counted across all shards) a capped
+/// campaign distills its pool. Fixed so eviction points are a
+/// deterministic function of the iteration count alone.
 const DISTILL_INTERVAL: usize = 32;
 
 /// Distills `pool` in place: evicts entries whose coverage is subsumed by
 /// the union of the rest ([`distill_keep_mask`]), then — if still over
 /// `cap` — drops the smallest-coverage entries (ties toward the oldest)
-/// until the pool fits. Survivors keep their relative order, so both
-/// engines distill the same pool to the same result. Returns the eviction
-/// count.
+/// until the pool fits. Survivors keep their relative order, so a
+/// one-shard parallel run distills the same pool to the same result as
+/// [`run_campaign`]. Returns the eviction count.
 fn distill_pool(pool: &mut Vec<PoolEntry>, cap: usize) -> usize {
     // `pool_cap` is a public field, so a cap of 0 can arrive here; the
     // pool must never distill to nothing, or the pick RNG has no range.
@@ -328,7 +328,7 @@ fn distill_pool(pool: &mut Vec<PoolEntry>, cap: usize) -> usize {
     before - pool.len()
 }
 
-/// Distillation telemetry from one shard's (replica's) boundary passes.
+/// Distillation telemetry from one shard's boundary passes.
 #[derive(Debug, Clone, Copy, Default)]
 struct DistillCounters {
     passes: u64,
@@ -337,9 +337,8 @@ struct DistillCounters {
 
 /// Lowers each seed exactly once (through one shared scratch), optionally
 /// tracing each seed's startup run, then applies the configured selection
-/// strategy — producing the pool both engines start from. The async
-/// engine's shards share the entries by `Arc` handle instead of
-/// re-lowering per shard.
+/// strategy — producing the pool every shard starts from. Shards share
+/// the entries by `Arc` handle instead of re-lowering per shard.
 ///
 /// Traces are recorded whenever the algorithm consults coverage *or* the
 /// seed-intelligence knobs need them (max-cover selection, distillation);
@@ -384,8 +383,8 @@ fn prepare_seed_pool(seeds: &[IrClass], config: &CampaignConfig) -> Vec<PoolEntr
 
 /// Per-shard contribution to a campaign, reported in [`CampaignResult`].
 ///
-/// A sequential campaign is a single shard 0; a parallel campaign has one
-/// entry per worker shard.
+/// [`run_campaign`] is a single shard 0; a parallel campaign has one entry
+/// per worker shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardStats {
     /// The shard's id (also its position in `CampaignResult::shard_stats`).
@@ -426,7 +425,7 @@ impl CrashSite {
 /// are bugs too" signal, applied to our own harness.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrashRecord {
-    /// The shard that hit the fault (0 for sequential campaigns).
+    /// The shard that hit the fault (0 for [`run_campaign`]).
     pub shard_id: usize,
     /// Which pipeline stage panicked.
     pub site: CrashSite,
@@ -447,8 +446,8 @@ pub struct CrashRecord {
 pub struct EngineError {
     /// The failing shard, when attributable.
     pub shard_id: Option<usize>,
-    /// The iterations the ledger had recorded for the failing shard (for
-    /// the whole campaign when no shard is attributable).
+    /// The iterations the failing shard's ledger had recorded (summed over
+    /// the shards that finished when no shard is attributable).
     pub iterations: usize,
     /// Bytes of the last classfile the failing shard generated, if any —
     /// the prime suspect for reproducing the fault.
@@ -505,10 +504,13 @@ pub struct CampaignResult {
     pub algorithm: Algorithm,
     /// Iterations consumed.
     pub iterations: usize,
-    /// Every generated mutant, in generation order (`GenClasses`).
+    /// Every generated mutant (`GenClasses`): in generation order at one
+    /// shard, shard-major above one shard (each shard's classes in its own
+    /// generation order, shard 0 first).
     pub gen_classes: Vec<GeneratedClass>,
     /// Indices into `gen_classes` of accepted mutants (`TestClasses`,
-    /// seeds already excluded per Algorithm 1 line 19).
+    /// seeds already excluded per Algorithm 1 line 19), strictly
+    /// increasing.
     pub test_classes: Vec<usize>,
     /// Per-mutator selection/success statistics (Figure 4 data), summed
     /// across shards.
@@ -517,17 +519,19 @@ pub struct CampaignResult {
     pub elapsed: Duration,
     /// Number of seeds the campaign started from.
     pub seed_count: usize,
-    /// Per-shard breakdown (one entry for sequential campaigns).
+    /// Per-shard breakdown, in shard order (one entry for [`run_campaign`]).
     pub shard_stats: Vec<ShardStats>,
-    /// Contained faults, in verdict order (sequential: iteration order;
-    /// parallel: round-major, shard-minor — identical at one shard).
+    /// Contained faults, in crash-corpus index order: `crashes[i]` is
+    /// persisted as `crash_{i:04}` in a fresh crash directory. At one shard
+    /// this is iteration order.
     pub crashes: Vec<CrashRecord>,
     /// Acceptance hot-path telemetry (offers, acceptances, `[tr]`
     /// fingerprint fast-path rate). All-zero for randfuzz and greedyfuzz,
     /// which never consult a uniqueness index.
     pub acceptance: AcceptanceTelemetry,
-    /// Per-accepted-candidate execution differencing records, in acceptance
-    /// order. Empty unless [`CampaignConfig::exec_diff`] is set.
+    /// Per-accepted-candidate execution differencing records, in
+    /// `test_classes` order. Empty unless [`CampaignConfig::exec_diff`] is
+    /// set.
     pub exec_reports: Vec<ExecReport>,
 }
 
@@ -604,71 +608,6 @@ impl Selector {
     }
 }
 
-/// The sequential engine's acceptance state, decided on one thread (the
-/// async engine shares its own, lock- and atomic-based counterpart).
-enum Acceptance {
-    Unique(SuiteIndex),
-    Greedy(GlobalCoverage),
-    All,
-}
-
-impl Acceptance {
-    fn new(algorithm: Algorithm) -> Acceptance {
-        match algorithm {
-            Algorithm::Classfuzz(criterion) => Acceptance::Unique(SuiteIndex::new(criterion)),
-            Algorithm::Uniquefuzz => Acceptance::Unique(SuiteIndex::new(UniquenessCriterion::StBr)),
-            Algorithm::Greedyfuzz => Acceptance::Greedy(GlobalCoverage::new()),
-            Algorithm::Randfuzz => Acceptance::All,
-        }
-    }
-
-    /// Seeds the acceptance state with the selected seeds' traces
-    /// (Algorithm 1 line 1: TestClasses ← Seeds), so mutants must differ
-    /// from seeds too. Reads each seed's trace from the pool cache — seeds
-    /// were lowered and traced once, in [`prepare_seed_pool`], which always
-    /// records traces for the coverage-consulting algorithms this acts on.
-    /// Under max-cover selection only the *selected* seeds enter the suite,
-    /// matching the pool the campaign actually mutates.
-    fn seed(&mut self, seed_pool: &[PoolEntry]) {
-        for trace in seed_pool.iter().filter_map(|e| e.trace.as_deref()) {
-            match self {
-                Acceptance::Unique(index) => index.insert(trace),
-                Acceptance::Greedy(global) => {
-                    global.absorb(trace);
-                }
-                Acceptance::All => {}
-            }
-        }
-    }
-
-    /// The acceptance decision: does this iteration's candidate enter
-    /// `TestClasses`? Uses the candidate's shard-computed fingerprint so
-    /// the `[tr]` probe is a single hash lookup here.
-    fn decide(&mut self, produced: &Produced) -> bool {
-        let Produced::Candidate(cand) = produced else {
-            return false;
-        };
-        let trace = cand.trace.as_deref();
-        match self {
-            Acceptance::All => true,
-            Acceptance::Unique(index) => trace.is_some_and(|t| match cand.trace_fp {
-                Some(fp) => index.insert_if_unique_with_fingerprint(t, fp),
-                None => index.insert_if_unique(t),
-            }),
-            Acceptance::Greedy(global) => trace.is_some_and(|t| global.absorb(t)),
-        }
-    }
-
-    /// The index-side telemetry, read back from the index counters at the
-    /// end of a run (all-zero for greedyfuzz and randfuzz).
-    fn telemetry(&self) -> AcceptanceTelemetry {
-        match self {
-            Acceptance::Unique(index) => AcceptanceTelemetry::from(index.counters()),
-            Acceptance::Greedy(_) | Acceptance::All => AcceptanceTelemetry::default(),
-        }
-    }
-}
-
 /// The campaign's mutator lineup: the paper's 129, plus the execution-phase
 /// body rewrites when `--exec-diff` is on, plus the chaos mutator when the
 /// config injects panics. Ids are assigned in that order — the MCMC chain
@@ -736,7 +675,8 @@ fn persist_crash(dir: &Path, index: usize, record: &CrashRecord) {
 /// Differences one accepted candidate's execution verdicts across the five
 /// profiles. Runs plain (no coverage, no tracing) and draws no RNG, so
 /// enabling `--exec-diff` perturbs neither the candidate stream nor the
-/// one-shard replay guarantee — it only appends to `exec_reports`.
+/// one-shard replay guarantee — it only appends to `exec_reports`. Runs on
+/// the accepting shard's own thread.
 fn diff_execution(harness: &DifferentialHarness, gen_index: usize, bytes: &[u8]) -> ExecReport {
     let vector = harness.run(bytes);
     ExecReport {
@@ -749,8 +689,8 @@ fn diff_execution(harness: &DifferentialHarness, gen_index: usize, bytes: &[u8])
 
 /// One iteration's shard-local product: a lowered mutant plus (when the
 /// algorithm consults coverage) its reference-VM trace. Class, bytes and
-/// trace are `Arc`-shared, so one allocation serves `gen_classes`, the
-/// pool entry, and (in the async engine) the shard's own pool publish.
+/// trace are `Arc`-shared, so one allocation serves `gen_classes` and the
+/// published pool entry.
 struct Candidate {
     class: Arc<IrClass>,
     bytes: Arc<Vec<u8>>,
@@ -775,8 +715,8 @@ impl Candidate {
     }
 }
 
-/// What one iteration's shard-local half produced — the one report type
-/// every engine records through [`Ledger::record`].
+/// What one iteration's shard-local half produced — what the shard loop
+/// records through [`Ledger::record`].
 enum Produced {
     /// A lowered mutant, ready for the acceptance decision.
     Candidate(Candidate),
@@ -794,8 +734,8 @@ enum Produced {
 }
 
 /// One shard's working set: everything the shard-local half of an
-/// iteration reads or writes. The sequential engine drives one inline;
-/// each async worker thread builds its own.
+/// iteration reads or writes. [`run_campaign`] drives one inline; each
+/// worker thread of [`run_campaign_parallel`] builds its own.
 struct Shard {
     mutators: Vec<Mutator>,
     rng: StdRng,
@@ -817,7 +757,7 @@ struct Shard {
 impl Shard {
     /// Shard `shard_id`'s working set, its RNG seeded by
     /// [`shard_rng_seed`] — shard 0 uses the campaign seed, which is what
-    /// makes every one-shard engine replay the sequential stream.
+    /// makes a one-shard parallel run replay [`run_campaign`]'s stream.
     fn new(config: &CampaignConfig, shard_id: usize) -> Shard {
         let mutators = campaign_mutators(config);
         let selector = match config.algorithm {
@@ -844,9 +784,9 @@ impl Shard {
     /// comes back with a crash verdict rather than unwinding.
     ///
     /// The RNG call order here (pool pick, selection, mutation) is the
-    /// sequential engine's contract; every engine goes through this one
-    /// method so a one-shard parallel run replays the sequential stream
-    /// exactly. A panicking mutator consumes exactly the RNG draws it made
+    /// campaign's replay contract; the one shard loop calls this one
+    /// method, so a one-shard parallel run replays [`run_campaign`]'s
+    /// stream exactly. A panicking mutator consumes exactly the RNG draws it made
     /// before dying — deterministic, because the panic point is a function
     /// of the inputs.
     fn produce(&mut self, pool: &[PoolEntry], seeds: &[IrClass]) -> Produced {
@@ -912,8 +852,8 @@ impl Shard {
 
     /// Whether a capped campaign distills after `completed` of `budget`
     /// iterations: after every DISTILL_INTERVAL-th, skipping the no-op pass
-    /// after the last. The one boundary rule of both engines — a function
-    /// of the iteration count alone, so both distill at the same points
+    /// after the last. A function of the shared iteration count alone, so
+    /// a one-shard parallel run distills at [`run_campaign`]'s points
     /// (between iterations, before the next pick).
     fn distill_due(&self, completed: usize, budget: usize) -> bool {
         self.pool_cap.is_some() && completed.is_multiple_of(DISTILL_INTERVAL) && completed < budget
@@ -936,166 +876,176 @@ impl Shard {
 }
 
 /// What a shard hands back when its loop finishes: the selector's stats
-/// table plus the replica's distillation telemetry.
-#[derive(Default)]
+/// table plus its distillation telemetry.
 struct ShardOutcome {
     stats: Vec<MutatorStats>,
     distill: DistillCounters,
 }
 
-/// The recording half of a campaign: everything the result accumulates,
-/// in verdict order. The sequential engine records inline and the async
-/// collector as reports arrive — both through [`Ledger::record`], so both
-/// engines assemble crash records, `GenClasses`, `TestClasses` and
-/// exec-diff reports the same way.
+/// The recording half of one shard: everything its iterations add to the
+/// result, in its own iteration order. The shard records into it as it
+/// goes — crash persistence and exec-diff included — and the campaign
+/// merges the shards' ledgers in shard order ([`Ledger::merge`]) before
+/// assembling the [`CampaignResult`] ([`Ledger::finish`]).
 struct Ledger<'a> {
-    config: &'a CampaignConfig,
-    start: Instant,
-    seed_count: usize,
+    shared: &'a AsyncShared<'a>,
     gen_classes: Vec<GeneratedClass>,
     test_classes: Vec<usize>,
-    crashes: Vec<CrashRecord>,
+    /// Crash records with their crash-corpus index, drawn from the shared
+    /// counter so indices are unique across shards.
+    crashes: Vec<(usize, CrashRecord)>,
     exec_reports: Vec<ExecReport>,
+    /// This ledger's shard first, then the shards merged into it.
     shard_stats: Vec<ShardStats>,
-    /// Per-shard last generated classfile — attached to an EngineError as
-    /// the prime suspect when that shard dies. `Arc` handles: recording the
-    /// suspect costs a refcount bump per candidate, not a byte copy.
-    last_bytes: Vec<Option<Arc<Vec<u8>>>>,
-    /// Execution differencing happens here, in acceptance order — the same
-    /// order in both engines at one shard.
+    /// The shard's last generated classfile — attached to an EngineError
+    /// as the prime suspect when the shard dies. An `Arc` handle: recording
+    /// the suspect costs a refcount bump per candidate, not a byte copy.
+    last_bytes: Option<Arc<Vec<u8>>>,
     exec_harness: Option<DifferentialHarness>,
 }
 
 impl<'a> Ledger<'a> {
-    /// An empty ledger for `num_shards` shards; the campaign clock starts
-    /// here.
-    fn new(config: &'a CampaignConfig, seed_count: usize, num_shards: usize) -> Ledger<'a> {
+    /// An empty ledger for shard `shard_id`.
+    fn new(shared: &'a AsyncShared<'a>, shard_id: usize) -> Ledger<'a> {
         Ledger {
-            config,
-            start: Instant::now(),
-            seed_count,
+            shared,
             gen_classes: Vec::new(),
             test_classes: Vec::new(),
             crashes: Vec::new(),
             exec_reports: Vec::new(),
-            shard_stats: (0..num_shards)
-                .map(|shard_id| ShardStats {
-                    shard_id,
-                    iterations: 0,
-                    generated: 0,
-                    accepted: 0,
-                })
-                .collect(),
-            last_bytes: vec![None; num_shards],
-            exec_harness: config.exec_diff.then(DifferentialHarness::paper_five),
+            shard_stats: vec![ShardStats {
+                shard_id,
+                iterations: 0,
+                generated: 0,
+                accepted: 0,
+            }],
+            last_bytes: None,
+            exec_harness: shared
+                .config
+                .exec_diff
+                .then(DifferentialHarness::paper_five),
         }
     }
 
-    /// Records one iteration of shard `shard_id`, whose candidate (if any)
-    /// was judged `accepted`. In order: crash records, the `GenClasses`
-    /// push, the `TestClasses` push, exec-diff. Returns the pool entry an
-    /// accepted candidate becomes, for the caller to push or broadcast.
-    fn record(&mut self, shard_id: usize, produced: Produced, accepted: bool) -> Option<PoolEntry> {
-        self.shard_stats[shard_id].iterations += 1;
+    /// Records one iteration, whose candidate (if any) was judged
+    /// `accepted`: its crash records, then its `GenClasses` entry and, when
+    /// accepted, its `TestClasses` index and exec-diff report.
+    fn record(&mut self, produced: Produced, accepted: bool) {
+        self.shard_stats[0].iterations += 1;
         let cand = match produced {
-            Produced::NotApplicable => return None,
+            Produced::NotApplicable => return,
             Produced::MutatorCrash {
                 mutator_id,
                 input_bytes,
                 detail,
             } => {
-                let site = CrashSite::Mutator { mutator_id };
-                self.record_crash(shard_id, site, input_bytes, detail);
-                return None;
+                self.record_crash(CrashSite::Mutator { mutator_id }, input_bytes, detail);
+                return;
             }
             Produced::Candidate(cand) => cand,
         };
-        if let Some(detail) = &cand.vm_crash {
+        if let Some(detail) = cand.vm_crash {
             let bytes = cand.bytes.as_ref().clone();
-            self.record_crash(shard_id, CrashSite::ReferenceVm, bytes, detail.clone());
+            self.record_crash(CrashSite::ReferenceVm, bytes, detail);
         }
         let gen_index = self.gen_classes.len();
-        self.shard_stats[shard_id].generated += 1;
-        self.last_bytes[shard_id] = Some(Arc::clone(&cand.bytes));
+        self.shard_stats[0].generated += 1;
+        if accepted {
+            self.test_classes.push(gen_index);
+            self.shard_stats[0].accepted += 1;
+            if let Some(harness) = &self.exec_harness {
+                self.exec_reports
+                    .push(diff_execution(harness, gen_index, &cand.bytes));
+            }
+        }
+        self.last_bytes = Some(Arc::clone(&cand.bytes));
         self.gen_classes.push(GeneratedClass {
-            class: Arc::clone(&cand.class),
-            bytes: Arc::clone(&cand.bytes),
+            class: cand.class,
+            bytes: cand.bytes,
             mutator_id: cand.mutator_id,
             accepted,
         });
-        if !accepted {
-            return None;
-        }
-        self.test_classes.push(gen_index);
-        self.shard_stats[shard_id].accepted += 1;
-        if let Some(harness) = &self.exec_harness {
-            self.exec_reports
-                .push(diff_execution(harness, gen_index, &cand.bytes));
-        }
-        Some(cand.pool_entry())
     }
 
-    /// Appends a crash record, persisting it to the crash corpus first (the
-    /// record's position doubles as its corpus index).
-    fn record_crash(&mut self, shard_id: usize, site: CrashSite, bytes: Vec<u8>, detail: String) {
+    /// Appends a crash record, persisting it to the crash corpus first
+    /// under the next index of the campaign-wide crash counter.
+    fn record_crash(&mut self, site: CrashSite, bytes: Vec<u8>, detail: String) {
         let record = CrashRecord {
-            shard_id,
+            shard_id: self.shard_stats[0].shard_id,
             site,
             bytes,
             detail,
         };
-        if let Some(dir) = &self.config.crash_dir {
-            persist_crash(dir, self.crashes.len(), &record);
+        let index = self.shared.next_crash.fetch_add(1, Ordering::Relaxed);
+        if let Some(dir) = &self.shared.config.crash_dir {
+            persist_crash(dir, index, &record);
         }
-        self.crashes.push(record);
+        self.crashes.push((index, record));
     }
 
-    /// An engine failure, attributed to `shard_id` when known — carrying
-    /// that shard's recorded iteration count and its last generated
-    /// classfile as the prime suspect.
-    fn engine_error(&mut self, shard_id: Option<usize>, message: String) -> EngineError {
-        let iterations = match shard_id {
-            Some(id) => self.shard_stats[id].iterations,
-            None => self.shard_stats.iter().map(|s| s.iterations).sum(),
-        };
-        let last = shard_id.and_then(|id| self.last_bytes[id].take());
+    /// Folds a later shard's ledger into this one. `other`'s classes go
+    /// after this ledger's, so `gen_classes` comes out shard-major, and
+    /// its `test_classes` and `ExecReport::gen_index` are re-based past
+    /// them, so `test_classes` stays strictly increasing.
+    fn merge(&mut self, other: Ledger<'a>) {
+        let base = self.gen_classes.len();
+        self.gen_classes.extend(other.gen_classes);
+        self.test_classes
+            .extend(other.test_classes.into_iter().map(|i| base + i));
+        self.exec_reports
+            .extend(other.exec_reports.into_iter().map(|report| ExecReport {
+                gen_index: base + report.gen_index,
+                ..report
+            }));
+        self.crashes.extend(other.crashes);
+        self.shard_stats.extend(other.shard_stats);
+    }
+
+    /// The failure of this ledger's shard — carrying its recorded
+    /// iteration count and its last generated classfile as the prime
+    /// suspect.
+    fn engine_error(self, message: String) -> EngineError {
+        let stats = self.shard_stats[0];
         EngineError {
-            shard_id,
-            iterations,
-            last_candidate: last.map(|b| b.as_ref().clone()),
+            shard_id: Some(stats.shard_id),
+            iterations: stats.iterations,
+            last_candidate: self.last_bytes.map(|b| b.as_ref().clone()),
             message,
         }
     }
 
-    /// Assembles the campaign result — the one place any engine builds it,
-    /// the degenerate (no seeds, no budget) campaign included. The shards'
-    /// selector tables are summed elementwise; `distill` and the exec-diff
-    /// tallies are folded into the acceptance state's `telemetry`.
-    fn finish(
-        self,
-        mut telemetry: AcceptanceTelemetry,
-        distill: DistillCounters,
-        outcomes: Vec<ShardOutcome>,
-    ) -> CampaignResult {
-        telemetry.distill_passes = distill.passes;
-        telemetry.distill_evicted = distill.evicted;
+    /// Assembles the campaign result from the merged ledger — the one
+    /// place any campaign builds it, the degenerate (no seeds, no budget)
+    /// campaign included. Crash records are put in corpus-index order, the
+    /// shards' selector tables are summed elementwise, and distillation and
+    /// exec-diff tallies are folded into the shared acceptance telemetry.
+    fn finish(mut self, outcomes: Vec<ShardOutcome>) -> CampaignResult {
+        let shared = self.shared;
+        let mut telemetry = shared.telemetry();
+        for outcome in &outcomes {
+            // Each boundary is claimed by exactly one shard, so the
+            // campaign's distillation telemetry is the sum over shards.
+            telemetry.distill_passes += outcome.distill.passes;
+            telemetry.distill_evicted += outcome.distill.evicted;
+        }
         telemetry.exec_runs = self.exec_reports.len() as u64;
         telemetry.exec_discrepancies = self
             .exec_reports
             .iter()
             .filter(|r| r.is_exec_discrepancy())
             .count() as u64;
+        self.crashes.sort_unstable_by_key(|&(index, _)| index);
         let tables: Vec<Vec<MutatorStats>> = outcomes.into_iter().map(|o| o.stats).collect();
         CampaignResult {
-            algorithm: self.config.algorithm,
-            iterations: self.config.iterations,
+            algorithm: shared.config.algorithm,
+            iterations: shared.config.iterations,
             gen_classes: self.gen_classes,
             test_classes: self.test_classes,
             mutator_stats: merge_stat_tables(&tables),
-            elapsed: self.start.elapsed(),
-            seed_count: self.seed_count,
+            elapsed: shared.start.elapsed(),
+            seed_count: shared.seeds.len(),
             shard_stats: self.shard_stats,
-            crashes: self.crashes,
+            crashes: self.crashes.into_iter().map(|(_, record)| record).collect(),
             acceptance: telemetry,
             exec_reports: self.exec_reports,
         }
@@ -1109,8 +1059,8 @@ fn needs_trace(algorithm: Algorithm) -> bool {
 }
 
 /// The iterations a campaign actually runs: its budget, or none without
-/// seeds — an empty pool has nothing to pick from, so every engine runs an
-/// empty loop instead of special-casing the degenerate campaign.
+/// seeds — an empty pool has nothing to pick from, so the shard loop runs
+/// empty instead of special-casing the degenerate campaign.
 fn campaign_budget(seeds: &[IrClass], config: &CampaignConfig) -> usize {
     if seeds.is_empty() {
         0
@@ -1120,32 +1070,16 @@ fn campaign_budget(seeds: &[IrClass], config: &CampaignConfig) -> usize {
 }
 
 /// Runs one campaign over `seeds` — Algorithm 1 for classfuzz, the
-/// §3.1.2 variants otherwise — as a single shard driven inline: no thread,
-/// no channel.
+/// §3.1.2 variants otherwise — as a single shard driven inline on the
+/// calling thread: no worker thread, no containment wrapper.
 ///
 /// Deterministic for a fixed `CampaignConfig` (wall-clock fields aside).
 pub fn run_campaign(seeds: &[IrClass], config: &CampaignConfig) -> CampaignResult {
-    let mut ledger = Ledger::new(config, seeds.len(), 1);
+    let shared = AsyncShared::new(seeds, config);
+    let mut ledger = Ledger::new(&shared, 0);
     let mut shard = Shard::new(config, 0);
-    let mut acceptance = Acceptance::new(config.algorithm);
-    // The mutation pool: selected seeds plus accepted mutants (line 14),
-    // each with its lowered bytes cached alongside.
-    let mut pool = prepare_seed_pool(seeds, config);
-    acceptance.seed(&pool);
-    let budget = campaign_budget(seeds, config);
-    for completed in 1..=budget {
-        let produced = shard.produce(&pool, seeds);
-        let accepted = acceptance.decide(&produced);
-        if accepted {
-            shard.record_success();
-        }
-        pool.extend(ledger.record(0, produced, accepted));
-        if shard.distill_due(completed, budget) {
-            shard.distill(&mut pool);
-        }
-    }
-    let outcome = shard.finish();
-    ledger.finish(acceptance.telemetry(), outcome.distill, vec![outcome])
+    shard_loop(&shared, &mut shard, &mut ledger);
+    ledger.finish(vec![shard.finish()])
 }
 
 /// The RNG seed of worker shard `shard_id` in a parallel campaign.

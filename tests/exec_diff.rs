@@ -225,3 +225,22 @@ fn one_shard_parallel_campaign_matches_sequential_exec_reports() {
         par.acceptance.exec_discrepancies
     );
 }
+
+#[test]
+fn two_shard_exec_reports_name_their_test_classes() {
+    // Above one shard each shard differences its own acceptances; the
+    // merged reports must still line up with the merged `test_classes` and
+    // carry the verdicts of the class they name.
+    let seeds = SeedCorpus::generate(SNAP_SEEDS, SNAP_SEED_RNG).into_classes();
+    let result = run_campaign_parallel(&seeds, &exec_campaign_config(), 2).expect("engine error");
+    assert_eq!(result.shard_stats.len(), 2);
+    assert!(!result.test_classes.is_empty(), "campaign accepted nothing");
+    assert_eq!(result.exec_reports.len(), result.test_classes.len());
+    let harness = DifferentialHarness::paper_five();
+    for (report, &index) in result.exec_reports.iter().zip(&result.test_classes) {
+        assert_eq!(report.gen_index, index);
+        let vector = harness.run(&result.gen_classes[index].bytes);
+        assert_eq!(report.startup_key, vector.key(), "class {index}");
+        assert_eq!(report.exec_key, vector.exec_key(), "class {index}");
+    }
+}

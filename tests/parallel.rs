@@ -121,6 +121,22 @@ fn shard_accounting_adds_up() {
     assert_eq!(accepted, result.test_classes.len());
     let selected: u64 = result.mutator_stats.iter().map(|s| s.selected).sum();
     assert_eq!(selected, 101);
+    // The shards' ledgers merge shard-major, with each shard's accepted
+    // indices re-based past the classes of the shards before it.
+    assert!(
+        result.test_classes.windows(2).all(|w| w[0] < w[1]),
+        "test_classes must be strictly increasing: {:?}",
+        result.test_classes
+    );
+    for &i in &result.test_classes {
+        assert!(i < result.gen_classes.len(), "index {i} out of range");
+        assert!(
+            result.gen_classes[i].accepted,
+            "index {i} names a rejected class"
+        );
+    }
+    let flagged = result.gen_classes.iter().filter(|g| g.accepted).count();
+    assert_eq!(flagged, result.test_classes.len());
 }
 
 #[test]
