@@ -2,7 +2,9 @@
 //! algorithms of §3.1.2 — uniquefuzz, greedyfuzz, randfuzz.
 //!
 //! Every campaign runs one loop, the shard loop of Algorithm 1 (pick,
-//! mutate, trace, accept, record), over shared acceptance and pool state.
+//! mutate, trace, accept, record), over acceptance and pool state shared
+//! behind one lock, under which each decision and its pool update happen
+//! together.
 //! [`run_campaign`] runs one shard inline on the calling thread and is
 //! deterministic; [`run_campaign_parallel`] runs one shard per worker
 //! thread. A one-shard parallel run replays [`run_campaign`] bit for bit.
@@ -46,10 +48,10 @@ use rand::{Rng, SeedableRng};
 
 use crate::diff::{DifferentialHarness, ExecDiscrepancy};
 
-mod async_mode;
+mod shared;
 
-pub use async_mode::run_campaign_parallel;
-use async_mode::{shard_loop, AsyncShared};
+pub use shared::run_campaign_parallel;
+use shared::{shard_loop, Shared};
 
 /// How a parallel campaign schedules its worker shards. There is one
 /// scheduler, the free-running async engine, so this selects nothing; it
@@ -57,8 +59,8 @@ use async_mode::{shard_loop, AsyncShared};
 /// next change to that benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Schedule {
-    /// Free-running shards over shared atomic acceptance state — see
-    /// [`run_campaign_parallel`].
+    /// Free-running shards deciding acceptance under one shared lock —
+    /// see [`run_campaign_parallel`].
     Async,
 }
 
@@ -888,7 +890,7 @@ struct ShardOutcome {
 /// merges the shards' ledgers in shard order ([`Ledger::merge`]) before
 /// assembling the [`CampaignResult`] ([`Ledger::finish`]).
 struct Ledger<'a> {
-    shared: &'a AsyncShared<'a>,
+    shared: &'a Shared<'a>,
     gen_classes: Vec<GeneratedClass>,
     test_classes: Vec<usize>,
     /// Crash records with their crash-corpus index, drawn from the shared
@@ -906,7 +908,7 @@ struct Ledger<'a> {
 
 impl<'a> Ledger<'a> {
     /// An empty ledger for shard `shard_id`.
-    fn new(shared: &'a AsyncShared<'a>, shard_id: usize) -> Ledger<'a> {
+    fn new(shared: &'a Shared<'a>, shard_id: usize) -> Ledger<'a> {
         Ledger {
             shared,
             gen_classes: Vec::new(),
@@ -1075,7 +1077,7 @@ fn campaign_budget(seeds: &[IrClass], config: &CampaignConfig) -> usize {
 ///
 /// Deterministic for a fixed `CampaignConfig` (wall-clock fields aside).
 pub fn run_campaign(seeds: &[IrClass], config: &CampaignConfig) -> CampaignResult {
-    let shared = AsyncShared::new(seeds, config);
+    let shared = Shared::new(seeds, config);
     let mut ledger = Ledger::new(&shared, 0);
     let mut shard = Shard::new(config, 0);
     shard_loop(&shared, &mut shard, &mut ledger);

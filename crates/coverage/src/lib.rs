@@ -32,6 +32,10 @@
 //! [`SuiteIndex`] is the incremental form used inside the fuzzing loop: it
 //! answers "is this trace unique w.r.t. the accepted test suite?" in O(1)
 //! for the statistic criteria and in O(1) expected for `[tr]`.
+//! [`SuiteIndex`] and [`GlobalCoverage`] are plain single-owner values: a
+//! campaign keeps its acceptance state behind one lock and decides each
+//! candidate under it, so nothing here needs to synchronize itself. Only
+//! the process-wide [`SiteUniverse`] is shared, behind its own `RwLock`.
 //!
 //! # Examples
 //!
@@ -50,8 +54,7 @@ pub mod baseline;
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use rustc_hash::FxHashMap;
 
@@ -412,8 +415,9 @@ impl TraceFile {
         self.branch_words.fill(0);
     }
 
-    /// A trimmed copy (trailing zero capacity dropped): what the campaign
-    /// shards ship to the coordinator alongside the fingerprint.
+    /// A trimmed copy (trailing zero capacity dropped): what a campaign
+    /// shard hands to the acceptance decision, and keeps in its pool entry,
+    /// alongside the fingerprint.
     pub fn snapshot(&self) -> TraceFile {
         TraceFile {
             stmt_words: trimmed(&self.stmt_words).to_vec(),
@@ -481,16 +485,6 @@ pub struct IndexCounters {
     /// `[tr]` offers that needed at least one word-level trace comparison
     /// (duplicates and genuine fingerprint collisions both land here).
     pub word_compare_fallbacks: u64,
-}
-
-impl IndexCounters {
-    /// Field-wise accumulation.
-    pub fn merge(&mut self, other: &IndexCounters) {
-        self.offered += other.offered;
-        self.accepted += other.accepted;
-        self.fingerprint_fast_path += other.fingerprint_fast_path;
-        self.word_compare_fallbacks += other.word_compare_fallbacks;
-    }
 }
 
 /// An incremental index over an accepted test suite's tracefiles,
@@ -598,31 +592,6 @@ impl SuiteIndex {
         }
     }
 
-    /// A read-only uniqueness probe with a caller-supplied fingerprint:
-    /// returns `(is_unique, settled_by_fast_path)`, where the second
-    /// component reports whether a `[tr]` query was answered by the
-    /// fingerprint table alone (no word-level trace comparison). Under the
-    /// statistic criteria the second component is always `false`.
-    ///
-    /// Unlike the `insert_if_unique*` family this touches no counters and
-    /// never mutates, so concurrent engines can probe through a shared
-    /// read lock and reserve the write lock for actual insertions (see
-    /// DESIGN.md, "Free-running asynchronous campaigns").
-    pub fn probe_with_fingerprint(&self, trace: &TraceFile, fp: u64) -> (bool, bool) {
-        match self.criterion {
-            UniquenessCriterion::St | UniquenessCriterion::StBr => {
-                (!self.seen_stats.contains(&self.key(trace.stats())), false)
-            }
-            UniquenessCriterion::Tr => match self.fp_buckets.get(&fp) {
-                None => (true, true),
-                Some(bucket) => (
-                    !bucket.iter().any(|&i| self.traces[i as usize] == *trace),
-                    false,
-                ),
-            },
-        }
-    }
-
     /// Records `trace` as accepted (caller has already checked uniqueness
     /// or wants to force-seed the suite).
     pub fn insert(&mut self, trace: &TraceFile) {
@@ -653,8 +622,9 @@ impl SuiteIndex {
     }
 
     /// [`SuiteIndex::insert_if_unique`] with a caller-supplied fingerprint
-    /// — the campaign acceptance path, where shards fingerprint their own
-    /// traces and the coordinator probes without rehashing.
+    /// — the campaign acceptance path, where each shard fingerprints its
+    /// own trace before taking the shared lock, so the decision under the
+    /// lock probes without rehashing.
     pub fn insert_if_unique_with_fingerprint(&mut self, trace: &TraceFile, fp: u64) -> bool {
         self.counters.offered += 1;
         if self.criterion == UniquenessCriterion::Tr {
@@ -670,38 +640,6 @@ impl SuiteIndex {
             true
         } else {
             false
-        }
-    }
-
-    /// Folds `other` into `self`, as if every trace `other` accepted had
-    /// been offered to `self` via [`SuiteIndex::insert_if_unique`], in
-    /// `other`'s acceptance order (duplicates across the two indices are
-    /// dropped). This is how a parallel campaign combines shard-local
-    /// indices; for indices built purely with `insert_if_unique`,
-    /// `merge(index(h1), index(h2)) == index(h1 ++ h2)` for every pair of
-    /// histories — the property the coverage proptests pin down.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the two indices use different criteria.
-    pub fn merge(&mut self, other: &SuiteIndex) {
-        assert_eq!(
-            self.criterion, other.criterion,
-            "cannot merge indices with different uniqueness criteria"
-        );
-        match self.criterion {
-            UniquenessCriterion::St | UniquenessCriterion::StBr => {
-                for &key in &other.seen_stats {
-                    if self.seen_stats.insert(key) {
-                        self.len += 1;
-                    }
-                }
-            }
-            UniquenessCriterion::Tr => {
-                for trace in &other.traces {
-                    self.insert_if_unique_with_fingerprint(trace, trace.fingerprint());
-                }
-            }
         }
     }
 }
@@ -746,14 +684,6 @@ impl GlobalCoverage {
             stmt: popcount(&self.stmt_words),
             br: popcount(&self.branch_words),
         }
-    }
-
-    /// Folds another accumulator in (set union of both site maps); returns
-    /// `true` when `other` contributed any site `self` had not seen.
-    pub fn merge(&mut self, other: &GlobalCoverage) -> bool {
-        let stmt_grew = or_into(&mut self.stmt_words, &other.stmt_words);
-        let branch_grew = or_into(&mut self.branch_words, &other.branch_words);
-        stmt_grew || branch_grew
     }
 
     /// Number of sites `trace` covers that this accumulator does not — the
@@ -846,153 +776,6 @@ pub fn distill_keep_mask(traces: &[Option<&TraceFile>]) -> Vec<bool> {
         }
     }
     keep
-}
-
-// --- AtomicCoverage ---------------------------------------------------------
-
-/// A shared, thread-safe accumulated-coverage bitset: the atomic view of
-/// the [`GlobalCoverage`] word layout, used by the free-running campaign
-/// engine to publish accepted traces without a coordinator round barrier.
-///
-/// The word arrays are the exact `Vec<u64>` layout of [`TraceFile`] /
-/// [`GlobalCoverage`], reinterpreted as `AtomicU64`s: publication is a
-/// word-wise `fetch_or`, so concurrent absorptions commute (OR is
-/// associative, commutative, and idempotent) and the final bitset equals
-/// the sequential merge of the same traces in any order. Growth detection
-/// is exact per *trace*: absorptions are serialized by one mutex, so of
-/// several threads absorbing equal traces exactly one observes growth —
-/// the property that makes the greedyfuzz acceptance rule sound. Per-bit
-/// atomicity alone is not enough: a trace spans several words, and two
-/// racing absorbers could each set a different new bit and both report
-/// growth. [`AtomicCoverage::would_grow`] stays lock-free.
-///
-/// The `RwLock` around each array guards *capacity* only (the slot
-/// universe grows as new probe sites fire): readers OR through a shared
-/// read lock, and the write lock is taken only to extend the array with
-/// zero words. Lock poisoning is ignored for the same reason as in
-/// [`SiteUniverse`]: every critical section is a resize or a set of
-/// atomic ORs, neither of which can be observed half-done.
-#[derive(Debug, Default)]
-pub struct AtomicCoverage {
-    stmt_words: RwLock<Vec<AtomicU64>>,
-    branch_words: RwLock<Vec<AtomicU64>>,
-    absorbing: Mutex<()>,
-}
-
-fn atomic_read(lock: &RwLock<Vec<AtomicU64>>) -> RwLockReadGuard<'_, Vec<AtomicU64>> {
-    lock.read().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Word-wise `fetch_or` of `src` into the shared array, growing it first
-/// when `src` is longer; returns `true` when any bit of `src` was not
-/// already set.
-fn atomic_or_words(dst: &RwLock<Vec<AtomicU64>>, src: &[u64]) -> bool {
-    let src = trimmed(src);
-    if src.is_empty() {
-        return false;
-    }
-    loop {
-        {
-            let words = atomic_read(dst);
-            if words.len() >= src.len() {
-                let mut grew = false;
-                for (d, &s) in words.iter().zip(src) {
-                    if s == 0 {
-                        continue;
-                    }
-                    let prev = d.fetch_or(s, Ordering::Relaxed);
-                    grew |= prev & s != s;
-                }
-                return grew;
-            }
-        }
-        let mut words = dst.write().unwrap_or_else(|poisoned| poisoned.into_inner());
-        if words.len() < src.len() {
-            words.resize_with(src.len(), || AtomicU64::new(0));
-        }
-    }
-}
-
-/// Read-only variant: would `src` contribute any bit the shared array does
-/// not have? Never grows the array (missing capacity means missing bits).
-fn atomic_would_grow(dst: &RwLock<Vec<AtomicU64>>, src: &[u64]) -> bool {
-    let src = trimmed(src);
-    let words = atomic_read(dst);
-    if src.len() > words.len() {
-        return true;
-    }
-    words
-        .iter()
-        .zip(src)
-        .any(|(d, &s)| d.load(Ordering::Relaxed) & s != s)
-}
-
-impl AtomicCoverage {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        AtomicCoverage::default()
-    }
-
-    /// Publishes `trace` into the shared bitset (word-wise `fetch_or`);
-    /// returns `true` when it contributed at least one new site — the
-    /// shared form of [`GlobalCoverage::absorb`].
-    pub fn absorb(&self, trace: &TraceFile) -> bool {
-        let _serial = self.absorbing.lock().unwrap_or_else(|p| p.into_inner());
-        // `|` not `||`: both maps must be published even when the first
-        // already grew.
-        atomic_or_words(&self.stmt_words, &trace.stmt_words)
-            | atomic_or_words(&self.branch_words, &trace.branch_words)
-    }
-
-    /// Read-only growth check: would [`AtomicCoverage::absorb`] report
-    /// growth for `trace` right now? A `true` answer proves `trace` covers
-    /// at least one site *no* previously published trace covered (bits are
-    /// only ever set, never cleared), which the async engine uses as a
-    /// lock-free `[tr]`-uniqueness fast path. A `false` answer proves
-    /// nothing — publication by another thread may race this probe — so
-    /// callers must fall back to an exact check.
-    pub fn would_grow(&self, trace: &TraceFile) -> bool {
-        atomic_would_grow(&self.stmt_words, &trace.stmt_words)
-            || atomic_would_grow(&self.branch_words, &trace.branch_words)
-    }
-
-    /// Total accumulated statistics (popcounts over a point-in-time load
-    /// of each word).
-    pub fn stats(&self) -> CoverageStats {
-        self.snapshot().stats()
-    }
-
-    /// A plain [`GlobalCoverage`] copy of the current contents.
-    ///
-    /// Taken under the capacity read lock, loading each word once: a
-    /// *consistent-per-word* snapshot (bits are monotone, so the snapshot
-    /// is the union of some prefix of the absorb history).
-    pub fn snapshot(&self) -> GlobalCoverage {
-        let load = |lock: &RwLock<Vec<AtomicU64>>| -> Vec<u64> {
-            atomic_read(lock)
-                .iter()
-                .map(|w| w.load(Ordering::Relaxed))
-                .collect()
-        };
-        GlobalCoverage {
-            stmt_words: load(&self.stmt_words),
-            branch_words: load(&self.branch_words),
-        }
-    }
-}
-
-impl From<&GlobalCoverage> for AtomicCoverage {
-    /// Seeds an atomic accumulator from an existing merge result.
-    fn from(global: &GlobalCoverage) -> AtomicCoverage {
-        let lift = |words: &[u64]| -> RwLock<Vec<AtomicU64>> {
-            RwLock::new(trimmed(words).iter().map(|&w| AtomicU64::new(w)).collect())
-        };
-        AtomicCoverage {
-            stmt_words: lift(&global.stmt_words),
-            branch_words: lift(&global.branch_words),
-            absorbing: Mutex::new(()),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1188,117 +971,10 @@ mod tests {
     }
 
     #[test]
-    fn index_merge_matches_sequential_insertion() {
-        for criterion in [
-            UniquenessCriterion::St,
-            UniquenessCriterion::StBr,
-            UniquenessCriterion::Tr,
-        ] {
-            let h1 = [trace(&[1, 2], &[(9, true)]), trace(&[1, 3], &[(9, true)])];
-            let h2 = [trace(&[1, 2], &[(9, true)]), trace(&[4], &[])];
-            let mut left = SuiteIndex::new(criterion);
-            for t in &h1 {
-                left.insert_if_unique(t);
-            }
-            let mut right = SuiteIndex::new(criterion);
-            for t in &h2 {
-                right.insert_if_unique(t);
-            }
-            let mut sequential = SuiteIndex::new(criterion);
-            for t in h1.iter().chain(&h2) {
-                sequential.insert_if_unique(t);
-            }
-            left.merge(&right);
-            assert_eq!(left, sequential, "criterion {criterion}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "different uniqueness criteria")]
-    fn index_merge_rejects_mixed_criteria() {
-        let mut a = SuiteIndex::new(UniquenessCriterion::St);
-        a.merge(&SuiteIndex::new(UniquenessCriterion::Tr));
-    }
-
-    #[test]
-    fn global_merge_is_set_union() {
-        let mut a = GlobalCoverage::new();
-        a.absorb(&trace(&[1, 2], &[(5, true)]));
-        let mut b = GlobalCoverage::new();
-        b.absorb(&trace(&[2, 3], &[(5, false)]));
-        assert!(a.merge(&b));
-        assert_eq!(a.stats(), CoverageStats { stmt: 3, br: 2 });
-        // Merging a subset contributes nothing.
-        let mut sub = GlobalCoverage::new();
-        sub.absorb(&trace(&[1], &[]));
-        assert!(!a.merge(&sub));
-    }
-
-    #[test]
     fn empty_trace_is_empty() {
         let t = TraceFile::new();
         assert!(t.is_empty());
         assert_eq!(t.stats(), CoverageStats::default());
-    }
-
-    #[test]
-    fn atomic_absorb_matches_global_coverage() {
-        let traces = [
-            trace(&[1, 2], &[(5, true)]),
-            trace(&[2, 3], &[(5, false)]),
-            trace(&[1], &[]),
-        ];
-        let atomic = AtomicCoverage::new();
-        let mut global = GlobalCoverage::new();
-        for t in &traces {
-            assert_eq!(atomic.absorb(t), global.absorb(t), "growth verdicts agree");
-        }
-        assert_eq!(atomic.snapshot(), global);
-        assert_eq!(atomic.stats(), global.stats());
-        // Re-absorbing anything already covered reports no growth.
-        assert!(!atomic.absorb(&traces[0]));
-        assert!(!atomic.would_grow(&traces[1]));
-        assert!(atomic.would_grow(&trace(&[99], &[])));
-    }
-
-    #[test]
-    fn atomic_seeding_from_global() {
-        let mut global = GlobalCoverage::new();
-        global.absorb(&trace(&[1, 2], &[(5, true)]));
-        let atomic = AtomicCoverage::from(&global);
-        assert_eq!(atomic.snapshot(), global);
-        assert!(!atomic.would_grow(&trace(&[1], &[])));
-        assert!(atomic.would_grow(&trace(&[3], &[])));
-    }
-
-    #[test]
-    fn concurrent_absorbs_equal_sequential_union() {
-        // 4 threads × 64 traces; the final bitset must equal the
-        // sequential merge regardless of interleaving, and each
-        // single-site trace's growth must be observed by exactly one
-        // absorbing thread.
-        let shared = std::sync::Arc::new(AtomicCoverage::new());
-        let site = |k: u32| trace(&[0x4000 + k], &[(0x200 + k / 2, k.is_multiple_of(2))]);
-        let growths: Vec<usize> = std::thread::scope(|scope| {
-            (0..4)
-                .map(|_| {
-                    let shared = std::sync::Arc::clone(&shared);
-                    scope.spawn(move || (0..64).filter(|&k| shared.absorb(&site(k))).count())
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().expect("absorber thread"))
-                .collect()
-        });
-        let mut sequential = GlobalCoverage::new();
-        for k in 0..64 {
-            sequential.absorb(&site(k));
-        }
-        assert_eq!(shared.snapshot(), sequential);
-        // Every trace here carries a site no *other* trace carries, so of
-        // the 4 competing absorptions of trace k exactly one grew: the
-        // total growth count equals the number of distinct traces.
-        assert_eq!(growths.iter().sum::<usize>(), 64);
     }
 
     #[test]
@@ -1370,35 +1046,5 @@ mod tests {
         }
         assert_eq!(kept, full, "distillation must not lose sites");
         assert!(keep.iter().filter(|&&k| k).count() < traces.len());
-    }
-
-    #[test]
-    fn probe_with_fingerprint_is_read_only_and_exact() {
-        for criterion in [
-            UniquenessCriterion::St,
-            UniquenessCriterion::StBr,
-            UniquenessCriterion::Tr,
-        ] {
-            let mut idx = SuiteIndex::new(criterion);
-            let a = trace(&[1, 2], &[(9, true)]);
-            let b = trace(&[1, 3], &[(9, true)]);
-            idx.insert(&a);
-            let before = idx.counters();
-            let (a_unique, _) = idx.probe_with_fingerprint(&a, a.fingerprint());
-            let (b_unique, b_fast) = idx.probe_with_fingerprint(&b, b.fingerprint());
-            assert!(!a_unique, "{criterion}: duplicate must probe non-unique");
-            assert_eq!(
-                b_unique,
-                idx.is_unique(&b),
-                "{criterion}: probe agrees with is_unique"
-            );
-            if criterion == UniquenessCriterion::Tr {
-                assert!(b_fast, "new fingerprint settles on the fast path");
-            } else {
-                assert!(!b_fast, "statistic criteria never report a fast path");
-            }
-            assert_eq!(idx.counters(), before, "probe must not touch counters");
-            assert_eq!(idx.len(), 1, "probe must not insert");
-        }
     }
 }

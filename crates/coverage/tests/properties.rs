@@ -115,63 +115,6 @@ proptest! {
         }
     }
 
-    /// Merging two shard-local indices equals inserting the union of their
-    /// histories sequentially — the exact property the parallel campaign
-    /// coordinator relies on (see `SuiteIndex::merge`).
-    #[test]
-    fn shard_merge_equals_sequential_union(
-        h1 in proptest::collection::vec(trace_strategy(), 0..15),
-        h2 in proptest::collection::vec(trace_strategy(), 0..15),
-    ) {
-        for criterion in [
-            UniquenessCriterion::St,
-            UniquenessCriterion::StBr,
-            UniquenessCriterion::Tr,
-        ] {
-            let mut left = SuiteIndex::new(criterion);
-            for t in &h1 {
-                left.insert_if_unique(t);
-            }
-            let mut right = SuiteIndex::new(criterion);
-            for t in &h2 {
-                right.insert_if_unique(t);
-            }
-            let mut sequential = SuiteIndex::new(criterion);
-            for t in h1.iter().chain(&h2) {
-                sequential.insert_if_unique(t);
-            }
-            left.merge(&right);
-            prop_assert_eq!(&left, &sequential, "{}: merge != sequential union", criterion);
-            // Merging is idempotent over the already-folded shard.
-            let folded = left.clone();
-            left.merge(&right);
-            prop_assert_eq!(&left, &folded, "{}: re-merge mutated the index", criterion);
-        }
-    }
-
-    /// GlobalCoverage::merge agrees with absorbing the union of histories.
-    #[test]
-    fn global_merge_equals_sequential_union(
-        h1 in proptest::collection::vec(trace_strategy(), 0..10),
-        h2 in proptest::collection::vec(trace_strategy(), 0..10),
-    ) {
-        let mut left = GlobalCoverage::new();
-        for t in &h1 {
-            left.absorb(t);
-        }
-        let mut right = GlobalCoverage::new();
-        for t in &h2 {
-            right.absorb(t);
-        }
-        let mut sequential = GlobalCoverage::new();
-        for t in h1.iter().chain(&h2) {
-            sequential.absorb(t);
-        }
-        left.merge(&right);
-        prop_assert_eq!(&left, &sequential);
-        prop_assert!(!left.merge(&right), "re-merge must contribute nothing");
-    }
-
     /// Greedy accumulation is monotone and absorbs exactly the new-site
     /// contributions.
     #[test]

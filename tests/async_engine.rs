@@ -1,10 +1,11 @@
-//! The free-running async engine's contract (see DESIGN.md §14):
+//! The parallel engine's contract (see DESIGN.md §14):
 //!
-//! * a one-shard async run replays the sequential campaign bit for bit
+//! * a one-shard parallel run replays the sequential campaign bit for bit
 //!   (same RNG stream, same pool at every pick, same acceptance sequence);
 //! * multi-shard runs are nondeterministic in *order* but sound in
-//!   *acceptance* (no duplicate traces enter the suite) and keep finding
-//!   the sequential campaign's discrepancies;
+//!   *acceptance*: decisions are serialized, so no duplicate trace enters
+//!   the suite, and the runs keep finding the sequential campaign's
+//!   discrepancies;
 //! * a shard dying outside containment ends the campaign with a
 //!   structured `EngineError` without wedging its free-running peers;
 //! * any shard count runs, however far past the budget it asks.
@@ -180,8 +181,9 @@ fn multi_shard_async_finds_overlapping_discrepancy_keys() {
 
 #[test]
 fn async_multi_shard_acceptance_rejects_duplicate_statistics() {
-    // Soundness under concurrency: the double-checked write-lock insert
-    // must never let two shards both accept equal [stbr] statistics.
+    // Soundness under concurrency: decisions are serialized under the
+    // shared lock, so two shards can never both accept equal [stbr]
+    // statistics.
     let seeds = small_seeds();
     let config = CampaignConfig::new(Algorithm::Classfuzz(UniquenessCriterion::StBr), 150, 5);
     let result = run_campaign_parallel(&seeds, &config, 4).expect("engine error");
@@ -209,6 +211,59 @@ fn async_multi_shard_acceptance_rejects_duplicate_statistics() {
     assert_eq!(iterations, 150);
     let accepted: usize = result.shard_stats.iter().map(|s| s.accepted).sum();
     assert_eq!(accepted, result.test_classes.len());
+}
+
+/// The reference VM's startup trace of `bytes`, recorded afresh.
+fn retrace(reference: &Jvm, bytes: &[u8]) -> TraceFile {
+    let mut trace = TraceFile::new();
+    reference.run_traced_into(bytes, &mut trace);
+    trace
+}
+
+#[test]
+fn multi_shard_tr_and_greedy_accept_no_duplicate_traces() {
+    // Soundness at the engine level, for the two criteria that compare
+    // whole traces: four free-running shards decide under one lock, so no
+    // accepted trace may statically equal a seed's or an earlier accept's
+    // (whichever shard made it), and under greedyfuzz every accepted trace
+    // must cover a site the seeds do not. A decision split across two lock
+    // holds — check, release, insert — lets two shards accept equal traces.
+    let seeds = small_seeds();
+    let reference = Jvm::new(VmSpec::hotspot9());
+    let seed_traces: Vec<TraceFile> = seeds
+        .iter()
+        .map(|seed| retrace(&reference, &lower_class(seed).to_bytes()))
+        .collect();
+    let mut seed_union = GlobalCoverage::new();
+    for trace in &seed_traces {
+        seed_union.absorb(trace);
+    }
+    for algorithm in [
+        Algorithm::Classfuzz(UniquenessCriterion::Tr),
+        Algorithm::Greedyfuzz,
+    ] {
+        let config = CampaignConfig::new(algorithm, 300, 5);
+        let result = run_campaign_parallel(&seeds, &config, 4).expect("engine error");
+        assert!(
+            !result.test_classes.is_empty(),
+            "{algorithm}: campaign accepted nothing"
+        );
+        let mut suite = seed_traces.clone();
+        for bytes in result.test_bytes() {
+            let trace = retrace(&reference, &bytes);
+            assert!(
+                !suite.iter().any(|t| t.statically_equal(&trace)),
+                "{algorithm}: an accepted trace equals a seed's or another accept's"
+            );
+            if algorithm == Algorithm::Greedyfuzz {
+                assert!(
+                    !seed_union.covers(&trace),
+                    "{algorithm}: an accepted trace adds nothing to the seeds' coverage"
+                );
+            }
+            suite.push(trace);
+        }
+    }
 }
 
 #[test]
