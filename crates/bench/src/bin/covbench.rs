@@ -10,13 +10,15 @@
 
 use std::process::ExitCode;
 
-use classfuzz_bench::alloc_count::CountingAllocator;
+use classfuzz_bench::alloc_count::GatedAllocator;
 use classfuzz_bench::scenario::{check, to_json, Scenario, SCENARIOS};
 
-/// The mutate scenario's allocation counts come from here; registered only
-/// in this binary so library tests stay on the plain system allocator.
+/// The allocation gates' counts come from here; registered only in this
+/// binary so library tests stay on the plain system allocator. It counts
+/// only inside `count_allocations`, so the timed arms — the `scale`
+/// scenario's shard threads above all — never touch the shared counter.
 #[global_allocator]
-static ALLOC: CountingAllocator = CountingAllocator;
+static ALLOC: GatedAllocator = GatedAllocator;
 
 /// The selected scenarios and the timed runs per arm (default 5).
 fn parse_args() -> Result<(Vec<&'static Scenario>, usize), String> {

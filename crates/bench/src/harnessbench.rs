@@ -15,7 +15,7 @@ use classfuzz_core::seeds::SeedCorpus;
 use classfuzz_coverage::UniquenessCriterion;
 use classfuzz_vm::{preparse, Jvm, VmSpec};
 
-use crate::alloc_count::allocation_events;
+use crate::alloc_count::count_allocations;
 use crate::scenario::Metric;
 use crate::{interleaved, per_sec, rate};
 
@@ -59,11 +59,11 @@ pub(crate) fn measure(batch: &[Vec<u8>], repeats: usize) -> Vec<Metric> {
 
     // One counted pass of the parse alone: allocator events are a
     // deterministic property of the batch, so one pass is exact.
-    let before_preparse = allocation_events();
-    for bytes in batch {
-        std::hint::black_box(preparse(std::hint::black_box(bytes)));
-    }
-    let preparse_events = allocation_events() - before_preparse;
+    let ((), preparse_events) = count_allocations(|| {
+        for bytes in batch {
+            std::hint::black_box(preparse(std::hint::black_box(bytes)));
+        }
+    });
 
     let preparsed_batch = || {
         for bytes in batch {

@@ -22,7 +22,7 @@ use classfuzz_mutation::{registry, MutationCtx, Mutator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::alloc_count::allocation_events;
+use crate::alloc_count::count_allocations;
 use crate::scenario::Metric;
 use crate::{interleaved, rate};
 
@@ -91,12 +91,8 @@ pub fn run(repeats: usize) -> Vec<Metric> {
     // batch per path (counts are deterministic properties of the workload,
     // not timings, so one pass is exact). Also primes the scratch, so the
     // timed scratch passes measure steady-state reuse like the engine's.
-    let before_cold = allocation_events();
-    let produced = cold_batch(&seeds, &mutators);
-    let cold_events = allocation_events() - before_cold;
-    let before_scratch = allocation_events();
-    let scratch_produced = scratch_batch(&seeds, &mutators);
-    let scratch_events = allocation_events() - before_scratch;
+    let (produced, cold_events) = count_allocations(|| cold_batch(&seeds, &mutators));
+    let (scratch_produced, scratch_events) = count_allocations(|| scratch_batch(&seeds, &mutators));
     assert_eq!(
         produced, scratch_produced,
         "cold and scratch paths must replay the identical mutant sequence"

@@ -476,36 +476,50 @@ impl ConstantPool {
         }
     }
 
-    /// Resolves a `Class` entry to its binary name.
-    pub fn class_name(&self, index: ConstIndex) -> Option<String> {
+    /// Resolves a `Class` entry to its binary name, borrowed from the pool.
+    pub fn class_name_str(&self, index: ConstIndex) -> Option<&str> {
         match self.entry(index)? {
-            Constant::Class(n) => self.utf8_text(*n).map(str::to_string),
+            Constant::Class(n) => self.utf8_text(*n),
             _ => None,
         }
+    }
+
+    /// Resolves a `Class` entry to an owned copy of its binary name.
+    pub fn class_name(&self, index: ConstIndex) -> Option<String> {
+        self.class_name_str(index).map(str::to_string)
     }
 
     /// Resolves a `NameAndType` entry to `(name, descriptor)`.
     pub fn name_and_type_parts(&self, index: ConstIndex) -> Option<(String, String)> {
+        let (name, desc) = self.name_and_type_str(index)?;
+        Some((name.to_string(), desc.to_string()))
+    }
+
+    fn name_and_type_str(&self, index: ConstIndex) -> Option<(&str, &str)> {
         match self.entry(index)? {
-            Constant::NameAndType(n, d) => Some((
-                self.utf8_text(*n)?.to_string(),
-                self.utf8_text(*d)?.to_string(),
-            )),
+            Constant::NameAndType(n, d) => Some((self.utf8_text(*n)?, self.utf8_text(*d)?)),
             _ => None,
         }
     }
 
-    /// Resolves any of the three `*ref` kinds to `(class, name, descriptor)`.
-    pub fn member_ref_parts(&self, index: ConstIndex) -> Option<(String, String, String)> {
+    /// Resolves any of the three `*ref` kinds to `(class, name,
+    /// descriptor)`, borrowed from the pool.
+    pub fn member_ref_parts_str(&self, index: ConstIndex) -> Option<(&str, &str, &str)> {
         let (class_idx, nt_idx) = match self.entry(index)? {
             Constant::FieldRef(c, nt)
             | Constant::MethodRef(c, nt)
             | Constant::InterfaceMethodRef(c, nt) => (*c, *nt),
             _ => return None,
         };
-        let class = self.class_name(class_idx)?;
-        let (name, desc) = self.name_and_type_parts(nt_idx)?;
+        let class = self.class_name_str(class_idx)?;
+        let (name, desc) = self.name_and_type_str(nt_idx)?;
         Some((class, name, desc))
+    }
+
+    /// [`member_ref_parts_str`](Self::member_ref_parts_str) as owned copies.
+    pub fn member_ref_parts(&self, index: ConstIndex) -> Option<(String, String, String)> {
+        let (class, name, desc) = self.member_ref_parts_str(index)?;
+        Some((class.to_string(), name.to_string(), desc.to_string()))
     }
 }
 

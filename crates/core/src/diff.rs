@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use classfuzz_vm::{preparse, ExecOutcome, Jvm, Outcome, PreparsedClass, VmSpec};
+use classfuzz_vm::{preparse, ExecOutcome, ExecView, Jvm, Outcome, PreparsedClass, VmSpec};
 
 /// The taxonomy of execution-phase discrepancies (`fuzz --exec-diff`) — the
 /// scenario classes layered on top of the startup phase matrix, in
@@ -85,21 +85,27 @@ impl OutcomeVector {
             .collect()
     }
 
+    /// The first column's phase digit and whether every column shares it.
+    /// The classifiers below read codes in place, with no encoded copy.
+    fn uniform_code(&self) -> (Option<u8>, bool) {
+        let first = self.outcomes.first().map(Outcome::code);
+        let uniform = self.outcomes.iter().all(|o| Some(o.code()) == first);
+        (first, uniform)
+    }
+
     /// A discrepancy: the sequence is not all the same digit.
     pub fn is_discrepancy(&self) -> bool {
-        let enc = self.encoded();
-        enc.iter().any(|&p| p != enc[0])
+        !self.uniform_code().1
     }
 
     /// All JVMs normally invoked the class.
     pub fn all_invoked(&self) -> bool {
-        self.encoded().iter().all(|&p| p == 0)
+        self.outcomes.iter().all(|o| o.code() == 0)
     }
 
     /// All JVMs rejected the class in the same phase.
     pub fn all_rejected_same_stage(&self) -> bool {
-        let enc = self.encoded();
-        enc[0] != 0 && enc.iter().all(|&p| p == enc[0])
+        matches!(self.uniform_code(), (Some(code), true) if code != 0)
     }
 
     /// At least one JVM crashed internally (contained panic) on this
@@ -117,11 +123,15 @@ impl OutcomeVector {
     /// column, `|`-joined (tokens contain dots in class names, never pipes)
     /// — the execution analogue of [`OutcomeVector::key`].
     pub fn exec_key(&self) -> String {
-        self.outcomes
-            .iter()
-            .map(|o| ExecOutcome::of(o).token())
-            .collect::<Vec<_>>()
-            .join("|")
+        // Sized for five `ok:<hash>` tokens, the common shape.
+        let mut key = String::with_capacity(64);
+        for (i, o) in self.outcomes.iter().enumerate() {
+            if i > 0 {
+                key.push('|');
+            }
+            ExecView::of(o).write_token(&mut key);
+        }
+        key
     }
 
     /// An *execution-phase* discrepancy: the startup digits all agree (the
@@ -145,18 +155,18 @@ impl OutcomeVector {
         if self.is_discrepancy() {
             return Some(ExecDiscrepancy::StartupPhase);
         }
-        let execs = self.exec_outcomes();
-        if execs.iter().all(|e| e == &execs[0]) {
+        // Views compare columns as their normalized verdicts would,
+        // without building them.
+        let execs = || self.outcomes.iter().map(ExecView::of);
+        let first = execs().next()?;
+        if execs().all(|e| e == first) {
             return None;
         }
-        Some(if execs.iter().any(|e| matches!(e, ExecOutcome::Timeout)) {
+        Some(if execs().any(|e| matches!(e, ExecView::Timeout)) {
             ExecDiscrepancy::DivergentTimeout
-        } else if execs
-            .iter()
-            .all(|e| matches!(e, ExecOutcome::Completed { .. }))
-        {
+        } else if execs().all(|e| matches!(e, ExecView::Completed(_))) {
             ExecDiscrepancy::WrongResult
-        } else if execs.iter().all(|e| matches!(e, ExecOutcome::Threw { .. })) {
+        } else if execs().all(|e| matches!(e, ExecView::Threw(_))) {
             ExecDiscrepancy::DivergentException
         } else {
             ExecDiscrepancy::DivergentTrap
@@ -443,6 +453,59 @@ mod tests {
         assert_eq!(tokens.len(), 5);
         assert!(tokens.iter().all(|t| t.starts_with("ok:")), "{key}");
         assert!(tokens.iter().all(|t| *t == tokens[0]));
+    }
+
+    #[test]
+    fn in_place_classification_matches_normalized_verdicts() {
+        use classfuzz_vm::JvmErrorKind;
+        let printed = |lines: &[&str]| Outcome::Invoked {
+            stdout: lines.iter().map(|l| l.to_string()).collect(),
+        };
+        let column = [
+            printed(&["demo.A@7", "x@y 1@2a", "héllo@"]),
+            printed(&["demo.A@8", "x@y 1@9a", "héllo@"]),
+            printed(&["demo.A@obj"]),
+            Outcome::rejected(
+                Phase::Runtime,
+                JvmErrorKind::UncaughtException,
+                "Exception in thread \"main\" java.lang.RuntimeException: boom",
+            ),
+            Outcome::rejected(
+                Phase::Runtime,
+                JvmErrorKind::UncaughtException,
+                ": no class",
+            ),
+            Outcome::rejected(
+                Phase::Runtime,
+                JvmErrorKind::ArithmeticException,
+                "/ by zero",
+            ),
+            Outcome::rejected(
+                Phase::Runtime,
+                JvmErrorKind::ExecutionBudgetExceeded,
+                "main exceeded the step budget",
+            ),
+            Outcome::rejected(Phase::Linking, JvmErrorKind::VerifyError, "x"),
+            Outcome::crashed(Phase::Runtime, "panicked at x.rs:1: boom"),
+        ];
+        // The key the normalized verdicts spell, token by token.
+        let joined = |v: &OutcomeVector| {
+            v.exec_outcomes()
+                .iter()
+                .map(ExecOutcome::token)
+                .collect::<Vec<_>>()
+                .join("|")
+        };
+        for a in &column {
+            for b in &column {
+                let same = ExecOutcome::of(a) == ExecOutcome::of(b);
+                assert_eq!(ExecView::of(a) == ExecView::of(b), same, "{a:?} vs {b:?}");
+                let v = OutcomeVector::new(vec![a.clone(), b.clone(), a.clone()]);
+                assert_eq!(v.exec_key(), joined(&v));
+            }
+        }
+        let all = OutcomeVector::new(column.to_vec());
+        assert_eq!(all.exec_key(), joined(&all));
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! reaches the offending instruction (a branch to a non-instruction is
 //! an error only when the branch is checked).
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -106,20 +106,28 @@ pub(crate) fn vtype_of(ft: &FieldType) -> VType {
     }
 }
 
-/// Per-analysis name interner: repeated class names and descriptors in
-/// one method body share a single `Arc<str>`.
+/// Per-method name interner: repeated class names and descriptors in
+/// one method body share a single `Arc<str>`. Lookups borrow the probe
+/// text; only a first sighting allocates.
 #[derive(Default)]
-struct Interner(BTreeMap<String, Arc<str>>);
+pub(crate) struct Interner(BTreeSet<Arc<str>>);
 
 impl Interner {
-    fn get(&mut self, s: &str) -> Arc<str> {
+    pub(crate) fn get(&mut self, s: &str) -> Arc<str> {
         if let Some(a) = self.0.get(s) {
             return a.clone();
         }
         let a: Arc<str> = Arc::from(s);
-        self.0.insert(s.to_string(), a.clone());
+        self.0.insert(a.clone());
         a
     }
+}
+
+/// The index of the instruction starting at byte offset `pc`, if any.
+/// `pcs` is strictly increasing (every instruction is at least one byte),
+/// so a binary search replaces a per-method `pc → index` map.
+pub(crate) fn index_at(pcs: &[u32], pc: u32) -> Option<u32> {
+    pcs.binary_search(&pc).ok().map(|i| i as u32)
 }
 
 /// [`vtype_of`] with names routed through the interner.
@@ -376,15 +384,13 @@ pub fn analyze_method(class: &UserClass, method_index: usize) -> Option<MethodAn
     // Instruction offsets for branch/switch/handler resolution — computed
     // once here instead of once per profile.
     let mut pcs = Vec::with_capacity(code.instructions.len());
-    let mut pc_to_idx = BTreeMap::new();
     let mut pc = 0u32;
-    for (i, insn) in code.instructions.iter().enumerate() {
+    for insn in &code.instructions {
         pcs.push(pc);
-        pc_to_idx.insert(pc, i);
         pc += insn.encoded_len(pc);
     }
     let target = |t: u32| ATarget {
-        idx: pc_to_idx.get(&t).map(|&i| i as u32).unwrap_or(u32::MAX),
+        idx: index_at(&pcs, t).unwrap_or(u32::MAX),
         pc: t,
     };
 
@@ -410,8 +416,8 @@ pub fn analyze_method(class: &UserClass, method_index: usize) -> Option<MethodAn
             Instruction::Branch(op, t) => AInsn::Branch(*op, target(*t)),
             Instruction::Field(op, cpi) => AInsn::Field(
                 *op,
-                match cp.member_ref_parts(*cpi) {
-                    Some((_, _, desc)) => match FieldType::parse(&desc) {
+                match cp.member_ref_parts_str(*cpi) {
+                    Some((_, _, desc)) => match FieldType::parse(desc) {
                         Ok(ft) => AField::Ok(vtype_of_in(&ft, &mut it)),
                         Err(_) => AField::BadDesc(desc.into()),
                     },
@@ -446,7 +452,7 @@ pub fn analyze_method(class: &UserClass, method_index: usize) -> Option<MethodAn
                     _ => "[J",
                 }),
             },
-            Instruction::ANewArray(cpi) => AInsn::ANewArray(match cp.class_name(*cpi) {
+            Instruction::ANewArray(cpi) => AInsn::ANewArray(match cp.class_name_str(*cpi) {
                 Some(name) => {
                     let desc = if name.starts_with('[') {
                         format!("[{name}")
@@ -480,12 +486,12 @@ pub fn analyze_method(class: &UserClass, method_index: usize) -> Option<MethodAn
         .map(|e| AHandler {
             start_pc: e.start_pc as u32,
             end_pc: e.end_pc as u32,
-            handler: pc_to_idx.get(&(e.handler_pc as u32)).map(|&i| i as u32),
+            handler: index_at(&pcs, e.handler_pc as u32),
             catch: if e.catch_type.0 == 0 {
                 it.get("java/lang/Throwable")
             } else {
-                match cp.class_name(e.catch_type) {
-                    Some(name) => it.get(&name),
+                match cp.class_name_str(e.catch_type) {
+                    Some(name) => it.get(name),
                     None => it.get("java/lang/Throwable"),
                 }
             },
@@ -505,14 +511,14 @@ pub fn analyze_method(class: &UserClass, method_index: usize) -> Option<MethodAn
 
 fn resolve_call(class: &UserClass, cpi: ConstIndex, it: &mut Interner) -> AInvoke {
     let cp = &class.cf.constant_pool;
-    let Some((cname, name, desc_text)) = cp.member_ref_parts(cpi) else {
+    let Some((cname, name, desc_text)) = cp.member_ref_parts_str(cpi) else {
         return AInvoke::Unresolved(cpi);
     };
-    let Ok(desc) = MethodDescriptor::parse(&desc_text) else {
+    let Ok(desc) = MethodDescriptor::parse(desc_text) else {
         return AInvoke::BadDesc(desc_text.into());
     };
     AInvoke::Ok(Box::new(ACall {
-        class: it.get(&cname),
+        class: it.get(cname),
         is_init: name == "<init>",
         param_vts: desc.params.iter().map(|p| vtype_of_in(p, it)).collect(),
         ret_vt: desc.ret.as_ref().map(|r| vtype_of_in(r, it)),
@@ -520,8 +526,8 @@ fn resolve_call(class: &UserClass, cpi: ConstIndex, it: &mut Interner) -> AInvok
 }
 
 fn resolve_class(class: &UserClass, cpi: ConstIndex, it: &mut Interner) -> AClass {
-    match class.cf.constant_pool.class_name(cpi) {
-        Some(n) => AClass::Ok(it.get(&n)),
+    match class.cf.constant_pool.class_name_str(cpi) {
+        Some(n) => AClass::Ok(it.get(n)),
         None => AClass::Unresolved(cpi),
     }
 }

@@ -20,7 +20,7 @@
 //!   so execution differencing never double-counts a startup discrepancy.
 
 use crate::outcome::{JvmErrorKind, Outcome, Phase};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// The normalized execution-phase verdict of one run.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -56,29 +56,17 @@ pub enum ExecOutcome {
 impl ExecOutcome {
     /// Normalizes a startup [`Outcome`] into its execution verdict.
     pub fn of(outcome: &Outcome) -> ExecOutcome {
-        match outcome {
-            Outcome::Invoked { stdout } => ExecOutcome::Completed {
+        match ExecView::of(outcome) {
+            ExecView::NotExecuted => ExecOutcome::NotExecuted,
+            ExecView::Completed(stdout) => ExecOutcome::Completed {
                 stdout: stdout.iter().map(|l| scrub_heap_ids(l)).collect(),
             },
-            Outcome::Crashed { phase, .. } => {
-                if *phase == Phase::Runtime {
-                    ExecOutcome::VmCrashed
-                } else {
-                    ExecOutcome::NotExecuted
-                }
-            }
-            Outcome::Rejected { phase, error } => {
-                if *phase != Phase::Runtime {
-                    return ExecOutcome::NotExecuted;
-                }
-                match error.kind {
-                    JvmErrorKind::ExecutionBudgetExceeded => ExecOutcome::Timeout,
-                    JvmErrorKind::UncaughtException => ExecOutcome::Threw {
-                        class: uncaught_class(&error.message),
-                    },
-                    kind => ExecOutcome::Trapped { kind },
-                }
-            }
+            ExecView::Threw(class) => ExecOutcome::Threw {
+                class: class.to_string(),
+            },
+            ExecView::Trapped(kind) => ExecOutcome::Trapped { kind },
+            ExecView::Timeout => ExecOutcome::Timeout,
+            ExecView::VmCrashed => ExecOutcome::VmCrashed,
         }
     }
 
@@ -87,20 +75,21 @@ impl ExecOutcome {
     /// `throw:<class>`, `trap:<kind>`, `budget`, `crash`. Tokens never
     /// contain `|`, the key separator.
     pub fn token(&self) -> String {
+        let mut token = String::new();
+        self.view().write_token(&mut token);
+        token
+    }
+
+    /// This verdict as a view. Its stdout is already scrubbed, and
+    /// scrubbing is idempotent, so the view's token is this token.
+    fn view(&self) -> ExecView<'_> {
         match self {
-            ExecOutcome::NotExecuted => "-".into(),
-            ExecOutcome::Completed { stdout } => {
-                let mut h = Fnv64::new();
-                for line in stdout {
-                    h.write(line.as_bytes());
-                    h.write(b"\n");
-                }
-                format!("ok:{:08x}", h.finish() as u32)
-            }
-            ExecOutcome::Threw { class } => format!("throw:{class}"),
-            ExecOutcome::Trapped { kind } => format!("trap:{kind:?}"),
-            ExecOutcome::Timeout => "budget".into(),
-            ExecOutcome::VmCrashed => "crash".into(),
+            ExecOutcome::NotExecuted => ExecView::NotExecuted,
+            ExecOutcome::Completed { stdout } => ExecView::Completed(stdout),
+            ExecOutcome::Threw { class } => ExecView::Threw(class),
+            ExecOutcome::Trapped { kind } => ExecView::Trapped(*kind),
+            ExecOutcome::Timeout => ExecView::Timeout,
+            ExecOutcome::VmCrashed => ExecView::VmCrashed,
         }
     }
 }
@@ -111,40 +100,144 @@ impl fmt::Display for ExecOutcome {
     }
 }
 
+/// An [`ExecOutcome`] read off an [`Outcome`] in place: the same verdict,
+/// borrowing the raw stdout lines and the exception class instead of
+/// normalizing copies of them. Equality and tokens scrub on the fly, so
+/// classifying a vector allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub enum ExecView<'a> {
+    /// See [`ExecOutcome::NotExecuted`].
+    NotExecuted,
+    /// See [`ExecOutcome::Completed`]; the lines are not yet scrubbed.
+    Completed(&'a [String]),
+    /// See [`ExecOutcome::Threw`].
+    Threw(&'a str),
+    /// See [`ExecOutcome::Trapped`].
+    Trapped(JvmErrorKind),
+    /// See [`ExecOutcome::Timeout`].
+    Timeout,
+    /// See [`ExecOutcome::VmCrashed`].
+    VmCrashed,
+}
+
+impl<'a> ExecView<'a> {
+    /// Reads the execution verdict of a startup [`Outcome`] (the rules of
+    /// [`ExecOutcome::of`], which is built on this).
+    pub fn of(outcome: &'a Outcome) -> ExecView<'a> {
+        match outcome {
+            Outcome::Invoked { stdout } => ExecView::Completed(stdout),
+            Outcome::Crashed { phase, .. } => {
+                if *phase == Phase::Runtime {
+                    ExecView::VmCrashed
+                } else {
+                    ExecView::NotExecuted
+                }
+            }
+            Outcome::Rejected { phase, error } => {
+                if *phase != Phase::Runtime {
+                    return ExecView::NotExecuted;
+                }
+                match error.kind {
+                    JvmErrorKind::ExecutionBudgetExceeded => ExecView::Timeout,
+                    JvmErrorKind::UncaughtException => {
+                        ExecView::Threw(uncaught_class(&error.message))
+                    }
+                    kind => ExecView::Trapped(kind),
+                }
+            }
+        }
+    }
+
+    /// Appends [`ExecOutcome::token`] of this verdict to `out`.
+    pub fn write_token(&self, out: &mut String) {
+        match self {
+            ExecView::NotExecuted => out.push('-'),
+            ExecView::Completed(stdout) => {
+                let mut h = Fnv64::new();
+                for line in stdout.iter() {
+                    scrubbed(line).for_each(|b| h.write(&[b]));
+                    h.write(b"\n");
+                }
+                // Writing into a `String` cannot fail.
+                let _ = write!(out, "ok:{:08x}", h.finish() as u32);
+            }
+            ExecView::Threw(class) => {
+                out.push_str("throw:");
+                out.push_str(class);
+            }
+            ExecView::Trapped(kind) => {
+                let _ = write!(out, "trap:{kind:?}");
+            }
+            ExecView::Timeout => out.push_str("budget"),
+            ExecView::VmCrashed => out.push_str("crash"),
+        }
+    }
+}
+
+/// Equal exactly when the normalized [`ExecOutcome`]s are.
+impl PartialEq for ExecView<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (ExecView::Completed(a), ExecView::Completed(b)) => {
+                a.len() == b.len()
+                    && a.iter()
+                        .zip(b.iter())
+                        .all(|(x, y)| scrubbed(x).eq(scrubbed(y)))
+            }
+            (ExecView::Threw(a), ExecView::Threw(b)) => a == b,
+            (ExecView::Trapped(a), ExecView::Trapped(b)) => a == b,
+            (ExecView::NotExecuted, ExecView::NotExecuted)
+            | (ExecView::Timeout, ExecView::Timeout)
+            | (ExecView::VmCrashed, ExecView::VmCrashed) => true,
+            _ => false,
+        }
+    }
+}
+
 /// Scrubs heap identity tokens from a rendered line: any `@` followed by a
 /// digit run (the interpreter's `Class@7` / `[Array@3` renderings) becomes
 /// `@obj`, the way real-JVM differencing must ignore object addresses.
 fn scrub_heap_ids(line: &str) -> String {
+    let bytes: Vec<u8> = scrubbed(line).collect();
+    // Only ASCII `@` and digits are replaced, so the bytes stay UTF-8.
+    String::from_utf8(bytes).unwrap_or_default()
+}
+
+/// The bytes of `line` as [`scrub_heap_ids`] renders them, produced
+/// lazily. `@` and digits are ASCII and never occur inside a multi-byte
+/// UTF-8 sequence, so a byte-wise scan is the same as a char-wise one.
+fn scrubbed(line: &str) -> impl Iterator<Item = u8> + '_ {
     let bytes = line.as_bytes();
-    let mut out = String::with_capacity(line.len());
     let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'@' && i + 1 < bytes.len() && bytes[i + 1].is_ascii_digit() {
-            out.push_str("@obj");
-            i += 1;
-            while i < bytes.len() && bytes[i].is_ascii_digit() {
+    let mut pending: &'static [u8] = &[];
+    std::iter::from_fn(move || {
+        if let Some((&b, rest)) = pending.split_first() {
+            pending = rest;
+            return Some(b);
+        }
+        let b = *bytes.get(i)?;
+        i += 1;
+        if b == b'@' && bytes.get(i).is_some_and(u8::is_ascii_digit) {
+            while bytes.get(i).is_some_and(u8::is_ascii_digit) {
                 i += 1;
             }
-        } else {
-            let ch = line[i..].chars().next().unwrap_or('\u{FFFD}');
-            out.push(ch);
-            i += ch.len_utf8();
+            pending = b"obj";
         }
-    }
-    out
+        Some(b)
+    })
 }
 
 /// Extracts the dotted exception class from the launcher's uncaught-handler
 /// message, `Exception in thread "main" <class>: <message>`.
-fn uncaught_class(message: &str) -> String {
+fn uncaught_class(message: &str) -> &str {
     let rest = message
         .strip_prefix("Exception in thread \"main\" ")
         .unwrap_or(message);
     let class = rest.split(':').next().unwrap_or(rest).trim();
     if class.is_empty() {
-        "java.lang.Throwable".into()
+        "java.lang.Throwable"
     } else {
-        class.to_string()
+        class
     }
 }
 

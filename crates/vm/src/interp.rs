@@ -6,6 +6,7 @@
 //! inconsistent that slipped through policy-lenient verification surfaces as
 //! a runtime rejection, never a Rust panic.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -14,7 +15,7 @@ use classfuzz_classfile::{Constant, FieldType, MethodAccess, Opcode};
 use crate::cov::Cov;
 use crate::library::Behavior;
 use crate::outcome::JvmErrorKind;
-use crate::prepared::{prepare_method, PCatch, PInsn, PreparedCode};
+use crate::prepared::{prepare_method, MemberRef, PCatch, PInsn, PreparedCode};
 use crate::spec::VmSpec;
 use crate::verifier;
 use crate::world::{UserClass, World};
@@ -61,8 +62,9 @@ pub enum Obj {
     Instance {
         /// Class binary name.
         class: String,
-        /// Field values keyed by `(name, descriptor)`.
-        fields: BTreeMap<(String, String), RtValue>,
+        /// Field values keyed by the machine's interned `(name,
+        /// descriptor)` ids.
+        fields: BTreeMap<(u32, u32), RtValue>,
         /// Message slot for Throwable-like objects.
         message: Option<String>,
     },
@@ -79,6 +81,66 @@ pub enum Obj {
     },
     /// The shared `System.out` print stream.
     PrintStream,
+}
+
+impl Obj {
+    /// The object's runtime class name; borrowed except for arrays, whose
+    /// names are formatted on demand.
+    fn class_name(&self) -> Cow<'_, str> {
+        match self {
+            Obj::Instance { class, .. } => Cow::Borrowed(class),
+            Obj::Str(_) => Cow::Borrowed("java/lang/String"),
+            Obj::Builder(_) => Cow::Borrowed("java/lang/StringBuilder"),
+            Obj::Array { elem, .. } => Cow::Owned(format!("[{elem}")),
+            Obj::PrintStream => Cow::Borrowed("java/io/PrintStream"),
+        }
+    }
+}
+
+/// The heap id of the shared print stream every machine starts with.
+const PRINT_STREAM: usize = 0;
+
+/// Whether `class.name:desc` is `System.out` or `System.err`: both read as
+/// the shared print stream until a `putstatic` stores over them.
+fn is_print_stream_static(class: &str, name: &str, desc: &str) -> bool {
+    class == "java/lang/System"
+        && (name == "out" || name == "err")
+        && desc == "Ljava/io/PrintStream;"
+}
+
+/// The per-machine string interner behind the integer-keyed tables.
+/// Lookups borrow; a first sighting stores an `Arc<str>`, which for names
+/// already interned by [`PreparedCode`] is a refcount bump.
+#[derive(Default)]
+struct Names(BTreeMap<Arc<str>, u32>);
+
+impl Names {
+    /// The id of `s`, when it has been interned.
+    fn get(&self, s: &str) -> Option<u32> {
+        self.0.get(s).copied()
+    }
+
+    /// The id of `s`, interning a copy on first sighting.
+    fn id(&mut self, s: &str) -> u32 {
+        match self.get(s) {
+            Some(id) => id,
+            None => self.insert(Arc::from(s)),
+        }
+    }
+
+    /// The id of a shared name, interning the handle on first sighting.
+    fn id_shared(&mut self, s: &Arc<str>) -> u32 {
+        match self.get(s) {
+            Some(id) => id,
+            None => self.insert(Arc::clone(s)),
+        }
+    }
+
+    fn insert(&mut self, s: Arc<str>) -> u32 {
+        let id = self.0.len() as u32;
+        self.0.insert(s, id);
+        id
+    }
 }
 
 /// A thrown Java exception in flight.
@@ -113,13 +175,15 @@ pub struct Machine<'a> {
     spec: &'a VmSpec,
     /// Heap storage; indices are [`RtValue::Ref`] payloads.
     pub heap: Vec<Obj>,
-    /// Static fields keyed by `(class, field, descriptor)`.
-    pub statics: BTreeMap<(String, String, String), RtValue>,
+    /// Static fields keyed by interned `(class, field, descriptor)` ids.
+    /// `System.out`/`err` are not stored: an unset lookup of either reads
+    /// the shared print stream (see [`is_print_stream_static`]).
+    statics: BTreeMap<(u32, u32, u32), RtValue>,
     /// Captured `System.out` lines.
     pub stdout: Vec<String>,
     steps: u64,
     /// Per-machine string interner backing the integer-keyed caches.
-    names: BTreeMap<String, u32>,
+    names: Names,
     /// Methods verified so far (for lazy-verification VMs), by interned
     /// `(class, name, descriptor)`.
     verified: std::collections::BTreeSet<(u32, u32, u32)>,
@@ -167,35 +231,25 @@ impl<'a> Machine<'a> {
     }
 
     fn with_mode(world: &'a World, spec: &'a VmSpec, cold: bool) -> Machine<'a> {
-        let mut m = Machine {
+        // The heap vector is the only allocation: every table starts
+        // empty and `System.out`/`err` need no entries.
+        Machine {
             world,
             spec,
-            heap: vec![Obj::PrintStream],
+            // Room for the first few objects a run allocates.
+            heap: {
+                let mut heap = Vec::with_capacity(8);
+                heap.push(Obj::PrintStream);
+                heap
+            },
             statics: BTreeMap::new(),
             stdout: Vec::new(),
             steps: 0,
-            names: BTreeMap::new(),
+            names: Names::default(),
             verified: std::collections::BTreeSet::new(),
             dispatch_cache: BTreeMap::new(),
             cold,
-        };
-        m.statics.insert(
-            (
-                "java/lang/System".into(),
-                "out".into(),
-                "Ljava/io/PrintStream;".into(),
-            ),
-            RtValue::Ref(Some(0)),
-        );
-        m.statics.insert(
-            (
-                "java/lang/System".into(),
-                "err".into(),
-                "Ljava/io/PrintStream;".into(),
-            ),
-            RtValue::Ref(Some(0)),
-        );
-        m
+        }
     }
 
     /// Fuel consumed so far: one unit per dispatched instruction,
@@ -212,18 +266,6 @@ impl<'a> Machine<'a> {
         self.heap.len() - 1
     }
 
-    /// Interns `s` into the per-machine name table. Allocation-free once a
-    /// name has been seen — lookups borrow `s`, only a first sighting
-    /// copies it.
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&id) = self.names.get(s) {
-            return id;
-        }
-        let id = self.names.len() as u32;
-        self.names.insert(s.to_string(), id);
-        id
-    }
-
     /// The integer dispatch-cache key of this invoke — available only when
     /// every component is already interned, i.e. an identical resolution
     /// has been walked before. `None` (first sightings, array receivers)
@@ -235,22 +277,23 @@ impl<'a> Machine<'a> {
         desc: &str,
         receiver: &Option<RtValue>,
     ) -> Option<(u32, u32, u32)> {
+        let dynamic;
         let start: &str = match receiver {
             Some(RtValue::Ref(Some(id))) if name != "<init>" => match &self.heap[*id] {
-                Obj::Instance { class, .. } => class,
-                Obj::Str(_) => "java/lang/String",
-                Obj::Builder(_) => "java/lang/StringBuilder",
-                Obj::PrintStream => "java/io/PrintStream",
                 // Array dynamic class names are formatted on demand; rare
                 // enough to always take the slow path.
                 Obj::Array { .. } => return None,
+                obj => {
+                    dynamic = obj.class_name();
+                    &dynamic
+                }
             },
             _ => class,
         };
         Some((
-            *self.names.get(start)?,
-            *self.names.get(name)?,
-            *self.names.get(desc)?,
+            self.names.get(start)?,
+            self.names.get(name)?,
+            self.names.get(desc)?,
         ))
     }
 
@@ -277,9 +320,9 @@ impl<'a> Machine<'a> {
             }
             let Some(ty) = &field.ty else { continue };
             let key = (
-                class.name.clone(),
-                field.name.clone(),
-                field.desc_text.clone(),
+                self.names.id(&class.name),
+                self.names.id(&field.name),
+                self.names.id(&field.desc_text),
             );
             let mut value = RtValue::default_of(ty);
             // ConstantValue initialization.
@@ -291,10 +334,7 @@ impl<'a> Machine<'a> {
                         Some(Constant::Float(v)) => RtValue::Float(*v),
                         Some(Constant::Double(v)) => RtValue::Double(*v),
                         Some(Constant::String(s)) => match class.cf.constant_pool.utf8_text(*s) {
-                            Some(text) => {
-                                let text = text.to_string();
-                                self.intern_str(&text)
-                            }
+                            Some(text) => self.intern_str(text),
                             None => RtValue::Ref(None),
                         },
                         _ => value,
@@ -325,9 +365,8 @@ impl<'a> Machine<'a> {
             .ok_or_else(|| ExecError::Linkage {
                 kind: JvmErrorKind::NoSuchMethodError,
                 message: format!("{}.{name}{desc}", class.name),
-            })?
-            .clone();
-        self.ensure_verified(class, &m, cov)?;
+            })?;
+        self.ensure_verified(class, m, cov)?;
         self.execute(class, m.index, args, cov, 0)
     }
 
@@ -345,9 +384,9 @@ impl<'a> Machine<'a> {
         // Interned key: the steady-state re-check is three map lookups and
         // zero allocations, not a fresh 3-String tuple per invoke.
         let key = (
-            self.intern(&class.name),
-            self.intern(&m.name),
-            self.intern(&m.desc_text),
+            self.names.id(&class.name),
+            self.names.id(&m.name),
+            self.names.id(&m.desc_text),
         );
         if self.verified.contains(&key) {
             return Ok(());
@@ -947,13 +986,15 @@ impl<'a> Machine<'a> {
                         if !self.world.exists(&mref.class) {
                             return Err(ExecError::Linkage {
                                 kind: JvmErrorKind::NoClassDefFoundError,
-                                message: mref.class.clone(),
+                                message: mref.class.to_string(),
                             });
                         }
-                        self.statics.insert(
-                            (mref.class.clone(), mref.name.clone(), mref.desc.clone()),
-                            v,
+                        let key = (
+                            self.names.id_shared(&mref.class),
+                            self.names.id_shared(&mref.name),
+                            self.names.id_shared(&mref.desc),
                         );
+                        self.statics.insert(key, v);
                     }
                     Opcode::Getfield => {
                         let r = pop!();
@@ -973,8 +1014,12 @@ impl<'a> Machine<'a> {
                         let r = pop!();
                         match r {
                             RtValue::Ref(Some(id)) => {
+                                let key = (
+                                    self.names.id_shared(&mref.name),
+                                    self.names.id_shared(&mref.desc),
+                                );
                                 if let Obj::Instance { fields, .. } = &mut self.heap[id] {
-                                    fields.insert((mref.name.clone(), mref.desc.clone()), v);
+                                    fields.insert(key, v);
                                 }
                             }
                             _ => rt_throw!(
@@ -1014,15 +1059,7 @@ impl<'a> Machine<'a> {
                             format!("invoke {} on null", mref.name)
                         );
                     }
-                    match self.dispatch(
-                        &mref.class,
-                        &mref.name,
-                        &mref.desc,
-                        receiver,
-                        call_args,
-                        cov,
-                        depth,
-                    ) {
+                    match self.dispatch(mref, receiver, call_args, cov, depth) {
                         Ok(Some(v)) => stack.push(v),
                         Ok(None) => {}
                         Err(ExecError::Uncaught(t)) => match self.find_handler(&code, cur_pc, &t) {
@@ -1121,19 +1158,14 @@ impl<'a> Machine<'a> {
                 PInsn::CheckCast(name) => {
                     let r = pop!();
                     if let RtValue::Ref(Some(id)) = &r {
-                        let actual = self.class_of(*id);
-                        let compatible = actual
-                            .as_deref()
-                            .map(|a| {
-                                !self.world.exists(a)
-                                    || !self.world.exists(name)
-                                    || self.world.is_subtype(a, name)
-                            })
-                            .unwrap_or(true);
+                        let actual = self.heap[*id].class_name();
+                        let compatible = !self.world.exists(&actual)
+                            || !self.world.exists(name)
+                            || self.world.is_subtype(&actual, name);
                         if probe_branch!(cov, !compatible) {
                             rt_throw!(
                                 "java/lang/ClassCastException",
-                                format!("{} cannot be cast to {name}", actual.unwrap_or_default())
+                                format!("{actual} cannot be cast to {name}")
                             );
                         }
                     }
@@ -1143,10 +1175,7 @@ impl<'a> Machine<'a> {
                     let r = pop!();
                     let result = match &r {
                         RtValue::Ref(Some(id)) => {
-                            let actual = self.class_of(*id);
-                            actual
-                                .map(|a| self.world.is_subtype(&a, name))
-                                .unwrap_or(false)
+                            self.world.is_subtype(&self.heap[*id].class_name(), name)
                         }
                         _ => false,
                     };
@@ -1284,19 +1313,11 @@ impl<'a> Machine<'a> {
         }
     }
 
-    fn class_of(&self, id: usize) -> Option<String> {
-        match &self.heap[id] {
-            Obj::Instance { class, .. } => Some(class.clone()),
-            Obj::Str(_) => Some("java/lang/String".into()),
-            Obj::Builder(_) => Some("java/lang/StringBuilder".into()),
-            Obj::Array { elem, .. } => Some(format!("[{elem}")),
-            Obj::PrintStream => Some("java/io/PrintStream".into()),
-        }
-    }
-
     fn instance_field(&self, id: usize, name: &str, desc: &str) -> RtValue {
-        if let Obj::Instance { fields, .. } = &self.heap[id] {
-            if let Some(v) = fields.get(&(name.to_string(), desc.to_string())) {
+        if let (Obj::Instance { fields, .. }, Some(n), Some(d)) =
+            (&self.heap[id], self.names.get(name), self.names.get(desc))
+        {
+            if let Some(v) = fields.get(&(n, d)) {
                 return v.clone();
             }
         }
@@ -1306,21 +1327,27 @@ impl<'a> Machine<'a> {
     }
 
     fn resolve_static(
-        &mut self,
+        &self,
         class: &str,
         name: &str,
         desc: &str,
         cov: &mut Cov,
     ) -> Result<RtValue, ExecError> {
         probe!(cov);
+        // A member name never interned was never stored.
+        let member = self.names.get(name).zip(self.names.get(desc));
         // Walk the superclass chain like real field resolution.
-        let mut cur = class.to_string();
+        let mut cur = class;
         for _ in 0..32 {
-            let key = (cur.clone(), name.to_string(), desc.to_string());
-            if let Some(v) = self.statics.get(&key) {
-                return Ok(v.clone());
+            if let (Some((n, d)), Some(c)) = (member, self.names.get(cur)) {
+                if let Some(v) = self.statics.get(&(c, n, d)) {
+                    return Ok(v.clone());
+                }
             }
-            if let Some(lib) = self.world.lib(&cur) {
+            if is_print_stream_static(cur, name, desc) {
+                return Ok(RtValue::Ref(Some(PRINT_STREAM)));
+            }
+            if let Some(lib) = self.world.lib(cur) {
                 if lib
                     .static_fields
                     .iter()
@@ -1333,7 +1360,7 @@ impl<'a> Machine<'a> {
                     return Ok(v);
                 }
             }
-            match self.world.super_of(&cur) {
+            match self.world.super_of(cur) {
                 Some(s) => cur = s,
                 None => break,
             }
@@ -1356,18 +1383,16 @@ impl<'a> Machine<'a> {
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn dispatch(
         &mut self,
-        class: &str,
-        name: &str,
-        desc: &str,
+        mref: &MemberRef,
         receiver: Option<RtValue>,
         args: Vec<RtValue>,
         cov: &mut Cov,
         depth: usize,
     ) -> Result<Option<RtValue>, ExecError> {
         probe!(cov);
+        let (class, name, desc): (&str, &str, &str) = (&mref.class, &mref.name, &mref.desc);
         // Fast path: a previous invoke already walked the hierarchy for
         // this exact (dynamic start class, name, desc) triple and verified
         // the target, so replaying the cached resolution is trace-safe —
@@ -1399,20 +1424,22 @@ impl<'a> Machine<'a> {
         // don't hold a borrow of `self` across the `&mut self` calls.
         let world = self.world;
         // Virtual dispatch: start from the receiver's dynamic class when
-        // there is one, else the symbolic class.
+        // there is one, else the symbolic class. The name borrows the heap
+        // object, so the walk copies nothing.
         let start = match &receiver {
-            Some(RtValue::Ref(Some(id))) if name != "<init>" => {
-                self.class_of(*id).unwrap_or_else(|| class.to_string())
-            }
-            _ => class.to_string(),
+            Some(RtValue::Ref(Some(id))) if name != "<init>" => self.heap[*id].class_name(),
+            _ => Cow::Borrowed(class),
         };
-        let cache_key = (self.intern(&start), self.intern(name), self.intern(desc));
-        let mut cur = start.clone();
+        let cache_key = (
+            self.names.id(&start),
+            self.names.id_shared(&mref.name),
+            self.names.id_shared(&mref.desc),
+        );
+        let mut cur: &str = &start;
         let mut chain_ended = false;
         for _ in 0..32 {
-            if let Some(user) = world.user_class_arc(&cur) {
+            if let Some(user) = world.user_class_arc(cur) {
                 if let Some(m) = user.find_method(name, desc) {
-                    let m = m.clone();
                     if probe_branch!(cov, m.access.contains(MethodAccess::ABSTRACT)) {
                         return Err(ExecError::Linkage {
                             kind: JvmErrorKind::AbstractMethodError,
@@ -1425,16 +1452,16 @@ impl<'a> Machine<'a> {
                             message: format!("{cur}.{name}{desc}"),
                         });
                     }
-                    // Refcount bump, not a deep classfile clone.
-                    let user = Arc::clone(user);
-                    self.ensure_verified(&user, &m, cov)?;
+                    self.ensure_verified(user, m, cov)?;
                     // Cache only after verification succeeded, so a hit can
-                    // safely skip the walk *and* the verify re-check.
+                    // safely skip the walk *and* the verify re-check. The
+                    // entry shares the world's handle: a refcount bump, not
+                    // a deep classfile clone.
                     if !self.cold {
                         self.dispatch_cache.insert(
                             cache_key,
                             Resolved::User {
-                                class: Arc::clone(&user),
+                                class: Arc::clone(user),
                                 pos: m.index,
                             },
                         );
@@ -1444,10 +1471,10 @@ impl<'a> Machine<'a> {
                         full_args.push(r);
                     }
                     full_args.extend(args);
-                    return self.execute(&user, m.index, full_args, cov, depth + 1);
+                    return self.execute(user, m.index, full_args, cov, depth + 1);
                 }
             }
-            if let Some(lib) = world.lib(&cur) {
+            if let Some(lib) = world.lib(cur) {
                 if let Some(m) = lib.find_method(name, desc) {
                     let behavior = m.behavior;
                     if !self.cold {
@@ -1457,7 +1484,7 @@ impl<'a> Machine<'a> {
                     return self.builtin(behavior, receiver, args, cov);
                 }
             }
-            match world.super_of(&cur) {
+            match world.super_of(cur) {
                 Some(s) => cur = s,
                 None => {
                     chain_ended = true;

@@ -44,7 +44,7 @@ pub mod world;
 pub use analysis::{analyze_method, AnalysisTable, MethodAnalysis};
 pub use containment::run_contained;
 pub use cov::Cov;
-pub use exec::ExecOutcome;
+pub use exec::{ExecOutcome, ExecView};
 pub use library::shared_library;
 pub use outcome::{JvmError, JvmErrorKind, Outcome, Phase};
 pub use prepared::{prepare_method, PreparedCode, PreparedTable};

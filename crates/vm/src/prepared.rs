@@ -33,24 +33,25 @@
 //! error as the cold path — and only if the instruction actually executes
 //! (a branch to a non-instruction is an error only when *taken*).
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use classfuzz_classfile::{Constant, Instruction, MethodDescriptor, Opcode};
 
+use crate::analysis::{index_at, Interner};
 use crate::world::UserClass;
 
 /// A member reference resolved to its symbolic `(class, name, descriptor)`
-/// triple once, at preparation time.
+/// triple once, at preparation time. The names are interned per method,
+/// so the interpreter keys its name table on them by refcount.
 #[derive(Debug)]
 pub struct MemberRef {
     /// Referenced class binary name.
-    pub class: String,
+    pub class: Arc<str>,
     /// Member name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Member descriptor text.
-    pub desc: String,
+    pub desc: Arc<str>,
 }
 
 /// Catch clause of a prepared exception-table entry.
@@ -201,21 +202,27 @@ pub struct PreparedCode {
 pub fn prepare_method(class: &UserClass, method_index: usize) -> Option<PreparedCode> {
     let code = class.cf.methods.get(method_index)?.code()?;
     let cp = &class.cf.constant_pool;
+    let mut it = Interner::default();
+    let mut member = |class: &str, name: &str, desc: &str| {
+        Arc::new(MemberRef {
+            class: it.get(class),
+            name: it.get(name),
+            desc: it.get(desc),
+        })
+    };
 
     // Instruction offsets for branch/switch/handler resolution — computed
     // once here instead of per execution.
     let mut pcs = Vec::with_capacity(code.instructions.len());
-    let mut pc_to_idx = BTreeMap::new();
     let mut pc = 0u32;
-    for (i, insn) in code.instructions.iter().enumerate() {
+    for insn in &code.instructions {
         pcs.push(pc);
-        pc_to_idx.insert(pc, i);
         pc += insn.encoded_len(pc);
     }
     // Switch targets that are not instruction boundaries run off the code
     // array, exactly like the cold path's `unwrap_or(instructions.len())`.
     let miss = code.instructions.len() as u32;
-    let switch_target = |t: &u32| pc_to_idx.get(t).map(|&i| i as u32).unwrap_or(miss);
+    let switch_target = |t: &u32| index_at(&pcs, *t).unwrap_or(miss);
 
     let insns = code
         .instructions
@@ -242,24 +249,21 @@ pub fn prepare_method(class: &UserClass, method_index: usize) -> Option<Prepared
                 index: *index,
                 delta: *delta,
             },
-            Instruction::Branch(op, target) => PInsn::Branch(
-                *op,
-                pc_to_idx.get(target).map(|&i| i as u32).unwrap_or(u32::MAX),
-            ),
-            Instruction::Field(op, cpi) => match cp.member_ref_parts(*cpi) {
-                Some((class, name, desc)) => {
-                    PInsn::Field(*op, Arc::new(MemberRef { class, name, desc }))
-                }
+            Instruction::Branch(op, target) => {
+                PInsn::Branch(*op, index_at(&pcs, *target).unwrap_or(u32::MAX))
+            }
+            Instruction::Field(op, cpi) => match cp.member_ref_parts_str(*cpi) {
+                Some((class, name, desc)) => PInsn::Field(*op, member(class, name, desc)),
                 None => PInsn::FieldUnresolved,
             },
             Instruction::Invoke(_, cpi) | Instruction::InvokeInterface { index: cpi, .. } => {
                 let is_static = matches!(insn, Instruction::Invoke(Opcode::Invokestatic, _));
-                match cp.member_ref_parts(*cpi) {
-                    Some((class, name, desc)) => match MethodDescriptor::parse(&desc) {
+                match cp.member_ref_parts_str(*cpi) {
+                    Some((class, name, desc)) => match MethodDescriptor::parse(desc) {
                         Ok(d) => PInsn::Invoke {
                             is_static,
                             nargs: d.params.len(),
-                            mref: Arc::new(MemberRef { class, name, desc }),
+                            mref: member(class, name, desc),
                         },
                         Err(_) => PInsn::InvokeBadDesc(desc.into()),
                     },
@@ -267,22 +271,20 @@ pub fn prepare_method(class: &UserClass, method_index: usize) -> Option<Prepared
                 }
             }
             Instruction::InvokeDynamic(_) => PInsn::InvokeDynamic,
-            Instruction::New(cpi) => match cp.class_name(*cpi) {
+            Instruction::New(cpi) => match cp.class_name_str(*cpi) {
                 Some(name) => PInsn::New(name.into()),
                 None => PInsn::NewUnresolved,
             },
             Instruction::NewArray(atype) => PInsn::NewArray(*atype),
             Instruction::ANewArray(cpi) => {
-                let name = cp
-                    .class_name(*cpi)
-                    .unwrap_or_else(|| "java/lang/Object".into());
+                let name = cp.class_name_str(*cpi).unwrap_or("java/lang/Object");
                 PInsn::ANewArray(format!("L{name};").into())
             }
             Instruction::CheckCast(cpi) => {
-                PInsn::CheckCast(cp.class_name(*cpi).unwrap_or_default().into())
+                PInsn::CheckCast(cp.class_name_str(*cpi).unwrap_or_default().into())
             }
             Instruction::InstanceOf(cpi) => {
-                PInsn::InstanceOf(cp.class_name(*cpi).unwrap_or_default().into())
+                PInsn::InstanceOf(cp.class_name_str(*cpi).unwrap_or_default().into())
             }
             Instruction::MultiANewArray { dims, .. } => PInsn::MultiANewArray(*dims),
             Instruction::TableSwitch(ts) => PInsn::TableSwitch {
@@ -308,11 +310,11 @@ pub fn prepare_method(class: &UserClass, method_index: usize) -> Option<Prepared
         .map(|e| PHandler {
             start_pc: e.start_pc as u32,
             end_pc: e.end_pc as u32,
-            handler: pc_to_idx.get(&(e.handler_pc as u32)).map(|&i| i as u32),
+            handler: index_at(&pcs, e.handler_pc as u32),
             catch: if e.catch_type.0 == 0 {
                 PCatch::All
             } else {
-                match cp.class_name(e.catch_type) {
+                match cp.class_name_str(e.catch_type) {
                     Some(name) => PCatch::Class(name.into()),
                     None => PCatch::Unresolvable,
                 }

@@ -256,19 +256,15 @@ impl Jvm {
                 return Outcome::crashed(Phase::Loading, detail.clone());
             }
         };
-        let main_name = main_class.name.clone();
-        let user_classes = std::iter::once(main_class).chain(self.classpath.iter().cloned());
-        let world = World::with_library(self.base_library(), user_classes.collect());
-        // The main class was inserted first, but stay panic-free on the
-        // lookup: a miss is a VM bug, reported as an internal error. The
-        // borrow shares the overlay's `Arc` — no per-run classfile copy.
-        let Some(main_class) = world.user_class(&main_name) else {
-            return Outcome::rejected(
-                Phase::Loading,
-                JvmErrorKind::InternalError,
-                format!("main class {main_name} lost during world construction"),
-            );
-        };
+        // The main class goes first, so its name resolves to it; the
+        // overlay shares the parse's `Arc` — no per-run classfile copy.
+        let user_classes = std::iter::once(Arc::clone(&main_class));
+        let world = World::with_library(
+            self.base_library(),
+            user_classes.chain(self.classpath.iter().cloned()).collect(),
+        );
+        let main_class: &UserClass = &main_class;
+        let main_name = &main_class.name;
 
         // --- Creation & loading: format check --------------------------
         if let Err(outcome) = loader::format_check(main_class, &self.spec, cov) {

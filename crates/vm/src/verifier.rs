@@ -22,7 +22,9 @@
 //! run the same inner functions, so they fire the exact same coverage
 //! probes and produce bit-identical traces.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
+use std::mem;
 use std::sync::Arc;
 
 use classfuzz_classfile::{ConstIndex, FieldType, MethodAccess, Opcode};
@@ -39,7 +41,7 @@ use crate::world::{MethodSummary, UserClass, World};
 use crate::{probe, probe_branch};
 
 /// A dataflow frame: the abstract state at one instruction.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 struct Frame {
     locals: Vec<VType>,
     stack: Vec<VType>,
@@ -54,12 +56,80 @@ impl Clone for Frame {
     }
 
     // The worklist loop re-materializes the in-frame into one scratch
-    // frame per iteration; delegating to `Vec::clone_from` reuses the
-    // scratch buffers instead of reallocating per step.
+    // frame per iteration, and first visits fill recycled frames;
+    // delegating to `Vec::clone_from` reuses their buffers instead of
+    // reallocating.
     fn clone_from(&mut self, source: &Frame) {
         self.locals.clone_from(&source.locals);
         self.stack.clone_from(&source.stack);
     }
+}
+
+/// The most a thread's [`Workspace`] keeps between runs, in slots
+/// (one per retained `VType`, frame or worklist entry). A run that grows
+/// past it — a declared `max_locals` of 65535, say — drops its workspace
+/// instead of keeping it resident.
+const WORKSPACE_SLOT_BUDGET: usize = 1 << 16;
+
+/// The dataflow's per-instruction frames and worklist.
+#[derive(Default)]
+struct FrameStore {
+    /// The in-frame of each instruction, `None` until first reached.
+    in_frames: Vec<Option<Frame>>,
+    /// Emptied frames from earlier runs, refilled on first visits.
+    spare: Vec<Frame>,
+    /// Instructions whose in-frame changed and must be (re)transferred.
+    work: VecDeque<usize>,
+    /// Scratch target of every merge, swapped in only when it differs.
+    merged: Frame,
+}
+
+/// Everything one dataflow run needs besides the analysis: kept per
+/// thread and reused, so a warm run allocates no frame.
+#[derive(Default)]
+struct Workspace {
+    frames: FrameStore,
+    /// The frame being transferred.
+    frame: Frame,
+    /// The entry frame of an exception handler.
+    hframe: Frame,
+    /// Handler edges of the current instruction.
+    edges: Vec<(usize, Arc<str>)>,
+    /// Successors of the current instruction.
+    succs: Vec<usize>,
+}
+
+impl Workspace {
+    /// Empties the workspace for the next run, returning every in-frame
+    /// to the spare list; returns the slots it keeps.
+    fn recycle(&mut self) -> usize {
+        let FrameStore {
+            in_frames,
+            spare,
+            work,
+            merged,
+        } = &mut self.frames;
+        spare.extend(in_frames.drain(..).flatten());
+        work.clear();
+        self.edges.clear();
+        self.succs.clear();
+        let mut slots =
+            in_frames.capacity() + work.capacity() + self.edges.capacity() + self.succs.capacity();
+        for f in spare
+            .iter_mut()
+            .chain([merged, &mut self.frame, &mut self.hframe])
+        {
+            f.locals.clear();
+            f.stack.clear();
+            slots += 1 + f.locals.capacity() + f.stack.capacity();
+        }
+        slots
+    }
+}
+
+thread_local! {
+    /// This thread's verifier workspace; empty while a run holds it.
+    static WORKSPACE: Cell<Workspace> = Cell::new(Workspace::default());
 }
 
 /// An in-flight verification failure; converted to a linking-phase
@@ -244,69 +314,78 @@ struct Verifier<'a> {
 impl Verifier<'_> {
     fn run(&mut self) -> VResult<()> {
         probe!(self.cov);
-        let analysis = self.analysis;
-        if probe_branch!(self.cov, analysis.insns.is_empty()) {
+        if probe_branch!(self.cov, self.analysis.insns.is_empty()) {
             return fail("code array is empty");
         }
+        // Taken, not borrowed: a panic inside the dataflow (contained by
+        // the caller) drops the workspace rather than leaving it half
+        // used, and the next run starts from an empty one.
+        let mut ws = WORKSPACE.with(Cell::take);
+        let result = self.dataflow(&mut ws);
+        if ws.recycle() <= WORKSPACE_SLOT_BUDGET {
+            WORKSPACE.with(|cell| cell.set(ws));
+        }
+        result
+    }
 
-        let entry = self.entry_frame()?;
-        let mut in_frames: Vec<Option<Frame>> = Vec::new();
-        in_frames.resize_with(analysis.insns.len(), || None);
-        let mut work: VecDeque<usize> = VecDeque::new();
-        in_frames[0] = Some(entry);
-        work.push_back(0);
-
-        // Reusable scratch: the working frame, the successor list, the
-        // staged handler edges, and the handler entry frame — allocated
-        // once per method instead of once per worklist step.
-        let mut frame = Frame {
-            locals: Vec::new(),
-            stack: Vec::new(),
-        };
-        let mut hframe = Frame {
-            locals: Vec::new(),
-            stack: Vec::new(),
-        };
-        let mut edges: Vec<(usize, Arc<str>)> = Vec::new();
-        let mut succs: Vec<usize> = Vec::new();
+    fn dataflow(&mut self, ws: &mut Workspace) -> VResult<()> {
+        let analysis = self.analysis;
+        let Workspace {
+            frames,
+            frame,
+            hframe,
+            edges,
+            succs,
+        } = ws;
+        frames.in_frames.resize_with(analysis.insns.len(), || None);
+        let mut entry = frames.spare.pop().unwrap_or_default();
+        let filled = self.entry_frame(&mut entry);
+        frames.in_frames[0] = Some(entry);
+        filled?;
+        frames.work.push_back(0);
 
         let mut steps = 0usize;
-        while let Some(idx) = work.pop_front() {
+        while let Some(idx) = frames.work.pop_front() {
             steps += 1;
             if probe_branch!(self.cov, steps > 40_000) {
                 return fail("verification did not converge");
             }
-            match in_frames.get(idx).and_then(Option::as_ref) {
+            match frames.in_frames.get(idx).and_then(Option::as_ref) {
                 Some(in_frame) => frame.clone_from(in_frame),
                 None => return internal(format!("worklist instruction {idx} has no in-frame")),
             }
             // Exception handlers covering this instruction observe its
             // locals with a one-element stack.
             let pc = analysis.pcs[idx];
-            self.handler_edges(pc, &mut edges)?;
+            self.handler_edges(pc, edges)?;
             for (h, catch) in edges.drain(..) {
                 hframe.locals.clone_from(&frame.locals);
                 hframe.stack.clear();
                 hframe.stack.push(VType::Ref(catch));
-                self.merge_into(&mut in_frames, &mut work, h, &hframe, true)?;
+                self.merge_into(frames, h, hframe, true)?;
             }
             succs.clear();
-            self.transfer(idx, &mut frame, &mut succs)?;
+            self.transfer(idx, frame, succs)?;
             // Every successor of one instruction receives the same
             // post-transfer frame, so recording indices and merging the
             // final scratch frame is equivalent to the old per-edge clones.
-            for &s in &succs {
-                self.merge_into(&mut in_frames, &mut work, s, &frame, false)?;
+            for &s in succs.iter() {
+                self.merge_into(frames, s, frame, false)?;
             }
         }
         Ok(())
     }
 
-    fn entry_frame(&mut self) -> VResult<Frame> {
+    /// Fills `f` with the method's entry state: `this` and the declared
+    /// parameters in their slots, `Top` elsewhere, an empty stack.
+    fn entry_frame(&mut self, f: &mut Frame) -> VResult<()> {
         probe!(self.cov);
         let analysis = self.analysis;
         let max_locals = analysis.max_locals as usize;
-        let mut locals = vec![VType::Top; max_locals];
+        let locals = &mut f.locals;
+        locals.clear();
+        locals.resize(max_locals, VType::Top);
+        f.stack.clear();
         let mut slot = 0usize;
         if !self.method_static {
             if probe_branch!(self.cov, max_locals == 0) {
@@ -330,10 +409,7 @@ impl Verifier<'_> {
             }
             slot += w;
         }
-        Ok(Frame {
-            locals,
-            stack: Vec::new(),
-        })
+        Ok(())
     }
 
     /// Stages the handler edges for the instruction at `pc` into `edges`:
@@ -357,46 +433,54 @@ impl Verifier<'_> {
 
     fn merge_into(
         &mut self,
-        in_frames: &mut [Option<Frame>],
-        work: &mut VecDeque<usize>,
+        frames: &mut FrameStore,
         idx: usize,
         frame: &Frame,
         is_handler: bool,
     ) -> VResult<()> {
-        let slot = match in_frames.get_mut(idx) {
+        let slot = match frames.in_frames.get_mut(idx) {
             Some(s) => s,
             None => return internal(format!("merge target {idx} is out of bounds")),
         };
         match slot {
             None => {
-                *slot = Some(frame.clone());
-                work.push_back(idx);
+                let mut first = frames.spare.pop().unwrap_or_default();
+                first.clone_from(frame);
+                *slot = Some(first);
+                frames.work.push_back(idx);
             }
             Some(existing) => {
-                let merged = self.merge_frames(existing, frame, is_handler)?;
-                if merged != *existing {
-                    *existing = merged;
-                    work.push_back(idx);
+                self.merge_frames(existing, frame, is_handler, &mut frames.merged)?;
+                if frames.merged != *existing {
+                    mem::swap(existing, &mut frames.merged);
+                    frames.work.push_back(idx);
                 }
             }
         }
         Ok(())
     }
 
-    fn merge_frames(&mut self, a: &Frame, b: &Frame, is_handler: bool) -> VResult<Frame> {
+    /// Merges `a` with `b` into `out`, slot by slot.
+    fn merge_frames(
+        &mut self,
+        a: &Frame,
+        b: &Frame,
+        is_handler: bool,
+        out: &mut Frame,
+    ) -> VResult<()> {
         probe!(self.cov);
         if probe_branch!(self.cov, a.stack.len() != b.stack.len()) {
             return fail("inconsistent stack height at merge point");
         }
-        let mut locals = Vec::with_capacity(a.locals.len());
+        out.locals.clear();
         for (x, y) in a.locals.iter().zip(&b.locals) {
-            locals.push(self.merge_types(x, y, false)?);
+            out.locals.push(self.merge_types(x, y, false)?);
         }
-        let mut stack = Vec::with_capacity(a.stack.len());
+        out.stack.clear();
         for (x, y) in a.stack.iter().zip(&b.stack) {
-            stack.push(self.merge_types(x, y, !is_handler)?);
+            out.stack.push(self.merge_types(x, y, !is_handler)?);
         }
-        Ok(Frame { locals, stack })
+        Ok(())
     }
 
     fn merge_types(&mut self, a: &VType, b: &VType, on_stack: bool) -> VResult<VType> {
@@ -420,7 +504,17 @@ impl Verifier<'_> {
         }
         let merged = match (a, b) {
             (VType::Null, VType::Ref(n)) | (VType::Ref(n), VType::Null) => VType::Ref(n.clone()),
-            (VType::Ref(x), VType::Ref(y)) => VType::Ref(self.world.common_super(x, y).into()),
+            (VType::Ref(x), VType::Ref(y)) => {
+                // Reuse an input's name when the answer is one of them.
+                let common = self.world.common_super(x, y);
+                VType::Ref(if common == &**x {
+                    x.clone()
+                } else if common == &**y {
+                    y.clone()
+                } else {
+                    common.into()
+                })
+            }
             _ => VType::Top,
         };
         if probe_branch!(self.cov, on_stack && merged == VType::Top) {
@@ -1297,6 +1391,60 @@ mod tests {
         let world = World::new(spec, vec![user]);
         let user = world.user_class(&class.name).unwrap();
         verify_class(&world, user, spec, &mut Cov::disabled())
+    }
+
+    /// The slots the thread's workspace keeps between runs.
+    fn retained_slots() -> usize {
+        WORKSPACE.with(|cell| {
+            let mut ws = cell.take();
+            let slots = ws.recycle();
+            cell.set(ws);
+            slots
+        })
+    }
+
+    #[test]
+    fn workspace_keeps_at_most_its_budget() {
+        use classfuzz_classfile::attributes::CodeAttribute;
+        use classfuzz_classfile::{Instruction, MethodAccess, Opcode};
+        let spec = VmSpec::hotspot9();
+        let hello = IrClass::with_hello_main("v/Small", "Completed!");
+        assert!(verify(&hello, &spec).is_ok());
+        let kept = retained_slots();
+        assert!(kept > 0, "a small run keeps its workspace for the next");
+        assert!(kept <= WORKSPACE_SLOT_BUDGET);
+
+        // The largest declared `max_locals`: every frame carries 65535
+        // slots, far past the budget.
+        let cf = classfuzz_classfile::ClassFile::builder("v/Wide")
+            .super_class("java/lang/Object")
+            .method(
+                MethodAccess::STATIC,
+                "m",
+                "()V",
+                CodeAttribute {
+                    max_stack: 0,
+                    max_locals: u16::MAX,
+                    instructions: vec![
+                        Instruction::Simple(Opcode::Nop),
+                        Instruction::Simple(Opcode::Nop),
+                        Instruction::Simple(Opcode::Return),
+                    ],
+                    exception_table: vec![],
+                    attributes: vec![],
+                },
+            )
+            .build();
+        let user = UserClass::summarize(cf);
+        let world = World::new(&spec, vec![]);
+        let m = user.methods[0].clone();
+        assert!(verify_method(&world, &user, &m, &spec, &mut Cov::disabled()).is_ok());
+        assert!(
+            retained_slots() <= WORKSPACE_SLOT_BUDGET,
+            "a run past the budget must not stay resident"
+        );
+        // The next run starts over and still verifies.
+        assert!(verify(&hello, &spec).is_ok());
     }
 
     #[test]
