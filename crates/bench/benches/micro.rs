@@ -124,10 +124,10 @@ fn bench_harness(c: &mut Criterion) {
 }
 
 fn bench_interp(c: &mut Criterion) {
-    // The prepare-once pivot (PR 9): one `main` execution of the
-    // switch-heavy interp bench class, with per-call preparation (the
-    // pre-PR behavior, `Machine::uncached`) vs through the warm
-    // per-class prepared-method table (`Machine::new`).
+    // The decode-once pivot, execution side: one `main` execution of the
+    // switch-heavy interp bench class, decoding every method per call
+    // (`Machine::uncached`) vs through the warm per-class decoded-method
+    // table (`Machine::new`).
     use classfuzz_bench::interpbench::bench_class;
     use classfuzz_vm::interp::{Machine, RtValue};
     use classfuzz_vm::Cov;
@@ -151,7 +151,7 @@ fn bench_interp(c: &mut Criterion) {
             )
             .unwrap()
     };
-    run(false); // warm the shared prepared table
+    run(false); // warm the shared decoded table
     c.bench_function("interp/execute-cold", |b| {
         b.iter(|| run(std::hint::black_box(true)))
     });
@@ -192,10 +192,10 @@ fn bench_interp(c: &mut Criterion) {
 }
 
 fn bench_verify(c: &mut Criterion) {
-    // The analyze-once pivot (PR 10), method level: verifying the
-    // analysis-heavy startup bench class with per-call analysis (the
-    // pre-PR behavior, `verify_class_cold`) vs through the per-class
-    // `AnalysisTable` (`verify_class`, warmed).
+    // The decode-once pivot, verification side: verifying the
+    // decode-heavy startup bench class, decoding every method per call
+    // (`verify_class_cold`) vs through the per-class `DecodedTable`
+    // (`verify_class`, warmed).
     use classfuzz_vm::{verifier, Cov};
     let spec = VmSpec::hotspot9();
     let class = UserClass::summarize(
@@ -228,7 +228,7 @@ fn bench_verify(c: &mut Criterion) {
     });
 
     // The whole startup-bench iteration: preparse once, start all five
-    // profiles — analysis shared across profiles vs re-derived per
+    // profiles — one decode shared across profiles vs a decode per
     // profile.
     let bytes = classfuzz_bench::startupbench::bench_class();
     c.bench_function("startup/five-profiles-cold", |b| {

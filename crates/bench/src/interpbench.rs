@@ -1,18 +1,21 @@
-//! The `interp` scenario's workload ([`crate::scenario`]): the
-//! prepare-once execution layer against the cold prepare-per-call
-//! baseline.
+//! The `interp` scenario's workload ([`crate::scenario`]): execution
+//! through the shared decoded-method table against the cold
+//! decode-per-call baseline.
 //!
 //! Methodology (see EXPERIMENTS.md, "Interpreter-throughput benchmark"):
 //!
 //! * the workload is a hand-assembled class whose `main` invokes a
-//!   switch-heavy helper method [`CALLS`] times — every invoke re-prepares
-//!   the helper on the cold path and hits the per-class prepared table on
-//!   the warm path, so the gap isolates exactly what `PreparedCode`
-//!   caching buys;
+//!   switch-heavy helper method [`CALLS`] times — every invoke re-decodes
+//!   the helper on the cold path and hits the per-class decoded-method
+//!   table on the warm path, so the gap isolates exactly what sharing the
+//!   [`DecodedMethod`](classfuzz_vm::DecodedMethod) buys. The cold arm
+//!   decodes the verifier's facts too, so it costs more per call than
+//!   the interpreter-only decode it replaced;
 //! * both arms run a fresh [`Machine`] per execution against a shared
 //!   [`World`], mirroring how campaign engines evaluate candidates; the
-//!   prepared arm's table is warmed before timing, so it measures the
-//!   steady state campaigns live in.
+//!   shared arm's table is warmed before timing, so it measures the
+//!   steady state campaigns live in. The metric names keep their
+//!   `prepared` spelling so the committed baselines still apply.
 
 use classfuzz_classfile::{
     ClassFile, CodeAttribute, Instruction, MethodAccess, Opcode, TableSwitch,
@@ -24,10 +27,10 @@ use crate::scenario::Metric;
 use crate::{interleaved, rate};
 
 /// Helper invocations per `main` execution: enough that per-invoke
-/// preparation dominates the cold arm without nearing the step budget.
+/// decoding dominates the cold arm without nearing the step budget.
 pub const CALLS: i8 = 32;
 
-/// Switch arms in the helper: the bulk of the per-preparation work (one
+/// Switch arms in the helper: the bulk of the per-decode work (one
 /// flattened instruction plus one resolved target per arm).
 const ARMS: usize = 64;
 
@@ -152,7 +155,7 @@ pub fn run(repeats: usize) -> Vec<Metric> {
 }
 
 /// Executions/sec of `main`, cold (`Machine::uncached`: per-call
-/// preparation) vs prepared (`Machine::new`: the shared prepared-method
+/// decoding) vs prepared (`Machine::new`: the shared decoded-method
 /// table), `execs` executions per timed run.
 pub(crate) fn measure(execs: usize, repeats: usize) -> Vec<Metric> {
     let spec = VmSpec::hotspot9();
@@ -160,8 +163,8 @@ pub(crate) fn measure(execs: usize, repeats: usize) -> Vec<Metric> {
     let class = UserClass::summarize(cf);
     let world = World::new(&spec, vec![class.clone()]);
 
-    // Warm the shared prepared table so the prepared arm measures the
-    // steady state (first-execution preparation is the cold arm's story).
+    // Warm the shared decoded table so the prepared arm measures the
+    // steady state (first-execution decoding is the cold arm's story).
     run_once(&world, &spec, &class, false);
 
     let execs_per_sec = |cold: bool| {

@@ -215,8 +215,8 @@ const MUTATE: Scenario = Scenario {
     },
 };
 
-/// The prepare-once interpreter (DESIGN.md §16) on a switch-heavy
-/// hand-assembled class, prepared table vs per-call preparation. The
+/// The decode-once interpreter (DESIGN.md §16) on a switch-heavy
+/// hand-assembled class, shared decoded table vs per-call decoding. The
 /// baseline is pessimistic against ~150,000 executions/s measured warm;
 /// load-bearing: prepared ≥2× cold (~33–37× measured).
 const INTERP: Scenario = Scenario {
@@ -272,8 +272,8 @@ const YIELD: Scenario = Scenario {
     },
 };
 
-/// Five-profile startup with the analyze-once verification table
-/// (DESIGN.md §17) vs per-profile analysis, on a getstatic-heavy class.
+/// Five-profile startup with the shared decoded-method table (DESIGN.md
+/// §16) vs per-profile decoding, on a getstatic-heavy class.
 /// The baseline is pessimistic against ~450 startups/s measured;
 /// load-bearing: shared ≥2× cold (~3× measured).
 const STARTUP: Scenario = Scenario {

@@ -1,6 +1,6 @@
-//! The `startup` scenario's workload ([`crate::scenario`]): the
-//! analyze-once verification layer against the cold analyze-per-profile
-//! baseline.
+//! The `startup` scenario's workload ([`crate::scenario`]): verification
+//! through the shared decoded-method table against the cold
+//! decode-per-profile baseline.
 //!
 //! Methodology (see EXPERIMENTS.md, "Startup-throughput benchmark"):
 //!
@@ -8,16 +8,18 @@
 //!   harness consumes it — preparsed once, then started on all five
 //!   profiles — with [`METHODS`] verification-heavy worker methods whose
 //!   bodies are runs of `getstatic`/`pop` over fat array descriptors, so
-//!   per-method *analysis* (constant-pool member resolution, descriptor
+//!   per-method *decoding* (constant-pool member resolution, descriptor
 //!   parsing, type interning) dominates the per-profile dataflow pass;
 //! * the shared arm uses [`Jvm::new`]: the first eager profile fills the
-//!   class's [`AnalysisTable`] and the remaining profiles consume it. The
+//!   class's [`DecodedTable`] and the remaining profiles read it. The
 //!   cold arm uses [`Jvm::cold_verify`]: same shared bootstrap library,
-//!   but every profile re-derives every method's analysis, with library
-//!   caching deliberately left on so the gap isolates what analysis
-//!   sharing alone buys.
+//!   but every profile decodes every method afresh, with library caching
+//!   deliberately left on so the gap isolates what sharing the decode
+//!   alone buys. The cold decode also resolves the interpreter's facts
+//!   (member names and descriptors), so it costs more per call than the
+//!   verifier-only analysis it replaced.
 //!
-//! [`AnalysisTable`]: classfuzz_vm::AnalysisTable
+//! [`DecodedTable`]: classfuzz_vm::DecodedTable
 
 use classfuzz_classfile::{ClassFile, CodeAttribute, Instruction, MethodAccess, Opcode};
 use classfuzz_vm::{preparse, Jvm, VmSpec};
@@ -25,18 +27,18 @@ use classfuzz_vm::{preparse, Jvm, VmSpec};
 use crate::scenario::Metric;
 use crate::{interleaved, rate};
 
-/// Worker methods in the benchmark class: each is analyzed once on the
+/// Worker methods in the benchmark class: each is decoded once on the
 /// shared path and once *per eager profile* on the cold path.
 pub const METHODS: usize = 24;
 
 /// `getstatic`/`pop` pairs per worker method: the bulk of the per-method
-/// analysis work (one member-ref resolution plus one fat-descriptor parse
-/// per pair).
+/// decoding work (one member-ref resolution plus one fat-descriptor
+/// parse per pair).
 const PAIRS: usize = 40;
 
 /// The fat field descriptors the workers cycle through — deep array types
-/// so every `getstatic` analysis pays a multi-dimension descriptor parse
-/// and an interner probe over a long key. The depth is pure analysis
+/// so every `getstatic` decode pays a multi-dimension descriptor parse
+/// and an interner probe over a long key. The depth is pure decoding
 /// cost: the dataflow pass only clones the interned `Arc` either way.
 const DESCS: [&str; 4] = [
     "[[[[[[[[[[[[[[[[[[[[[[[[Ljava/lang/String;",
@@ -48,7 +50,7 @@ const DESCS: [&str; 4] = [
 /// Assembles the benchmark class: a `main` that returns immediately plus
 /// [`METHODS`] worker methods of [`PAIRS`] `getstatic`/`pop` pairs over
 /// the fat descriptors — never executed, but verified by every eager
-/// profile, so their analysis cost is the whole story.
+/// profile, so their decoding cost is the whole story.
 pub fn bench_class() -> Vec<u8> {
     let mut builder = ClassFile::builder("bench/Startup").super_class("java/lang/Object");
     let refs: Vec<_> = {
@@ -102,7 +104,7 @@ pub fn bench_class() -> Vec<u8> {
 /// One harness-shaped evaluation: preparse the candidate once, then start
 /// it on all five profiles. The fresh preparse per call is deliberate —
 /// campaign engines see each candidate's bytes exactly once, so the
-/// shared arm's analysis win is per-candidate, not amortized across the
+/// shared arm's decoding win is per-candidate, not amortized across the
 /// whole run.
 fn run_once(bytes: &[u8], cold: bool) {
     let parsed = preparse(bytes);
@@ -128,8 +130,8 @@ pub fn run(repeats: usize) -> Vec<Metric> {
     measure(60, repeats)
 }
 
-/// Five-profile startups/sec, cold (per-profile analysis) vs shared (one
-/// analysis table for all five), `starts` startups per timed run.
+/// Five-profile startups/sec, cold (per-profile decoding) vs shared (one
+/// decoded-method table for all five), `starts` startups per timed run.
 pub(crate) fn measure(starts: usize, repeats: usize) -> Vec<Metric> {
     let bytes = bench_class();
     // One warmup evaluation per arm so neither pays one-time library
@@ -212,12 +214,12 @@ mod tests {
     fn shared_table_fills_once_across_profiles() {
         let parsed = preparse(&bench_class());
         let class = parsed.class().expect("bench class parses");
-        assert_eq!(class.analysis.len(), METHODS + 1);
+        assert_eq!(class.decoded.len(), METHODS + 1);
         Jvm::new(VmSpec::hotspot9()).run_parsed(&parsed);
-        let filled = format!("{}", class.analysis);
+        let filled = format!("{}", class.decoded);
         assert!(
             filled.contains(&format!("{}/{}", METHODS + 1, METHODS + 1)),
-            "one eager startup analyzes every method: {filled}"
+            "one eager startup decodes every method: {filled}"
         );
         // A second profile reuses the same table (same Arc'd slots).
         let again = Jvm::new(VmSpec::gij()).run_parsed(&parsed);

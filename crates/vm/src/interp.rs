@@ -13,9 +13,12 @@ use std::sync::Arc;
 use classfuzz_classfile::{Constant, FieldType, MethodAccess, Opcode};
 
 use crate::cov::Cov;
+use crate::decode::{
+    decoded, CallRef, Catch, ClassRef, Const, DecodedMethod, FieldRef, Insn, InvokeShape,
+    MemberRef, Target,
+};
 use crate::library::Behavior;
 use crate::outcome::JvmErrorKind;
-use crate::prepared::{prepare_method, MemberRef, PCatch, PInsn, PreparedCode};
 use crate::spec::VmSpec;
 use crate::verifier;
 use crate::world::{UserClass, World};
@@ -110,7 +113,8 @@ fn is_print_stream_static(class: &str, name: &str, desc: &str) -> bool {
 
 /// The per-machine string interner behind the integer-keyed tables.
 /// Lookups borrow; a first sighting stores an `Arc<str>`, which for names
-/// already interned by [`PreparedCode`] is a refcount bump.
+/// already interned by the [`DecodedMethod`] — member names and
+/// descriptors, and the declaring class's name — is a refcount bump.
 #[derive(Default)]
 struct Names(BTreeMap<Arc<str>, u32>);
 
@@ -184,9 +188,9 @@ pub struct Machine<'a> {
     steps: u64,
     /// Per-machine string interner backing the integer-keyed caches.
     names: Names,
-    /// Methods verified so far (for lazy-verification VMs), by interned
-    /// `(class, name, descriptor)`.
-    verified: std::collections::BTreeSet<(u32, u32, u32)>,
+    /// Methods verified so far (for lazy-verification VMs), by the
+    /// interned name of their class and their index in it.
+    verified: std::collections::BTreeSet<(u32, usize)>,
     /// Successful `(start, name, descriptor)` method resolutions, by
     /// interned key. Entries are inserted only after `ensure_verified`
     /// succeeds, so a hit safely skips the superclass walk and the
@@ -194,9 +198,10 @@ pub struct Machine<'a> {
     /// are terminal for the run anyway, and their messages depend on the
     /// symbolic class, which is not part of the key.
     dispatch_cache: BTreeMap<(u32, u32, u32), Resolved>,
-    /// Cold mode: build [`PreparedCode`] freshly per call and bypass the
-    /// dispatch cache — the pre-cache interpreter, kept constructible as
-    /// the `interp` bench scenario's baseline.
+    /// Cold mode: decode every method afresh per call instead of reading
+    /// the class's shared [`DecodedMethod`] table, and bypass the dispatch
+    /// cache — the pre-cache interpreter, kept constructible as the
+    /// `interp` bench scenario's baseline.
     cold: bool,
 }
 
@@ -220,7 +225,7 @@ impl<'a> Machine<'a> {
         Machine::with_mode(world, spec, false)
     }
 
-    /// A machine that re-prepares every method per call and resolves every
+    /// A machine that re-decodes every method per call and resolves every
     /// invoke through the full superclass walk — the pre-cache
     /// interpreter, kept constructible (mirroring
     /// [`Jvm::uncached`](crate::Jvm::uncached)) as the baseline the
@@ -381,14 +386,13 @@ impl<'a> Machine<'a> {
         if !self.spec.lazy_method_verification {
             return Ok(()); // already verified eagerly at link time
         }
-        // Interned key: the steady-state re-check is three map lookups and
-        // zero allocations, not a fresh 3-String tuple per invoke.
-        let key = (
-            self.names.id(&class.name),
-            self.names.id(&m.name),
-            self.names.id(&m.desc_text),
-        );
-        if self.verified.contains(&key) {
+        // Keyed on the method's identity: the decoded method's interned
+        // class name (a refcount bump on first sighting, never a copy) and
+        // its index. A method without code has nothing to verify and
+        // nothing to remember.
+        let key = decoded(class, m.index, self.cold)
+            .map(|code| (self.names.id_shared(&code.class_name), m.index));
+        if key.is_some_and(|key| self.verified.contains(&key)) {
             return Ok(());
         }
         probe!(cov);
@@ -399,7 +403,7 @@ impl<'a> Machine<'a> {
         };
         match verified {
             Ok(()) => {
-                self.verified.insert(key);
+                self.verified.extend(key);
                 Ok(())
             }
             Err(outcome) => {
@@ -428,17 +432,11 @@ impl<'a> Machine<'a> {
         if probe_branch!(cov, depth > 24) {
             return Err(self.throw("java/lang/StackOverflowError", "recursion too deep"));
         }
-        // Prepared mode serves the class's shared table: the first
-        // execution of a `(class, method)` builds the entry, every later
-        // call — any profile, any nesting depth, any exec-diff rerun over
-        // the same preparse handle — is a lookup. Cold mode rebuilds per
-        // call, exactly what every call paid before the cache.
-        let code = if self.cold {
-            prepare_method(class, method_index).map(Arc::new)
-        } else {
-            class.prepared.get_or_prepare(class, method_index)
-        };
-        let Some(code) = code else {
+        // The class's shared table: the first verification or execution
+        // of a `(class, method)` decodes it, every later call — any
+        // profile, any nesting depth, any exec-diff rerun over the same
+        // preparse handle — is a lookup. Cold mode decodes per call.
+        let Some(code) = decoded(class, method_index, self.cold) else {
             return Err(ExecError::Linkage {
                 kind: JvmErrorKind::AbstractMethodError,
                 message: format!("{} has no code", class.name),
@@ -528,11 +526,11 @@ impl<'a> Machine<'a> {
             }
 
             let mut next = idx + 1;
-            // No per-step clone: the match borrows the prepared
-            // instruction in place (the `Arc<PreparedCode>` is a local,
-            // so the borrow never conflicts with `&mut self` calls).
+            // No per-step clone: the match borrows the decoded instruction
+            // in place (the code borrows the class, not the machine, so
+            // the borrow never conflicts with `&mut self` calls).
             match &code.insns[idx] {
-                PInsn::Simple(op) => {
+                Insn::Simple(op) => {
                     use Opcode::*;
                     match op {
                         Nop => {}
@@ -865,23 +863,32 @@ impl<'a> Machine<'a> {
                         }
                     }
                 }
-                PInsn::PushI(v) => stack.push(RtValue::Int(*v)),
-                PInsn::PushL(v) => stack.push(RtValue::Long(*v)),
-                PInsn::PushF(v) => stack.push(RtValue::Float(*v)),
-                PInsn::PushD(v) => stack.push(RtValue::Double(*v)),
-                PInsn::PushStr(s) => {
-                    // Re-interned per execution, exactly as `ldc` of a
-                    // String always did (each run gets a fresh heap id).
-                    let v = self.intern_str(s);
-                    stack.push(v);
-                }
-                PInsn::LdcUnusable => {
-                    return Err(ExecError::Linkage {
-                        kind: JvmErrorKind::ClassFormatError,
-                        message: "ldc of unusable constant".into(),
-                    })
-                }
-                PInsn::Local(op, slot) => {
+                Insn::PushInt(v) => stack.push(RtValue::Int(*v)),
+                Insn::Ldc(value) | Insn::Ldc2(value) => match value {
+                    Const::Int(v) => stack.push(RtValue::Int(*v)),
+                    Const::Long(v) => stack.push(RtValue::Long(*v)),
+                    Const::Float(v) => stack.push(RtValue::Float(*v)),
+                    Const::Double(v) => stack.push(RtValue::Double(*v)),
+                    Const::Str { utf8, .. } => {
+                        // Interned into the heap per execution (each run
+                        // gets a fresh heap id), so the text is read from
+                        // the pool here rather than copied at decode.
+                        let text = class.cf.constant_pool.utf8_text(*utf8);
+                        let v = self.intern_str(text.unwrap_or_default());
+                        stack.push(v);
+                    }
+                    Const::Class(_) => {
+                        let v = self.intern_str("<class>");
+                        stack.push(v);
+                    }
+                    Const::Unusable => {
+                        return Err(ExecError::Linkage {
+                            kind: JvmErrorKind::ClassFormatError,
+                            message: "ldc of unusable constant".into(),
+                        })
+                    }
+                },
+                Insn::Local(op, slot) => {
                     let slot = *slot as usize;
                     if slot >= locals.len() {
                         return Err(ExecError::Linkage {
@@ -908,13 +915,13 @@ impl<'a> Machine<'a> {
                         }
                     }
                 }
-                PInsn::Iinc { index, delta } => {
+                Insn::Iinc { index, delta } => {
                     let slot = *index as usize;
                     if let Some(RtValue::Int(v)) = locals.get(slot) {
                         locals[slot] = RtValue::Int(v.wrapping_add(*delta as i32));
                     }
                 }
-                PInsn::Branch(op, target) => {
+                Insn::Branch(op, target) => {
                     use Opcode::*;
                     let jump = match op {
                         Goto | GotoW => true,
@@ -959,100 +966,104 @@ impl<'a> Machine<'a> {
                     if jump {
                         // The unresolvable-target sentinel errors only
                         // when the branch is actually taken, as before.
-                        if *target == u32::MAX {
+                        if target.idx == Target::MISS {
                             return Err(ExecError::Linkage {
                                 kind: JvmErrorKind::VerifyError,
                                 message: "branch to a non-instruction at runtime".into(),
                             });
                         }
-                        next = *target as usize;
+                        next = target.idx as usize;
                     }
                 }
-                PInsn::FieldUnresolved => {
+                Insn::Field(_, FieldRef::Unresolved(_)) => {
                     return Err(ExecError::Linkage {
                         kind: JvmErrorKind::NoSuchFieldError,
                         message: "unresolvable field reference".into(),
                     });
                 }
-                PInsn::Field(op, mref) => match op {
-                    Opcode::Getstatic => {
-                        match self.resolve_static(&mref.class, &mref.name, &mref.desc, cov) {
-                            Ok(v) => stack.push(v),
-                            Err(e) => return Err(e),
+                Insn::Field(op, FieldRef::Ok(access)) => {
+                    let mref = &access.member;
+                    match op {
+                        Opcode::Getstatic => {
+                            match self.resolve_static(&mref.class, &mref.name, &mref.desc, cov) {
+                                Ok(v) => stack.push(v),
+                                Err(e) => return Err(e),
+                            }
                         }
+                        Opcode::Putstatic => {
+                            let v = pop!();
+                            if !self.world.exists(&mref.class) {
+                                return Err(ExecError::Linkage {
+                                    kind: JvmErrorKind::NoClassDefFoundError,
+                                    message: mref.class.to_string(),
+                                });
+                            }
+                            let key = (
+                                self.names.id_shared(&mref.class),
+                                self.names.id_shared(&mref.name),
+                                self.names.id_shared(&mref.desc),
+                            );
+                            self.statics.insert(key, v);
+                        }
+                        Opcode::Getfield => {
+                            let r = pop!();
+                            match &r {
+                                RtValue::Ref(Some(id)) => {
+                                    let v = self.instance_field(*id, &mref.name, &mref.desc);
+                                    stack.push(v);
+                                }
+                                _ => rt_throw!(
+                                    "java/lang/NullPointerException",
+                                    format!("getfield {} on null", mref.name)
+                                ),
+                            }
+                        }
+                        Opcode::Putfield => {
+                            let v = pop!();
+                            let r = pop!();
+                            match r {
+                                RtValue::Ref(Some(id)) => {
+                                    let key = (
+                                        self.names.id_shared(&mref.name),
+                                        self.names.id_shared(&mref.desc),
+                                    );
+                                    if let Obj::Instance { fields, .. } = &mut self.heap[id] {
+                                        fields.insert(key, v);
+                                    }
+                                }
+                                _ => rt_throw!(
+                                    "java/lang/NullPointerException",
+                                    format!("putfield {} on null", mref.name)
+                                ),
+                            }
+                        }
+                        _ => unreachable!("Field covers the four field opcodes"),
                     }
-                    Opcode::Putstatic => {
-                        let v = pop!();
-                        if !self.world.exists(&mref.class) {
+                }
+                Insn::Invoke { shape, call } => {
+                    let call = match call {
+                        CallRef::Ok(call) => call,
+                        CallRef::Unresolved(_) => {
                             return Err(ExecError::Linkage {
-                                kind: JvmErrorKind::NoClassDefFoundError,
-                                message: mref.class.to_string(),
+                                kind: JvmErrorKind::NoSuchMethodError,
+                                message: "unresolvable method reference".into(),
                             });
                         }
-                        let key = (
-                            self.names.id_shared(&mref.class),
-                            self.names.id_shared(&mref.name),
-                            self.names.id_shared(&mref.desc),
-                        );
-                        self.statics.insert(key, v);
-                    }
-                    Opcode::Getfield => {
-                        let r = pop!();
-                        match &r {
-                            RtValue::Ref(Some(id)) => {
-                                let v = self.instance_field(*id, &mref.name, &mref.desc);
-                                stack.push(v);
-                            }
-                            _ => rt_throw!(
-                                "java/lang/NullPointerException",
-                                format!("getfield {} on null", mref.name)
-                            ),
+                        CallRef::BadDesc(mdesc) => {
+                            return Err(ExecError::Linkage {
+                                kind: JvmErrorKind::NoSuchMethodError,
+                                message: format!("bad descriptor {mdesc}"),
+                            });
                         }
-                    }
-                    Opcode::Putfield => {
-                        let v = pop!();
-                        let r = pop!();
-                        match r {
-                            RtValue::Ref(Some(id)) => {
-                                let key = (
-                                    self.names.id_shared(&mref.name),
-                                    self.names.id_shared(&mref.desc),
-                                );
-                                if let Obj::Instance { fields, .. } = &mut self.heap[id] {
-                                    fields.insert(key, v);
-                                }
-                            }
-                            _ => rt_throw!(
-                                "java/lang/NullPointerException",
-                                format!("putfield {} on null", mref.name)
-                            ),
-                        }
-                    }
-                    _ => unreachable!("Field covers the four field opcodes"),
-                },
-                PInsn::InvokeUnresolved => {
-                    return Err(ExecError::Linkage {
-                        kind: JvmErrorKind::NoSuchMethodError,
-                        message: "unresolvable method reference".into(),
-                    });
-                }
-                PInsn::InvokeBadDesc(mdesc) => {
-                    return Err(ExecError::Linkage {
-                        kind: JvmErrorKind::NoSuchMethodError,
-                        message: format!("bad descriptor {mdesc}"),
-                    });
-                }
-                PInsn::Invoke {
-                    is_static,
-                    nargs,
-                    mref,
-                } => {
+                    };
+                    let mref = &call.member;
                     let mut call_args = Vec::new();
-                    for _ in 0..*nargs {
+                    for _ in 0..call.param_vts.len() {
                         call_args.push(pop!());
                     }
                     call_args.reverse();
-                    let receiver = if *is_static { None } else { Some(pop!()) };
+                    let is_static = *shape == Ok(InvokeShape::Static);
+                    let receiver = if is_static { None } else { Some(pop!()) };
                     if let Some(RtValue::Ref(None)) = receiver {
                         rt_throw!(
                             "java/lang/NullPointerException",
@@ -1079,19 +1090,19 @@ impl<'a> Machine<'a> {
                         Err(e) => return Err(e),
                     }
                 }
-                PInsn::InvokeDynamic => {
+                Insn::InvokeDynamic => {
                     return Err(ExecError::Linkage {
                         kind: JvmErrorKind::UnsatisfiedLinkError,
                         message: "invokedynamic unsupported".into(),
                     })
                 }
-                PInsn::NewUnresolved => {
+                Insn::New(ClassRef::Unresolved(_)) => {
                     return Err(ExecError::Linkage {
                         kind: JvmErrorKind::NoClassDefFoundError,
                         message: "new of unresolvable class".into(),
                     });
                 }
-                PInsn::New(name) => {
+                Insn::New(ClassRef::Ok(name)) => {
                     if !self.world.exists(name) {
                         return Err(ExecError::Linkage {
                             kind: JvmErrorKind::NoClassDefFoundError,
@@ -1117,7 +1128,7 @@ impl<'a> Machine<'a> {
                     });
                     stack.push(RtValue::Ref(Some(id)));
                 }
-                PInsn::NewArray(atype) => {
+                Insn::NewArray { atype, .. } => {
                     let len = pop_int!();
                     if probe_branch!(cov, len < 0) {
                         rt_throw!("java/lang/NegativeArraySizeException", len.to_string());
@@ -1144,18 +1155,19 @@ impl<'a> Machine<'a> {
                     });
                     stack.push(RtValue::Ref(Some(id)));
                 }
-                PInsn::ANewArray(elem) => {
+                Insn::ANewArray(array) => {
                     let len = pop_int!();
                     if probe_branch!(cov, len < 0) {
                         rt_throw!("java/lang/NegativeArraySizeException", len.to_string());
                     }
                     let id = self.alloc(Obj::Array {
-                        elem: elem.to_string(),
+                        elem: anewarray_element(array),
                         data: vec![RtValue::Ref(None); (len as usize).min(1 << 20)],
                     });
                     stack.push(RtValue::Ref(Some(id)));
                 }
-                PInsn::CheckCast(name) => {
+                Insn::CheckCast(cls) => {
+                    let name = class_or_empty(cls);
                     let r = pop!();
                     if let RtValue::Ref(Some(id)) = &r {
                         let actual = self.heap[*id].class_name();
@@ -1171,7 +1183,8 @@ impl<'a> Machine<'a> {
                     }
                     stack.push(r);
                 }
-                PInsn::InstanceOf(name) => {
+                Insn::InstanceOf(cls) => {
+                    let name = class_or_empty(cls);
                     let r = pop!();
                     let result = match &r {
                         RtValue::Ref(Some(id)) => {
@@ -1181,7 +1194,7 @@ impl<'a> Machine<'a> {
                     };
                     stack.push(RtValue::Int(result as i32));
                 }
-                PInsn::MultiANewArray(dims) => {
+                Insn::MultiANewArray { dims, .. } => {
                     let mut len = 0;
                     for _ in 0..*dims {
                         len = pop_int!();
@@ -1192,7 +1205,10 @@ impl<'a> Machine<'a> {
                     });
                     stack.push(RtValue::Ref(Some(id)));
                 }
-                PInsn::TableSwitch {
+                // A switch target between instructions is `Target::MISS`,
+                // past the code array: the next loop head reports running
+                // off it.
+                Insn::TableSwitch {
                     low,
                     high,
                     targets,
@@ -1204,34 +1220,36 @@ impl<'a> Machine<'a> {
                     } else {
                         *default
                     };
-                    next = target as usize;
+                    next = target.idx as usize;
                 }
-                PInsn::LookupSwitch { pairs, default } => {
+                Insn::LookupSwitch {
+                    keys,
+                    targets,
+                    default,
+                } => {
                     let key = pop_int!();
-                    let target = pairs
+                    let target = keys
                         .iter()
-                        .find(|(k, _)| *k == key)
-                        .map(|(_, t)| *t)
-                        .unwrap_or(*default);
-                    next = target as usize;
+                        .position(|k| *k == key)
+                        .map_or(*default, |i| targets[i]);
+                    next = target.idx as usize;
                 }
             }
             idx = next;
         }
     }
 
-    /// Walks the prepared handler table for the first entry covering `pc`
-    /// that catches `thrown`. Mirrors the pre-prepared behaviour exactly:
-    /// the walk commits to the *first* catching entry even when its
-    /// handler offset did not land on an instruction boundary (in which
-    /// case the exception propagates as uncaught, as it always did).
-    fn find_handler(&self, code: &PreparedCode, pc: u32, thrown: &Thrown) -> Option<usize> {
+    /// Walks the decoded handler table for the first entry covering `pc`
+    /// that catches `thrown`. The walk commits to the *first* catching
+    /// entry even when its handler offset did not land on an instruction
+    /// boundary (in which case the exception propagates as uncaught).
+    fn find_handler(&self, code: &DecodedMethod, pc: u32, thrown: &Thrown) -> Option<usize> {
         for h in &code.handlers {
             if (h.start_pc..h.end_pc).contains(&pc) {
-                let catches = match &h.catch {
-                    PCatch::All => true,
-                    PCatch::Class(name) => self.world.is_subtype(&thrown.class, name),
-                    PCatch::Unresolvable => false,
+                let catches = match h.catch {
+                    Catch::All => true,
+                    Catch::Class => self.world.is_subtype(&thrown.class, &h.caught),
+                    Catch::Unresolvable => false,
                 };
                 if catches {
                     return h.handler.map(|i| i as usize);
@@ -1689,6 +1707,29 @@ impl<'a> Machine<'a> {
                 Obj::PrintStream => "java.io.PrintStream".to_string(),
             },
         }
+    }
+}
+
+/// The element descriptor an `anewarray` of the decoded array descriptor
+/// stores: the component named as a class (`L<name>;`), an array
+/// component included (`[[I` stores `L[I;`), and `java/lang/Object` when
+/// the class reference does not resolve.
+fn anewarray_element(array: &ClassRef) -> String {
+    match array {
+        ClassRef::Ok(desc) => match &desc[1..] {
+            component if component.starts_with('[') => format!("L{component};"),
+            component => component.to_string(),
+        },
+        ClassRef::Unresolved(_) => "Ljava/lang/Object;".to_string(),
+    }
+}
+
+/// The class a `checkcast` or `instanceof` tests against; the empty name,
+/// which no class carries, when the reference does not resolve.
+fn class_or_empty(cls: &ClassRef) -> &str {
+    match cls {
+        ClassRef::Ok(name) => name,
+        ClassRef::Unresolved(_) => "",
     }
 }
 

@@ -26,28 +26,26 @@
 //! }
 //! ```
 
-pub mod analysis;
 pub mod containment;
 pub mod cov;
+pub mod decode;
 pub mod exec;
 pub mod interp;
 pub mod library;
 pub mod linker;
 pub mod loader;
 pub mod outcome;
-pub mod prepared;
 pub mod spec;
 pub mod startup;
 pub mod verifier;
 pub mod world;
 
-pub use analysis::{analyze_method, AnalysisTable, MethodAnalysis};
 pub use containment::run_contained;
 pub use cov::Cov;
+pub use decode::{DecodedMethod, DecodedTable};
 pub use exec::{ExecOutcome, ExecView};
 pub use library::shared_library;
 pub use outcome::{JvmError, JvmErrorKind, Outcome, Phase};
-pub use prepared::{prepare_method, PreparedCode, PreparedTable};
 pub use spec::{FinalSuperError, JreGeneration, Vendor, VmSpec};
 pub use startup::{preparse, ExecutionResult, Jvm, PreparsedClass};
 pub use world::{UserClass, World};

@@ -110,10 +110,10 @@ pub struct Jvm {
     /// The cached bootstrap library; `None` forces a cold rebuild per run
     /// (the pre-sharing behavior, kept measurable for the bench gate).
     base: Option<Arc<BTreeMap<String, LibClass>>>,
-    /// Rebuild the per-method verification analysis on every verify
-    /// instead of serving the class's shared [`AnalysisTable`]
-    /// (crate::analysis::AnalysisTable) — the pre-analyze-once verifier,
-    /// kept constructible for the `startup` bench baseline.
+    /// Decode each method afresh on every verify instead of reading the
+    /// class's shared [`DecodedTable`](crate::decode::DecodedTable) — the
+    /// pre-sharing verifier, kept constructible for the `startup` bench
+    /// baseline.
     cold_verify: bool,
     /// Extra user classes overlaid beside every run's main class, decoded
     /// once at construction (see [`Jvm::with_classpath`]).
@@ -134,7 +134,7 @@ impl Jvm {
     }
 
     /// Creates a JVM that rebuilds its bootstrap library on every run and
-    /// re-analyzes every method per verification — the old cold-world
+    /// re-decodes every method per verification — the old cold-world
     /// behavior. Only useful as the benchmark baseline; campaigns should
     /// use [`Jvm::new`].
     pub fn uncached(spec: VmSpec) -> Jvm {
@@ -146,10 +146,9 @@ impl Jvm {
         }
     }
 
-    /// Creates a JVM that shares the bootstrap library but rebuilds the
-    /// per-method verification analysis on every verify — isolating the
-    /// analyze-once win from library caching, as the `startup` bench
-    /// scenario's baseline arm.
+    /// Creates a JVM that shares the bootstrap library but decodes each
+    /// method afresh on every verify — isolating the decode-once win from
+    /// library caching, as the `startup` bench scenario's baseline arm.
     pub fn cold_verify(spec: VmSpec) -> Jvm {
         Jvm {
             cold_verify: true,
@@ -281,7 +280,7 @@ impl Jvm {
         if probe_branch!(cov, !self.spec.lazy_method_verification) {
             // Both arms run the same inner verifier (and fire the same
             // probes); `cold_verify` only selects whether the shared
-            // analysis table is consulted.
+            // decoded-method table is consulted.
             let verified = if self.cold_verify {
                 verifier::verify_class_cold(&world, main_class, &self.spec, cov)
             } else {

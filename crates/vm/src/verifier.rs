@@ -14,13 +14,13 @@
 //!
 //! Everything profile-invariant — instruction layout, branch/handler
 //! target tables, descriptor parsing, constant-pool resolution — lives in
-//! a [`MethodAnalysis`](crate::analysis::MethodAnalysis) built once per
-//! method and shared across all five profiles through the `AnalysisTable`
+//! the [`DecodedMethod`] the interpreter also reads, decoded once per
+//! method and shared across all five profiles through the `DecodedTable`
 //! on [`UserClass`]; the dataflow here consumes those facts by reference
 //! and applies only the [`VmSpec`]-specific policy. The `*_cold` entry
-//! points rebuild the analysis per call (the bench baseline); both paths
-//! run the same inner functions, so they fire the exact same coverage
-//! probes and produce bit-identical traces.
+//! points decode afresh per call (the bench baseline); both paths run the
+//! same inner functions, so they fire the exact same coverage probes and
+//! produce bit-identical traces.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -29,12 +29,11 @@ use std::sync::Arc;
 
 use classfuzz_classfile::{ConstIndex, FieldType, MethodAccess, Opcode};
 
-use crate::analysis::{
-    analyze_method, vtype_of, ACall, AClass, AField, AInsn, AInvoke, ALdc, ALdc2, ASig, ATarget,
-    MethodAnalysis,
-};
-pub use crate::analysis::{InvokeShape, VType};
 use crate::cov::Cov;
+use crate::decode::{
+    decoded, vtype_of, CallRef, ClassRef, Const, DecodedMethod, FieldRef, Insn, Sig, Target,
+};
+pub use crate::decode::{InvokeShape, VType};
 use crate::outcome::{JvmErrorKind, Outcome, Phase};
 use crate::spec::VmSpec;
 use crate::world::{MethodSummary, UserClass, World};
@@ -84,7 +83,7 @@ struct FrameStore {
     merged: Frame,
 }
 
-/// Everything one dataflow run needs besides the analysis: kept per
+/// Everything one dataflow run needs besides the decoded method: kept per
 /// thread and reused, so a warm run allocates no frame.
 #[derive(Default)]
 struct Workspace {
@@ -153,7 +152,7 @@ fn internal<T>(msg: impl Into<String>) -> VResult<T> {
 }
 
 /// Verifies every method of `class` that carries code (eager linking),
-/// consuming the shared per-class analysis table.
+/// reading the class's shared decoded-method table.
 ///
 /// # Errors
 ///
@@ -168,7 +167,7 @@ pub fn verify_class(
     verify_class_with(world, class, spec, cov, false)
 }
 
-/// [`verify_class`] with the analysis rebuilt per method call — the
+/// [`verify_class`] with each method decoded afresh per call — the
 /// pre-sharing baseline kept constructible for the bench gate. Same inner
 /// code, same probes, bit-identical traces.
 ///
@@ -202,7 +201,7 @@ fn verify_class_with(
 }
 
 /// Verifies a single method (the unit J9 defers until first invocation),
-/// consuming the shared per-class analysis table.
+/// reading the class's shared decoded-method table.
 ///
 /// # Errors
 ///
@@ -217,7 +216,7 @@ pub fn verify_method(
     verify_method_with(world, class, method, spec, cov, false)
 }
 
-/// [`verify_method`] with the analysis rebuilt per call — the bench
+/// [`verify_method`] with the method decoded afresh per call — the bench
 /// baseline. Same inner code, same probes, bit-identical traces.
 ///
 /// # Errors
@@ -242,16 +241,11 @@ fn verify_method_with(
     cold: bool,
 ) -> Result<(), Outcome> {
     probe!(cov);
-    let analysis = if cold {
-        analyze_method(class, method.index).map(Arc::new)
-    } else {
-        class.analysis.get_or_analyze(class, method.index)
-    };
-    let analysis = match analysis {
-        Some(a) => a,
+    let code = match decoded(class, method.index, cold) {
+        Some(code) => code,
         None => return Ok(()), // no Code attribute: nothing to verify
     };
-    let sig = match &analysis.sig {
+    let sig = match &code.sig {
         Some(s) => s,
         None => {
             return Err(reject(
@@ -265,7 +259,7 @@ fn verify_method_with(
         world,
         spec,
         cov,
-        analysis: &analysis,
+        code: &code,
         sig,
         method_static: method.access.contains(MethodAccess::STATIC),
         is_init: method.name == "<init>",
@@ -291,10 +285,10 @@ fn reject(class: &UserClass, method: &MethodSummary, f: VerifyFail) -> Outcome {
     )
 }
 
-/// Records a pre-resolved branch edge, failing when the target was not an
+/// Records a decoded branch edge, failing when the target was not an
 /// instruction boundary — only now, when the edge is actually checked.
-fn take_target(succs: &mut Vec<usize>, t: &ATarget) -> VResult<()> {
-    if t.idx == u32::MAX {
+fn take_target(succs: &mut Vec<usize>, t: &Target) -> VResult<()> {
+    if t.idx == Target::MISS {
         return fail(format!("branch target {} is not an instruction", t.pc));
     }
     succs.push(t.idx as usize);
@@ -305,8 +299,8 @@ struct Verifier<'a> {
     world: &'a World,
     spec: &'a VmSpec,
     cov: &'a mut Cov,
-    analysis: &'a MethodAnalysis,
-    sig: &'a ASig,
+    code: &'a DecodedMethod,
+    sig: &'a Sig,
     method_static: bool,
     is_init: bool,
 }
@@ -314,7 +308,7 @@ struct Verifier<'a> {
 impl Verifier<'_> {
     fn run(&mut self) -> VResult<()> {
         probe!(self.cov);
-        if probe_branch!(self.cov, self.analysis.insns.is_empty()) {
+        if probe_branch!(self.cov, self.code.insns.is_empty()) {
             return fail("code array is empty");
         }
         // Taken, not borrowed: a panic inside the dataflow (contained by
@@ -329,7 +323,7 @@ impl Verifier<'_> {
     }
 
     fn dataflow(&mut self, ws: &mut Workspace) -> VResult<()> {
-        let analysis = self.analysis;
+        let code = self.code;
         let Workspace {
             frames,
             frame,
@@ -337,7 +331,7 @@ impl Verifier<'_> {
             edges,
             succs,
         } = ws;
-        frames.in_frames.resize_with(analysis.insns.len(), || None);
+        frames.in_frames.resize_with(code.insns.len(), || None);
         let mut entry = frames.spare.pop().unwrap_or_default();
         let filled = self.entry_frame(&mut entry);
         frames.in_frames[0] = Some(entry);
@@ -356,7 +350,7 @@ impl Verifier<'_> {
             }
             // Exception handlers covering this instruction observe its
             // locals with a one-element stack.
-            let pc = analysis.pcs[idx];
+            let pc = code.pcs[idx];
             self.handler_edges(pc, edges)?;
             for (h, catch) in edges.drain(..) {
                 hframe.locals.clone_from(&frame.locals);
@@ -380,8 +374,8 @@ impl Verifier<'_> {
     /// parameters in their slots, `Top` elsewhere, an empty stack.
     fn entry_frame(&mut self, f: &mut Frame) -> VResult<()> {
         probe!(self.cov);
-        let analysis = self.analysis;
-        let max_locals = analysis.max_locals as usize;
+        let code = self.code;
+        let max_locals = code.max_locals as usize;
         let locals = &mut f.locals;
         locals.clear();
         locals.resize(max_locals, VType::Top);
@@ -391,10 +385,10 @@ impl Verifier<'_> {
             if probe_branch!(self.cov, max_locals == 0) {
                 return fail("instance method with max_locals 0");
             }
-            locals[0] = if self.is_init && &*analysis.class_name != "java/lang/Object" {
+            locals[0] = if self.is_init && &*code.class_name != "java/lang/Object" {
                 VType::UninitThis
             } else {
-                VType::Ref(analysis.class_name.clone())
+                VType::Ref(code.class_name.clone())
             };
             slot = 1;
         }
@@ -417,15 +411,14 @@ impl Verifier<'_> {
     /// before the caller merges any of them (matching the old all-edges-
     /// first evaluation order on the error path).
     fn handler_edges(&mut self, pc: u32, edges: &mut Vec<(usize, Arc<str>)>) -> VResult<()> {
-        let analysis = self.analysis;
-        for h in &analysis.handlers {
+        for h in &self.code.handlers {
             if (h.start_pc..h.end_pc).contains(&pc) {
                 probe!(self.cov);
                 let idx = match h.handler {
                     Some(i) => i as usize,
                     None => return fail("exception handler target is not an instruction"),
                 };
-                edges.push((idx, h.catch.clone()));
+                edges.push((idx, h.caught.clone()));
             }
         }
         Ok(())
@@ -529,13 +522,13 @@ impl Verifier<'_> {
     /// indices in `succs`.
     fn transfer(&mut self, idx: usize, f: &mut Frame, succs: &mut Vec<usize>) -> VResult<()> {
         use Opcode::*;
-        let analysis = self.analysis;
-        let insn = &analysis.insns[idx];
-        let pc = analysis.pcs[idx];
+        let code = self.code;
+        let insn = &code.insns[idx];
+        let pc = code.pcs[idx];
         let mut falls_through = true;
 
         match insn {
-            AInsn::Simple(op) => match op {
+            Insn::Simple(op) => match op {
                 Nop => {}
                 AconstNull => self.push(f, VType::Null)?,
                 IconstM1 | Iconst0 | Iconst1 | Iconst2 | Iconst3 | Iconst4 | Iconst5 => {
@@ -845,22 +838,26 @@ impl Verifier<'_> {
                     return fail(format!("unexpected operand-free opcode {other}"));
                 }
             },
-            AInsn::PushInt => self.push(f, VType::Int)?,
-            AInsn::Ldc(kind) => {
+            Insn::PushInt(_) => self.push(f, VType::Int)?,
+            Insn::Ldc(value) => {
                 probe!(self.cov);
-                match kind {
-                    ALdc::Int => self.push(f, VType::Int)?,
-                    ALdc::Float => self.push(f, VType::Float)?,
-                    ALdc::Ref(n) => self.push(f, VType::Ref(n.clone()))?,
-                    ALdc::Unusable => return fail("ldc references an unloadable constant"),
+                match value {
+                    Const::Int(_) => self.push(f, VType::Int)?,
+                    Const::Float(_) => self.push(f, VType::Float)?,
+                    Const::Str { ty, .. } | Const::Class(ty) => {
+                        self.push(f, VType::Ref(ty.clone()))?
+                    }
+                    Const::Long(_) | Const::Double(_) | Const::Unusable => {
+                        return fail("ldc references an unloadable constant")
+                    }
                 }
             }
-            AInsn::Ldc2(kind) => match kind {
-                ALdc2::Long => self.push_wide(f, VType::Long)?,
-                ALdc2::Double => self.push_wide(f, VType::Double)?,
-                ALdc2::Unusable => return fail("ldc2_w references a non-wide constant"),
+            Insn::Ldc2(value) => match value {
+                Const::Long(_) => self.push_wide(f, VType::Long)?,
+                Const::Double(_) => self.push_wide(f, VType::Double)?,
+                _ => return fail("ldc2_w references a non-wide constant"),
             },
-            AInsn::Local(op, slot) => match op {
+            Insn::Local(op, slot) => match op {
                 Iload => self.load(f, *slot, VType::Int)?,
                 Lload => self.load(f, *slot, VType::Long)?,
                 Fload => self.load(f, *slot, VType::Float)?,
@@ -874,10 +871,10 @@ impl Verifier<'_> {
                 Ret => return fail("jsr/ret are not permitted in version 51 classfiles"),
                 other => return fail(format!("bad local-variable opcode {other}")),
             },
-            AInsn::Iinc(index) => {
+            Insn::Iinc { index, .. } => {
                 self.check_local(f, *index, &VType::Int)?;
             }
-            AInsn::Branch(op, t) => match op {
+            Insn::Branch(op, t) => match op {
                 Goto | GotoW => {
                     take_target(succs, t)?;
                     falls_through = false;
@@ -903,12 +900,17 @@ impl Verifier<'_> {
                 }
                 other => return fail(format!("bad branch opcode {other}")),
             },
-            AInsn::Field(op, fact) => {
+            Insn::Field(op, field) => {
                 probe!(self.cov);
-                let vt = match fact {
-                    AField::Ok(vt) => vt,
-                    AField::Unresolved(cpi) => return Err(self.member_fail(*cpi, "field")),
-                    AField::BadDesc(desc) => return fail(format!("bad field descriptor {desc:?}")),
+                let vt = match field {
+                    FieldRef::Ok(access) => match &access.vt {
+                        Some(vt) => vt,
+                        None => {
+                            let desc = &access.member.desc;
+                            return fail(format!("bad field descriptor {desc:?}"));
+                        }
+                    },
+                    FieldRef::Unresolved(cpi) => return Err(self.member_fail(*cpi, "field")),
                 };
                 match op {
                     Getstatic => self.push_any(f, vt.clone())?,
@@ -932,38 +934,38 @@ impl Verifier<'_> {
                     other => return fail(format!("bad field opcode {other}")),
                 }
             }
-            AInsn::Invoke { shape, call } => {
+            Insn::Invoke { shape, call } => {
                 let shape = match shape {
                     Ok(s) => *s,
                     Err(other) => return fail(format!("bad invoke opcode {other}")),
                 };
                 self.invoke(f, call, shape)?;
             }
-            AInsn::InvokeDynamic => {
+            Insn::InvokeDynamic => {
                 return fail("invokedynamic is not supported by this VM generation")
             }
-            AInsn::New(cls) => {
+            Insn::New(cls) => {
                 let name = self.class_name_of(cls)?;
                 if probe_branch!(self.cov, self.world.is_interface(&name) == Some(true)) {
                     return fail(format!("new of interface {name}"));
                 }
                 self.push(f, VType::Uninit(pc))?;
             }
-            AInsn::NewArray { atype, desc } => {
+            Insn::NewArray { atype, desc } => {
                 if probe_branch!(self.cov, !(4..=11).contains(atype)) {
                     return fail(format!("newarray with bad type code {atype}"));
                 }
                 self.expect(f, VType::Int)?;
                 self.push(f, VType::Ref(desc.clone()))?;
             }
-            AInsn::ANewArray(cls) => {
-                // `Ok` carries the pre-rendered array descriptor; the
-                // resolution failure fires first, as on the cold path.
+            Insn::ANewArray(cls) => {
+                // `Ok` carries the array descriptor; the resolution
+                // failure fires before the stack is checked.
                 let desc = self.class_name_of(cls)?;
                 self.expect(f, VType::Int)?;
                 self.push(f, VType::Ref(desc))?;
             }
-            AInsn::CheckCast(cls) => {
+            Insn::CheckCast(cls) => {
                 let name = self.class_name_of(cls)?;
                 let v = self.expect_ref(f, false)?;
                 if probe_branch!(self.cov, v.is_uninitialized()) {
@@ -971,7 +973,7 @@ impl Verifier<'_> {
                 }
                 self.push(f, VType::Ref(name))?;
             }
-            AInsn::InstanceOf(cls) => {
+            Insn::InstanceOf(cls) => {
                 let _ = self.class_name_of(cls)?;
                 let v = self.expect_ref(f, false)?;
                 if probe_branch!(self.cov, v.is_uninitialized()) {
@@ -979,7 +981,7 @@ impl Verifier<'_> {
                 }
                 self.push(f, VType::Int)?;
             }
-            AInsn::MultiANewArray { dims, vt } => {
+            Insn::MultiANewArray { dims, vt } => {
                 if probe_branch!(self.cov, *dims == 0) {
                     return fail("multianewarray with zero dimensions");
                 }
@@ -988,7 +990,12 @@ impl Verifier<'_> {
                 }
                 self.push(f, VType::Ref(vt.clone()))?;
             }
-            AInsn::TableSwitch { default, targets } | AInsn::LookupSwitch { default, targets } => {
+            Insn::TableSwitch {
+                default, targets, ..
+            }
+            | Insn::LookupSwitch {
+                default, targets, ..
+            } => {
                 self.expect(f, VType::Int)?;
                 take_target(succs, default)?;
                 for t in targets {
@@ -1000,7 +1007,7 @@ impl Verifier<'_> {
 
         if falls_through {
             probe!(self.cov);
-            if probe_branch!(self.cov, idx + 1 >= analysis.insns.len()) {
+            if probe_branch!(self.cov, idx + 1 >= code.insns.len()) {
                 return fail("execution falls off the end of the code");
             }
             succs.push(idx + 1);
@@ -1011,10 +1018,7 @@ impl Verifier<'_> {
     // ----- stack/local helpers -------------------------------------------
 
     fn push(&mut self, f: &mut Frame, t: VType) -> VResult<()> {
-        if probe_branch!(
-            self.cov,
-            f.stack.len() + 1 > self.analysis.max_stack as usize
-        ) {
+        if probe_branch!(self.cov, f.stack.len() + 1 > self.code.max_stack as usize) {
             return fail("operand stack overflow (exceeds declared max_stack)");
         }
         f.stack.push(t);
@@ -1022,10 +1026,7 @@ impl Verifier<'_> {
     }
 
     fn push_wide(&mut self, f: &mut Frame, t: VType) -> VResult<()> {
-        if probe_branch!(
-            self.cov,
-            f.stack.len() + 2 > self.analysis.max_stack as usize
-        ) {
+        if probe_branch!(self.cov, f.stack.len() + 2 > self.code.max_stack as usize) {
             return fail("operand stack overflow (exceeds declared max_stack)");
         }
         f.stack.push(t);
@@ -1276,15 +1277,15 @@ impl Verifier<'_> {
         Ok(())
     }
 
-    // ----- analysis-fact helpers ------------------------------------------
+    // ----- decoded-fact helpers -------------------------------------------
 
     /// The single shared failure site for unresolvable class references
     /// (`new` / `anewarray` / `checkcast` / `instanceof`), matching the
     /// old `class_at` helper's one probe.
-    fn class_name_of(&mut self, cls: &AClass) -> VResult<Arc<str>> {
+    fn class_name_of(&mut self, cls: &ClassRef) -> VResult<Arc<str>> {
         match cls {
-            AClass::Ok(n) => Ok(n.clone()),
-            AClass::Unresolved(cpi) => {
+            ClassRef::Ok(n) => Ok(n.clone()),
+            ClassRef::Unresolved(cpi) => {
                 probe!(self.cov);
                 fail(format!("constant pool entry {cpi} is not a class"))
             }
@@ -1300,12 +1301,12 @@ impl Verifier<'_> {
         ))
     }
 
-    fn invoke(&mut self, f: &mut Frame, call: &AInvoke, shape: InvokeShape) -> VResult<()> {
+    fn invoke(&mut self, f: &mut Frame, call: &CallRef, shape: InvokeShape) -> VResult<()> {
         probe!(self.cov);
-        let call: &ACall = match call {
-            AInvoke::Ok(c) => c,
-            AInvoke::Unresolved(cpi) => return Err(self.member_fail(*cpi, "method")),
-            AInvoke::BadDesc(desc) => return fail(format!("bad method descriptor {desc:?}")),
+        let call = match call {
+            CallRef::Ok(c) => c,
+            CallRef::Unresolved(cpi) => return Err(self.member_fail(*cpi, "method")),
+            CallRef::BadDesc(desc) => return fail(format!("bad method descriptor {desc:?}")),
         };
         if probe_branch!(self.cov, call.is_init && shape != InvokeShape::Special) {
             return fail("<init> may only be invoked by invokespecial");
@@ -1322,10 +1323,11 @@ impl Verifier<'_> {
                 probe!(self.cov);
                 match recv {
                     VType::Uninit(alloc_pc) => {
-                        replace_types(f, &VType::Uninit(alloc_pc), VType::Ref(call.class.clone()));
+                        let class = call.member.class.clone();
+                        replace_types(f, &VType::Uninit(alloc_pc), VType::Ref(class));
                     }
                     VType::UninitThis => {
-                        let this = self.analysis.class_name.clone();
+                        let this = self.code.class_name.clone();
                         replace_types(f, &VType::UninitThis, VType::Ref(this));
                     }
                     _ => {
@@ -1337,7 +1339,7 @@ impl Verifier<'_> {
                 return fail("method invocation on uninitialized object");
             } else if let VType::Ref(recv_name) = &recv {
                 // Receiver compatibility — lenient about unknown classes.
-                let class = &call.class;
+                let class = &call.member.class;
                 let both_known = self.world.exists(recv_name) && self.world.exists(class);
                 let iface_target = self.world.is_interface(class) == Some(true);
                 if probe_branch!(
@@ -1469,7 +1471,7 @@ mod tests {
             let shared = verify_class(&world, user, &spec, &mut Cov::disabled());
             let cold = verify_class_cold(&world, user, &spec, &mut Cov::disabled());
             assert_eq!(shared.is_ok(), cold.is_ok(), "on {}", spec.name);
-            // A rerun hits the warm analysis table and agrees again.
+            // A rerun hits the warm decoded table and agrees again.
             let warm = verify_class(&world, user, &spec, &mut Cov::disabled());
             assert_eq!(shared.is_ok(), warm.is_ok(), "warm rerun on {}", spec.name);
         }

@@ -6,9 +6,8 @@ use std::sync::Arc;
 
 use classfuzz_classfile::{ClassFile, FieldAccess, FieldType, MethodAccess, MethodDescriptor};
 
-use crate::analysis::AnalysisTable;
+use crate::decode::DecodedTable;
 use crate::library::{shared_library, LibClass};
-use crate::prepared::PreparedTable;
 use crate::spec::VmSpec;
 
 /// Summary of a user-class method, with descriptor pre-parsed.
@@ -58,16 +57,12 @@ pub struct UserClass {
     pub methods: Vec<MethodSummary>,
     /// Field summaries, in declaration order.
     pub fields: Vec<FieldSummary>,
-    /// Per-method prepared-code table, filled lazily on first execution.
-    /// `Arc`-shared: cloning the class (or sharing its preparse handle
-    /// across the five profiles) shares the slots, which is sound because
-    /// prepared code is a pure function of `cf`.
-    pub prepared: PreparedTable,
-    /// Per-method verification-analysis table, filled lazily on first
-    /// verification. `Arc`-shared for the same reason as `prepared`:
-    /// analysis is a pure function of `cf`, so every profile's verifier
-    /// can consume the same slots.
-    pub analysis: AnalysisTable,
+    /// Per-method decoded-code table, filled lazily on a method's first
+    /// verification or execution and read by the verifier and the
+    /// interpreter alike. `Arc`-shared: cloning the class (or sharing its
+    /// preparse handle across the five profiles) shares the slots, which is
+    /// sound because a decoded method is a pure function of `cf`.
+    pub decoded: DecodedTable,
 }
 
 impl UserClass {
@@ -116,8 +111,7 @@ impl UserClass {
                 }
             })
             .collect();
-        let prepared = PreparedTable::for_methods(cf.methods.len());
-        let analysis = AnalysisTable::for_methods(cf.methods.len());
+        let decoded = DecodedTable::for_methods(cf.methods.len());
         UserClass {
             cf,
             name,
@@ -125,8 +119,7 @@ impl UserClass {
             interfaces,
             methods,
             fields,
-            prepared,
-            analysis,
+            decoded,
         }
     }
 

@@ -525,12 +525,11 @@ fn budget_exhaustion_charges_identical_fuel_everywhere() {
 
 // --- Prepared ≡ cold equivalence ---------------------------------------
 //
-// PR 9 split interpretation into a prepare-once cached path
-// (`Machine::new`, the production configuration) and a cold
-// prepare-per-call path (`Machine::uncached`, the bench baseline). The
-// two must be observably identical: same result value, same captured
-// stdout, same consumed fuel — on every profile, for every preparation
-// corner (switch targets at the first/last instruction, a backward
+// Interpretation reads each method through the class's shared
+// decoded-method table (`Machine::new`, the production configuration) or
+// decodes it per call (`Machine::uncached`, the bench baseline). The two
+// must be observably identical: same result value, same captured stdout,
+// same consumed fuel — on every profile, for every decoding corner (switch targets at the first/last instruction, a backward
 // `goto` landing on index 0, exception-handler ranges, recursion at the
 // depth guard).
 

@@ -1,10 +1,11 @@
 //! Shared≡cold verifier conformance: every program here runs through both
-//! the analyze-once verifier (shared [`AnalysisTable`] on the class) and
-//! the cold per-call analysis baseline, on all five profiles, asserting
-//! the full traced results — outcome *and* coverage trace — are
+//! the decode-once verifier (the shared `DecodedTable` on the class) and
+//! the cold decode-per-call baseline, on all five profiles, asserting the
+//! full traced results — outcome *and* coverage trace — are
 //! bit-identical. A warm rerun over the now-filled table must agree again.
+//! `tests/deferred_facts.rs` pins what each unresolvable operand raises.
 //!
-//! The goldens target the seams where the analysis layer could plausibly
+//! The goldens target the seams where the decoded method could plausibly
 //! diverge from the old single-pass verifier: exception-handler range
 //! edges, unreachable dead-code islands (never analyzed by the dataflow,
 //! whatever garbage they hold), merge-point frame joins (where the policy
@@ -120,8 +121,8 @@ fn traced_bytes(jvm: &Jvm, bytes: &[u8]) -> (ExecutionResult, TraceFile) {
     (jvm.run_traced_into(bytes, &mut trace), trace)
 }
 
-/// The conformance contract of the analyze-once layer: for one decode of
-/// `bytes`, the shared-table run, the cold per-call-analysis run, and a
+/// The conformance contract of the decode-once layer: for one decode of
+/// `bytes`, the shared-table run, the cold per-call-decode run, and a
 /// warm rerun over the filled table produce identical traced results on
 /// every profile — outcome and coverage trace, bit for bit — and so does
 /// a shared run that decodes the bytes itself.
@@ -156,7 +157,7 @@ fn handler_range_edges_match_cold() {
     // A handler protecting exactly the idiv (half-open range), catching
     // the real ArithmeticException; a second entry with catch_type 0
     // (Throwable) covering the same range, dead at runtime. Exercises the
-    // analyzed handler table: byte-offset range matching, pre-resolved
+    // decoded handler table: byte-offset range matching, pre-resolved
     // handler indices, and catch-name interning.
     let bytes = build_main("vc/Handler", 2, 1, |cp| {
         let ae = cp.class("java/lang/ArithmeticException");
@@ -199,7 +200,7 @@ fn dead_code_island_matches_cold() {
     // An unreachable island after an unconditional goto, holding code that
     // would never verify (pop on an empty stack, a branch into the middle
     // of nowhere). The dataflow never reaches it, so every profile accepts
-    // — and analysis, which flattens the whole stream eagerly, must not
+    // — and decoding, which flattens the whole stream eagerly, must not
     // change that.
     let bytes = build_main("vc/DeadIsle", 1, 1, |_cp| {
         let insns = vec![
@@ -224,7 +225,7 @@ fn merge_point_join_splits_profiles_identically() {
     // Null and Ref("java/lang/String") meet on the stack at a join point:
     // HotSpot/GIJ merge them to the reference type; J9's strict stack
     // shape merge rejects. The split itself is the paper's Problem 1 — the
-    // conformance claim is that the analyzed and cold paths land on the
+    // conformance claim is that the shared and cold paths land on the
     // same side for every profile, traces included.
     let bytes = build_main("vc/Join", 2, 1, |cp| {
         let s = cp.string("joined");
@@ -257,7 +258,7 @@ fn unparseable_descriptor_matches_cold() {
     // A helper method whose descriptor is corrupted after building. The
     // loader's format check rejects it at Loading on every profile (the
     // verifier's "unparseable method descriptor" arm is the defensive
-    // backstop behind it); the conformance claim is that the analysis
+    // backstop behind it); the conformance claim is that the decode
     // layer does not perturb a pre-verification rejection — the table
     // simply stays empty on both paths.
     let mut cf = classfuzz::classfile::ClassFile::builder("vc/BadDesc")
@@ -308,7 +309,7 @@ fn deep_branch_chain_matches_cold() {
     // Fifty conditional branches whose taken edge and fall-through edge
     // both land on the next instruction: every block is a join of two
     // identical frames, saturating the worklist's merge path and the
-    // analyzed branch-target table.
+    // decoded branch-target table.
     let bytes = build_main("vc/Chain", 1, 1, |_cp| {
         let mut insns = Vec::new();
         for b in 0..50usize {
@@ -328,7 +329,7 @@ fn deep_branch_chain_matches_cold() {
 
 #[test]
 fn branch_to_non_instruction_matches_cold() {
-    // A branch target landing between instruction boundaries: the analysis
+    // A branch target landing between instruction boundaries: the decode
     // stores the unresolvable-target sentinel and the error (naming the
     // original byte offset) fires only when the dataflow follows the edge
     // — exactly the cold path's behavior and message.
@@ -382,9 +383,9 @@ fn mutated_batch(corpus_seed: u64, rounds: usize) -> Vec<IrClass> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Analyzed ≡ cold over randomly mutated candidates: for every class
+    /// Shared ≡ cold over randomly mutated candidates: for every class
     /// in a mutated batch and every profile, the shared-table traced run
-    /// equals the cold-analysis traced run, and a warm rerun agrees.
+    /// equals the cold-decode traced run, and a warm rerun agrees.
     #[test]
     fn mutated_candidates_verify_identically(corpus_seed in any::<u64>()) {
         let classes = mutated_batch(corpus_seed, 16);
