@@ -158,37 +158,6 @@ fn bench_interp(c: &mut Criterion) {
     c.bench_function("interp/execute-prepared", |b| {
         b.iter(|| run(std::hint::black_box(false)))
     });
-
-    // Dispatch resolution alone: `main` is one invoke of a trivial
-    // helper, so the superclass walk + verify re-check (cold) vs the
-    // integer-keyed method cache (cached) dominates.
-    let hello = UserClass::summarize(ClassFile::from_bytes(&hello_bytes()).unwrap());
-    let hello_world = World::new(&spec, vec![hello.clone()]);
-    let dispatch = |cold: bool| {
-        let mut machine = if cold {
-            Machine::uncached(&hello_world, &spec)
-        } else {
-            Machine::new(&hello_world, &spec)
-        };
-        machine.prepare_statics(&hello);
-        for _ in 0..100 {
-            machine
-                .call_static(
-                    &hello,
-                    "main",
-                    "([Ljava/lang/String;)V",
-                    vec![RtValue::Ref(None)],
-                    &mut Cov::disabled(),
-                )
-                .unwrap();
-        }
-    };
-    c.bench_function("dispatch/resolve-cold", |b| {
-        b.iter(|| dispatch(std::hint::black_box(true)))
-    });
-    c.bench_function("dispatch/resolve-cached", |b| {
-        b.iter(|| dispatch(std::hint::black_box(false)))
-    });
 }
 
 fn bench_verify(c: &mut Criterion) {

@@ -32,7 +32,7 @@ use std::process::ExitCode;
 
 use classfuzz_core::diff::DifferentialHarness;
 use classfuzz_core::engine::{
-    run_campaign, run_campaign_parallel, Algorithm, CampaignConfig, SeedSelect,
+    run_campaign, run_campaign_parallel, write_corpus_entry, Algorithm, CampaignConfig, SeedSelect,
 };
 use classfuzz_core::seeds::{SeedCorpus, SeedShape};
 use classfuzz_coverage::UniquenessCriterion;
@@ -303,11 +303,8 @@ fn fuzz(parsed: &Parsed) -> Result<(), String> {
     Ok(())
 }
 
-/// Best-effort, collision-safe corpus write: claims
-/// `{prefix}_{NNNN}_{tag}.class` with `create_new`, bumping the index past
-/// files left by earlier runs, so re-running a campaign into a populated
-/// directory appends instead of overwriting. Failures are warnings — a
-/// lost corpus entry must never lose the campaign report.
+/// Best-effort corpus write ([`write_corpus_entry`]): the claimed path, or
+/// a warning — a lost corpus entry must never lose the campaign report.
 fn persist_corpus_entry(
     dir: &Path,
     prefix: &str,
@@ -315,27 +312,11 @@ fn persist_corpus_entry(
     tag: &str,
     bytes: &[u8],
 ) -> Option<PathBuf> {
-    use std::io::Write as _;
-    let mut idx = index;
-    loop {
-        let file = dir.join(format!("{prefix}_{idx:04}_{tag}.class"));
-        match std::fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&file)
-        {
-            Ok(mut f) => match f.write_all(bytes) {
-                Ok(()) => return Some(file),
-                Err(e) => {
-                    eprintln!("warning: cannot write {}: {e}", file.display());
-                    return None;
-                }
-            },
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => idx += 1,
-            Err(e) => {
-                eprintln!("warning: cannot write {}: {e}", file.display());
-                return None;
-            }
+    match write_corpus_entry(dir, prefix, index, tag, bytes) {
+        (file, Ok(())) => Some(file),
+        (file, Err(e)) => {
+            eprintln!("warning: cannot write {}: {e}", file.display());
+            None
         }
     }
 }

@@ -627,43 +627,51 @@ fn campaign_mutators(config: &CampaignConfig) -> Vec<Mutator> {
     mutators
 }
 
-/// Best-effort crash-corpus write: `crash_NNNN_<site>.class` holds the
-/// offending bytes, the matching `.txt` the panic description. Failures go
-/// to stderr — losing a corpus entry must never lose the campaign.
-///
-/// Collision-safe: the classfile is claimed with `create_new`, bumping to
-/// the next free index when `crash_{index:04}` already exists, so
-/// re-running a campaign into a populated `--crash-dir` appends after the
-/// previous run's reproducers instead of overwriting them. In a fresh
-/// directory the claimed index is always `index` itself, which keeps
-/// filenames bit-identical with earlier releases.
-fn persist_crash(dir: &Path, index: usize, record: &CrashRecord) {
+/// Collision-safe corpus write: claims `{prefix}_{NNNN}_{tag}.class` in
+/// `dir` with `create_new`, starting at `index` and bumping past files left
+/// by earlier runs, so re-running a campaign into a populated directory
+/// appends instead of overwriting; in a fresh directory the claimed index
+/// is `index` itself. Returns the path it claimed (on failure, the one it
+/// last tried) and whether `bytes` landed there.
+pub fn write_corpus_entry(
+    dir: &Path,
+    prefix: &str,
+    index: usize,
+    tag: &str,
+    bytes: &[u8],
+) -> (PathBuf, std::io::Result<()>) {
     use std::io::Write as _;
+    let mut idx = index;
+    loop {
+        let file = dir.join(format!("{prefix}_{idx:04}_{tag}.class"));
+        match std::fs::OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(&file)
+        {
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => idx += 1,
+            opened => return (file, opened.and_then(|mut f| f.write_all(bytes))),
+        }
+    }
+}
+
+/// Best-effort crash-corpus write: `crash_NNNN_<site>.class` holds the
+/// offending bytes ([`write_corpus_entry`]), the matching `.txt` the panic
+/// description. Failures go to stderr — losing a corpus entry must never
+/// lose the campaign.
+fn persist_crash(dir: &Path, index: usize, record: &CrashRecord) {
     let write = || -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
-        let mut idx = index;
-        let stem = loop {
-            let stem = format!("crash_{idx:04}_{}", record.site.label());
-            match std::fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(dir.join(format!("{stem}.class")))
-            {
-                Ok(mut file) => {
-                    file.write_all(&record.bytes)?;
-                    break stem;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => idx += 1,
-                Err(e) => return Err(e),
-            }
-        };
+        let (file, written) =
+            write_corpus_entry(dir, "crash", index, record.site.label(), &record.bytes);
+        written?;
         let sidecar = format!(
             "shard: {}\nsite: {}\ndetail: {}\n",
             record.shard_id,
             record.site.label(),
             record.detail
         );
-        std::fs::write(dir.join(format!("{stem}.txt")), sidecar)
+        std::fs::write(file.with_extension("txt"), sidecar)
     };
     if let Err(e) = write() {
         eprintln!(
@@ -1266,6 +1274,22 @@ mod tests {
             let notes = std::fs::read_to_string(&sidecar).expect("sidecar written");
             assert!(notes.contains(&crash.detail));
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corpus_writer_claims_the_next_free_index() {
+        let dir = std::env::temp_dir().join(format!("classfuzz_corpus_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create temp corpus dir");
+        let (first, written) = write_corpus_entry(&dir, "trigger", 1, "k", b"one");
+        written.expect("first entry written");
+        let (second, written) = write_corpus_entry(&dir, "trigger", 1, "k", b"two");
+        written.expect("second entry written");
+        assert_eq!(first, dir.join("trigger_0001_k.class"));
+        assert_eq!(second, dir.join("trigger_0002_k.class"));
+        assert_eq!(std::fs::read(&first).unwrap(), b"one");
+        assert_eq!(std::fs::read(&second).unwrap(), b"two");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -43,8 +43,8 @@ pub mod seeds;
 pub use analyze::{evaluate_suite, SuiteEvaluation};
 pub use diff::{DifferentialHarness, ExecDiscrepancy, OutcomeVector};
 pub use engine::{
-    run_campaign, run_campaign_parallel, shard_rng_seed, Algorithm, CampaignConfig, CampaignResult,
-    CrashRecord, CrashSite, EngineError, ExecReport, GeneratedClass, Schedule, SeedSelect,
-    ShardStats,
+    run_campaign, run_campaign_parallel, shard_rng_seed, write_corpus_entry, Algorithm,
+    CampaignConfig, CampaignResult, CrashRecord, CrashSite, EngineError, ExecReport,
+    GeneratedClass, Schedule, SeedSelect, ShardStats,
 };
 pub use seeds::{SeedCorpus, SeedShape};

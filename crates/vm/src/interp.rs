@@ -186,37 +186,16 @@ pub struct Machine<'a> {
     /// Captured `System.out` lines.
     pub stdout: Vec<String>,
     steps: u64,
-    /// Per-machine string interner backing the integer-keyed caches.
+    /// Per-machine string interner backing the integer-keyed tables.
     names: Names,
     /// Methods verified so far (for lazy-verification VMs), by the
     /// interned name of their class and their index in it.
     verified: std::collections::BTreeSet<(u32, usize)>,
-    /// Successful `(start, name, descriptor)` method resolutions, by
-    /// interned key. Entries are inserted only after `ensure_verified`
-    /// succeeds, so a hit safely skips the superclass walk and the
-    /// verification check both. Resolution errors are never cached: they
-    /// are terminal for the run anyway, and their messages depend on the
-    /// symbolic class, which is not part of the key.
-    dispatch_cache: BTreeMap<(u32, u32, u32), Resolved>,
     /// Cold mode: decode every method afresh per call instead of reading
-    /// the class's shared [`DecodedMethod`] table, and bypass the dispatch
-    /// cache — the pre-cache interpreter, kept constructible as the
-    /// `interp` bench scenario's baseline.
+    /// the class's shared [`DecodedMethod`] table — the pre-table
+    /// interpreter, kept constructible as the `interp` bench scenario's
+    /// baseline.
     cold: bool,
-}
-
-/// A cached successful method resolution.
-#[derive(Clone)]
-enum Resolved {
-    /// A user-class method: the owning class and its method index.
-    User {
-        /// Shared handle to the resolved class.
-        class: Arc<UserClass>,
-        /// Index into `class.cf.methods`.
-        pos: usize,
-    },
-    /// A library method's behavior.
-    Lib(Behavior),
 }
 
 impl<'a> Machine<'a> {
@@ -225,12 +204,11 @@ impl<'a> Machine<'a> {
         Machine::with_mode(world, spec, false)
     }
 
-    /// A machine that re-decodes every method per call and resolves every
-    /// invoke through the full superclass walk — the pre-cache
-    /// interpreter, kept constructible (mirroring
-    /// [`Jvm::uncached`](crate::Jvm::uncached)) as the baseline the
-    /// `interp` bench scenario and the Criterion `interp/execute-cold`
-    /// pair measure against.
+    /// A machine that re-decodes every method per call instead of reading
+    /// the shared decoded-method table — otherwise [`Machine::new`], kept
+    /// constructible (mirroring [`Jvm::uncached`](crate::Jvm::uncached))
+    /// as the baseline the `interp` bench scenario and the Criterion
+    /// `interp/execute-cold` pair measure against.
     pub fn uncached(world: &'a World, spec: &'a VmSpec) -> Machine<'a> {
         Machine::with_mode(world, spec, true)
     }
@@ -252,7 +230,6 @@ impl<'a> Machine<'a> {
             steps: 0,
             names: Names::default(),
             verified: std::collections::BTreeSet::new(),
-            dispatch_cache: BTreeMap::new(),
             cold,
         }
     }
@@ -269,37 +246,6 @@ impl<'a> Machine<'a> {
     fn alloc(&mut self, obj: Obj) -> usize {
         self.heap.push(obj);
         self.heap.len() - 1
-    }
-
-    /// The integer dispatch-cache key of this invoke — available only when
-    /// every component is already interned, i.e. an identical resolution
-    /// has been walked before. `None` (first sightings, array receivers)
-    /// falls back to the slow path.
-    fn cached_key(
-        &self,
-        class: &str,
-        name: &str,
-        desc: &str,
-        receiver: &Option<RtValue>,
-    ) -> Option<(u32, u32, u32)> {
-        let dynamic;
-        let start: &str = match receiver {
-            Some(RtValue::Ref(Some(id))) if name != "<init>" => match &self.heap[*id] {
-                // Array dynamic class names are formatted on demand; rare
-                // enough to always take the slow path.
-                Obj::Array { .. } => return None,
-                obj => {
-                    dynamic = obj.class_name();
-                    &dynamic
-                }
-            },
-            _ => class,
-        };
-        Some((
-            self.names.get(start)?,
-            self.names.get(name)?,
-            self.names.get(desc)?,
-        ))
     }
 
     fn intern_str(&mut self, s: &str) -> RtValue {
@@ -1411,33 +1357,6 @@ impl<'a> Machine<'a> {
     ) -> Result<Option<RtValue>, ExecError> {
         probe!(cov);
         let (class, name, desc): (&str, &str, &str) = (&mref.class, &mref.name, &mref.desc);
-        // Fast path: a previous invoke already walked the hierarchy for
-        // this exact (dynamic start class, name, desc) triple and verified
-        // the target, so replaying the cached resolution is trace-safe —
-        // traces are site *sets* per run, and the cold resolution of the
-        // same key already fired every probe this shortcut skips.
-        if !self.cold {
-            if let Some(key) = self.cached_key(class, name, desc, &receiver) {
-                if let Some(resolved) = self.dispatch_cache.get(&key) {
-                    match resolved {
-                        Resolved::User { class, pos } => {
-                            let class = Arc::clone(class);
-                            let pos = *pos;
-                            let mut full_args = Vec::with_capacity(args.len() + 1);
-                            if let Some(r) = receiver {
-                                full_args.push(r);
-                            }
-                            full_args.extend(args);
-                            return self.execute(&class, pos, full_args, cov, depth + 1);
-                        }
-                        Resolved::Lib(behavior) => {
-                            let behavior = *behavior;
-                            return self.builtin(behavior, receiver, args, cov);
-                        }
-                    }
-                }
-            }
-        }
         // Copy out the shared world reference so hierarchy lookups below
         // don't hold a borrow of `self` across the `&mut self` calls.
         let world = self.world;
@@ -1448,15 +1367,10 @@ impl<'a> Machine<'a> {
             Some(RtValue::Ref(Some(id))) if name != "<init>" => self.heap[*id].class_name(),
             _ => Cow::Borrowed(class),
         };
-        let cache_key = (
-            self.names.id(&start),
-            self.names.id_shared(&mref.name),
-            self.names.id_shared(&mref.desc),
-        );
         let mut cur: &str = &start;
         let mut chain_ended = false;
         for _ in 0..32 {
-            if let Some(user) = world.user_class_arc(cur) {
+            if let Some(user) = world.user_class(cur) {
                 if let Some(m) = user.find_method(name, desc) {
                     if probe_branch!(cov, m.access.contains(MethodAccess::ABSTRACT)) {
                         return Err(ExecError::Linkage {
@@ -1471,19 +1385,6 @@ impl<'a> Machine<'a> {
                         });
                     }
                     self.ensure_verified(user, m, cov)?;
-                    // Cache only after verification succeeded, so a hit can
-                    // safely skip the walk *and* the verify re-check. The
-                    // entry shares the world's handle: a refcount bump, not
-                    // a deep classfile clone.
-                    if !self.cold {
-                        self.dispatch_cache.insert(
-                            cache_key,
-                            Resolved::User {
-                                class: Arc::clone(user),
-                                pos: m.index,
-                            },
-                        );
-                    }
                     let mut full_args = Vec::with_capacity(args.len() + 1);
                     if let Some(r) = receiver {
                         full_args.push(r);
@@ -1494,12 +1395,7 @@ impl<'a> Machine<'a> {
             }
             if let Some(lib) = world.lib(cur) {
                 if let Some(m) = lib.find_method(name, desc) {
-                    let behavior = m.behavior;
-                    if !self.cold {
-                        self.dispatch_cache
-                            .insert(cache_key, Resolved::Lib(behavior));
-                    }
-                    return self.builtin(behavior, receiver, args, cov);
+                    return self.builtin(m.behavior, receiver, args, cov);
                 }
             }
             match world.super_of(cur) {
@@ -1711,15 +1607,12 @@ impl<'a> Machine<'a> {
 }
 
 /// The element descriptor an `anewarray` of the decoded array descriptor
-/// stores: the component named as a class (`L<name>;`), an array
-/// component included (`[[I` stores `L[I;`), and `java/lang/Object` when
+/// stores: the component as it is (`[Ljava/lang/String;` stores
+/// `Ljava/lang/String;`, `[[I` stores `[I`), and `java/lang/Object` when
 /// the class reference does not resolve.
 fn anewarray_element(array: &ClassRef) -> String {
     match array {
-        ClassRef::Ok(desc) => match &desc[1..] {
-            component if component.starts_with('[') => format!("L{component};"),
-            component => component.to_string(),
-        },
+        ClassRef::Ok(desc) => desc[1..].to_string(),
         ClassRef::Unresolved(_) => "Ljava/lang/Object;".to_string(),
     }
 }

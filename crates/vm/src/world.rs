@@ -25,7 +25,7 @@ pub struct MethodSummary {
     pub access: MethodAccess,
     /// Whether a `Code` attribute is present.
     pub has_code: bool,
-    /// Resolved `throws`-clause class names (dangling entries dropped).
+    /// The `throws`-clause class names, dangling entries dropped.
     pub exceptions: Vec<String>,
 }
 
@@ -182,7 +182,7 @@ impl World {
 
     /// Does any class of this name exist (user or library)?
     pub fn exists(&self, name: &str) -> bool {
-        self.user_class_arc(name).is_some() || self.library.contains_key(name)
+        self.user_class(name).is_some() || self.library.contains_key(name)
     }
 
     /// Library lookup.
@@ -192,14 +192,7 @@ impl World {
 
     /// User-class lookup.
     pub fn user_class(&self, name: &str) -> Option<&UserClass> {
-        self.user_class_arc(name).map(Arc::as_ref)
-    }
-
-    /// User-class lookup returning the shared handle, so callers that
-    /// need an owned class (the interpreter's dispatch) pay a refcount
-    /// bump instead of a deep classfile clone.
-    pub fn user_class_arc(&self, name: &str) -> Option<&Arc<UserClass>> {
-        self.user.iter().find(|c| c.name == name)
+        self.user.iter().find(|c| c.name == name).map(Arc::as_ref)
     }
 
     /// Is `name` declared final? `None` when the class is unknown.

@@ -583,18 +583,18 @@ const PINS: &[(&str, [&str; 5], [&str; 5])] = &[
     (
         "ANewArrayOfIntArray",
         [
-            "Invoked [\"0\"]",
-            "Invoked [\"0\"]",
-            "Invoked [\"0\"]",
-            "Invoked [\"0\"]",
-            "Invoked [\"0\"]",
+            "Invoked [\"1\"]",
+            "Invoked [\"1\"]",
+            "Invoked [\"1\"]",
+            "Invoked [\"1\"]",
+            "Invoked [\"1\"]",
         ],
         [
-            "Invoked [\"0\"]",
-            "Invoked [\"0\"]",
-            "Invoked [\"0\"]",
-            "Invoked [\"0\"]",
-            "Invoked [\"0\"]",
+            "Invoked [\"1\"]",
+            "Invoked [\"1\"]",
+            "Invoked [\"1\"]",
+            "Invoked [\"1\"]",
+            "Invoked [\"1\"]",
         ],
     ),
     (

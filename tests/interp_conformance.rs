@@ -154,9 +154,19 @@ fn println_int(cp: &mut ConstantPool, producer: Instruction) -> Vec<Instruction>
 /// verdict equals `expected` — the conformance contract: corner semantics
 /// may not differ between vendor policies.
 fn assert_uniform_verdict(bytes: &[u8], expected: &ExecOutcome, what: &str) {
+    assert_uniform_verdict_on(bytes, &[], expected, what);
+}
+
+/// [`assert_uniform_verdict`] with `classpath` beside the main class.
+fn assert_uniform_verdict_on(
+    bytes: &[u8],
+    classpath: &[Vec<u8>],
+    expected: &ExecOutcome,
+    what: &str,
+) {
     for spec in VmSpec::all_five() {
         let name = spec.name.clone();
-        let result = Jvm::new(spec).run(bytes);
+        let result = Jvm::new(spec).with_classpath(classpath).run(bytes);
         let got = ExecOutcome::of(&result.outcome);
         assert_eq!(
             &got, expected,
@@ -533,17 +543,23 @@ fn budget_exhaustion_charges_identical_fuel_everywhere() {
 // `goto` landing on index 0, exception-handler ranges, recursion at the
 // depth guard).
 
-/// Runs `main` on a bare [`Machine`] in the requested mode and returns
-/// everything observable: the call result, captured stdout, and fuel.
+/// Runs `main` on a bare [`Machine`] in the requested mode, with
+/// `classpath` beside the main class, and returns everything observable:
+/// the call result, captured stdout, and fuel.
 #[allow(clippy::type_complexity)]
 fn run_bare(
     bytes: &[u8],
+    classpath: &[Vec<u8>],
     spec: &VmSpec,
     cold: bool,
 ) -> (Result<Option<RtValue>, ExecError>, Vec<String>, u64) {
-    let cf = classfuzz::classfile::ClassFile::from_bytes(bytes).expect("decodes");
-    let class = UserClass::summarize(cf);
-    let world = World::new(spec, vec![class.clone()]);
+    let summarize = |bytes: &[u8]| {
+        UserClass::summarize(classfuzz::classfile::ClassFile::from_bytes(bytes).expect("decodes"))
+    };
+    let class = summarize(bytes);
+    let mut classes = vec![class.clone()];
+    classes.extend(classpath.iter().map(|extra| summarize(extra)));
+    let world = World::new(spec, classes);
     let mut machine = if cold {
         Machine::uncached(&world, spec)
     } else {
@@ -566,11 +582,16 @@ fn run_bare(
 /// on all five profiles, and a second prepared run (now hitting the
 /// warm per-class cache) agrees again.
 fn assert_prepared_matches_cold(bytes: &[u8], what: &str) {
+    assert_prepared_matches_cold_on(bytes, &[], what);
+}
+
+/// [`assert_prepared_matches_cold`] with `classpath` beside the main class.
+fn assert_prepared_matches_cold_on(bytes: &[u8], classpath: &[Vec<u8>], what: &str) {
     for spec in VmSpec::all_five() {
-        let prepared = run_bare(bytes, &spec, false);
-        let cold = run_bare(bytes, &spec, true);
+        let prepared = run_bare(bytes, classpath, &spec, false);
+        let cold = run_bare(bytes, classpath, &spec, true);
         assert_eq!(prepared, cold, "{what}: prepared != cold on {}", spec.name);
-        let rewarmed = run_bare(bytes, &spec, false);
+        let rewarmed = run_bare(bytes, classpath, &spec, false);
         assert_eq!(
             prepared, rewarmed,
             "{what}: warm rerun drifted on {}",
@@ -710,6 +731,148 @@ fn prepared_matches_cold_at_the_recursion_guard() {
             kind: JvmErrorKind::StackOverflowError,
         },
         "self-recursive main",
+    );
+}
+
+// --- Per-invoke override selection -------------------------------------
+
+/// `poly/<name>` extending `sup`, with a constructor chaining to `sup`'s
+/// and an instance `ping()V` printing `name`.
+fn poly_class(name: &str, sup: &str) -> Vec<u8> {
+    let mut builder =
+        classfuzz::classfile::ClassFile::builder(&format!("poly/{name}")).super_class(sup);
+    let cp = builder.constant_pool_mut();
+    let super_init = cp.method_ref(sup, "<init>", "()V");
+    let out = cp.field_ref("java/lang/System", "out", "Ljava/io/PrintStream;");
+    let text = cp.string(name);
+    let println = cp.method_ref("java/io/PrintStream", "println", "(Ljava/lang/String;)V");
+    let code = |max_stack, instructions| CodeAttribute {
+        max_stack,
+        max_locals: 1,
+        instructions,
+        exception_table: Vec::new(),
+        attributes: Vec::new(),
+    };
+    builder
+        .method(
+            MethodAccess::PUBLIC,
+            "<init>",
+            "()V",
+            code(
+                1,
+                vec![
+                    Instruction::Local(Opcode::Aload, 0),
+                    Instruction::Invoke(Opcode::Invokespecial, super_init),
+                    Instruction::Simple(Opcode::Return),
+                ],
+            ),
+        )
+        .method(
+            MethodAccess::PUBLIC,
+            "ping",
+            "()V",
+            code(
+                2,
+                vec![
+                    Instruction::Field(Opcode::Getstatic, out),
+                    Instruction::Ldc(text),
+                    Instruction::Invoke(Opcode::Invokevirtual, println),
+                    Instruction::Simple(Opcode::Return),
+                ],
+            ),
+        )
+        .build()
+        .to_bytes()
+}
+
+/// `poly/Main`, whose static `call(Lpoly/A;)V` holds the one
+/// `invokevirtual poly/A.ping()V` site, and whose `main` loops four times,
+/// passing a fresh `poly/A` on even turns and a fresh `poly/B` on odd ones.
+fn poly_main() -> Vec<u8> {
+    let mut builder =
+        classfuzz::classfile::ClassFile::builder("poly/Main").super_class("java/lang/Object");
+    let cp = builder.constant_pool_mut();
+    let ping = cp.method_ref("poly/A", "ping", "()V");
+    let call = cp.method_ref("poly/Main", "call", "(Lpoly/A;)V");
+    let (a, a_init) = (cp.class("poly/A"), cp.method_ref("poly/A", "<init>", "()V"));
+    let (b, b_init) = (cp.class("poly/B"), cp.method_ref("poly/B", "<init>", "()V"));
+    let (main, _) = resolve_targets(vec![
+        Instruction::Simple(Opcode::Iconst0),               // 0
+        Instruction::Local(Opcode::Istore, 1),              // 1
+        Instruction::Local(Opcode::Iload, 1),               // 2: loop head
+        Instruction::Simple(Opcode::Iconst1),               // 3
+        Instruction::Simple(Opcode::Iand),                  // 4
+        Instruction::Branch(Opcode::Ifne, 11),              // 5: odd turn -> B
+        Instruction::New(a),                                // 6
+        Instruction::Simple(Opcode::Dup),                   // 7
+        Instruction::Invoke(Opcode::Invokespecial, a_init), // 8
+        Instruction::Invoke(Opcode::Invokestatic, call),    // 9
+        Instruction::Branch(Opcode::Goto, 15),              // 10
+        Instruction::New(b),                                // 11
+        Instruction::Simple(Opcode::Dup),                   // 12
+        Instruction::Invoke(Opcode::Invokespecial, b_init), // 13
+        Instruction::Invoke(Opcode::Invokestatic, call),    // 14
+        Instruction::Iinc { index: 1, delta: 1 },           // 15
+        Instruction::Local(Opcode::Iload, 1),               // 16
+        Instruction::Simple(Opcode::Iconst4),               // 17
+        Instruction::Branch(Opcode::IfIcmplt, 2),           // 18
+        Instruction::Simple(Opcode::Return),                // 19
+    ]);
+    builder
+        .method(
+            MethodAccess::PUBLIC | MethodAccess::STATIC,
+            "call",
+            "(Lpoly/A;)V",
+            CodeAttribute {
+                max_stack: 1,
+                max_locals: 1,
+                instructions: vec![
+                    Instruction::Local(Opcode::Aload, 0),
+                    Instruction::Invoke(Opcode::Invokevirtual, ping),
+                    Instruction::Simple(Opcode::Return),
+                ],
+                exception_table: Vec::new(),
+                attributes: Vec::new(),
+            },
+        )
+        .method(
+            MethodAccess::PUBLIC | MethodAccess::STATIC,
+            "main",
+            "([Ljava/lang/String;)V",
+            CodeAttribute {
+                max_stack: 2,
+                max_locals: 2,
+                instructions: main,
+                exception_table: Vec::new(),
+                attributes: Vec::new(),
+            },
+        )
+        .build()
+        .to_bytes()
+}
+
+#[test]
+fn one_invoke_site_selects_the_override_of_each_receiver() {
+    // One `invokevirtual` site meets `poly/A` and its subclass `poly/B`
+    // alternately in the same run: each invoke must resolve from its own
+    // receiver's class, never reuse the previous receiver's override.
+    let classpath = vec![
+        poly_class("A", "java/lang/Object"),
+        poly_class("B", "poly/A"),
+    ];
+    let main = poly_main();
+    assert_uniform_verdict_on(
+        &main,
+        &classpath,
+        &ExecOutcome::Completed {
+            stdout: ["A", "B", "A", "B"].map(String::from).to_vec(),
+        },
+        "alternating receivers at one invoke site",
+    );
+    assert_prepared_matches_cold_on(
+        &main,
+        &classpath,
+        "alternating receivers at one invoke site",
     );
 }
 
