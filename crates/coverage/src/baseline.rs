@@ -4,12 +4,12 @@
 //!
 //! Two things keep this module alive after the rewrite:
 //!
-//! * the equivalence proptests (`tests/coverage_equiv.rs` at the workspace
-//!   root) replay every operation against both implementations and assert
-//!   the verdicts match bit for bit;
-//! * the coverage microbenchmarks measure the bitset engine's speedup
-//!   against it, and `scripts/bench_gate.sh` fails CI when that speedup
-//!   regresses.
+//! * it is the equivalence oracle of `tests/coverage_equiv.rs` at the
+//!   workspace root, whose proptests replay every operation against both
+//!   implementations and assert the verdicts match bit for bit;
+//! * it is one side of the Criterion pairs in `crates/bench/benches/micro.rs`
+//!   (`coverage/tr-is_unique-1k` and `coverage/merge`), which time the
+//!   bitset engine against it. No bench gate reads those timings.
 //!
 //! Nothing on the campaign hot path may import this module.
 

@@ -7,8 +7,8 @@
 //! operands resolved to interned names and constants; callee descriptors
 //! parsed once and lowered to verification types (whose count is the
 //! interpreter's argument count). The method's own signature is lowered
-//! from the [`MethodSummary::desc`](crate::world::MethodSummary::desc) the
-//! class summary already parsed. The five profiles' verifiers and
+//! from the [`Method::desc`](crate::world::Method::desc) tree the class
+//! summary already parsed. The five profiles' verifiers and
 //! interpreters then read the [`Insn`] stream by reference and apply only
 //! their profile's policy.
 //!
@@ -407,7 +407,7 @@ pub fn decode_method(class: &UserClass, method_index: usize) -> Option<DecodedMe
     let cp = &class.cf.constant_pool;
     let mut it = Interner::default();
     let class_name = it.get(&class.name);
-    let sig = class.methods[method_index].desc.as_ref().map(|d| Sig {
+    let sig = class.method(method_index)?.desc.map(|d| Sig {
         param_vts: d.params.iter().map(|p| vtype_of_in(p, &mut it)).collect(),
         ret_vt: d.ret.as_ref().map(|r| vtype_of_in(r, &mut it)),
     });

@@ -10,7 +10,7 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use classfuzz_classfile::{Constant, FieldType, MethodAccess, Opcode};
+use classfuzz_classfile::{Constant, FieldAccess, FieldType, MethodAccess, Opcode};
 
 use crate::cov::Cov;
 use crate::decode::{
@@ -262,22 +262,19 @@ impl<'a> Machine<'a> {
     /// Prepares static fields of `class` (zero values, then
     /// `ConstantValue`s) — the preparation step of linking.
     pub fn prepare_statics(&mut self, class: &UserClass) {
-        for (i, field) in class.fields.iter().enumerate() {
-            if !field
-                .access
-                .contains(classfuzz_classfile::FieldAccess::STATIC)
-            {
+        for (field, info) in class.fields().zip(&class.cf.fields) {
+            if !field.access.contains(FieldAccess::STATIC) {
                 continue;
             }
-            let Some(ty) = &field.ty else { continue };
+            let Some(ty) = field.ty else { continue };
             let key = (
                 self.names.id(&class.name),
-                self.names.id(&field.name),
-                self.names.id(&field.desc_text),
+                self.names.id(field.name),
+                self.names.id(field.desc_text),
             );
             let mut value = RtValue::default_of(ty);
             // ConstantValue initialization.
-            for attr in &class.cf.fields[i].attributes {
+            for attr in &info.attributes {
                 if let classfuzz_classfile::Attribute::ConstantValue(cpi) = attr {
                     value = match class.cf.constant_pool.entry(*cpi) {
                         Some(Constant::Integer(v)) => RtValue::Int(*v),
@@ -326,7 +323,7 @@ impl<'a> Machine<'a> {
     fn ensure_verified(
         &mut self,
         class: &UserClass,
-        m: &crate::world::MethodSummary,
+        m: crate::world::Method<'_>,
         cov: &mut Cov,
     ) -> Result<(), ExecError> {
         if !self.spec.lazy_method_verification {
@@ -342,12 +339,7 @@ impl<'a> Machine<'a> {
             return Ok(());
         }
         probe!(cov);
-        let verified = if self.cold {
-            verifier::verify_method_cold(self.world, class, m, self.spec, cov)
-        } else {
-            verifier::verify_method(self.world, class, m, self.spec, cov)
-        };
-        match verified {
+        match verifier::verify_method(self.world, class, m, self.spec, cov, self.cold) {
             Ok(()) => {
                 self.verified.extend(key);
                 Ok(())

@@ -29,7 +29,7 @@ pub fn link_check(world: &World, class: &UserClass, spec: &VmSpec, cov: &mut Cov
 
 fn check_hierarchy(world: &World, class: &UserClass, spec: &VmSpec, cov: &mut Cov) -> LinkResult {
     probe!(cov);
-    if let Some(super_name) = &class.super_name {
+    if let Some(super_name) = class.super_name() {
         probe!(cov);
         if probe_branch!(cov, !world.exists(super_name)) {
             return Err(Outcome::rejected(
@@ -81,7 +81,7 @@ fn check_hierarchy(world: &World, class: &UserClass, spec: &VmSpec, cov: &mut Co
             ));
         }
     }
-    for iface in &class.interfaces {
+    for iface in class.interfaces() {
         probe!(cov);
         if probe_branch!(cov, !world.exists(iface)) {
             return Err(Outcome::rejected(
@@ -113,14 +113,14 @@ fn check_hierarchy(world: &World, class: &UserClass, spec: &VmSpec, cov: &mut Co
 /// here — J9 and GIJ never look.
 fn resolve_throws(world: &World, class: &UserClass, spec: &VmSpec, cov: &mut Cov) -> LinkResult {
     probe!(cov);
-    for m in &class.methods {
-        for exc in &m.exceptions {
+    for m in class.methods() {
+        for exc in m.exceptions() {
             probe!(cov);
             if probe_branch!(cov, !world.exists(exc)) {
                 return Err(Outcome::rejected(
                     Phase::Linking,
                     JvmErrorKind::NoClassDefFoundError,
-                    format!("{exc} (declared thrown by {}.{})", class.name, m.name),
+                    format!("{exc} (declared thrown by {}.{})", class.name, m.name()),
                 ));
             }
             if probe_branch!(cov, spec.reject_internal_access && world.is_internal(exc)) {
@@ -129,7 +129,8 @@ fn resolve_throws(world: &World, class: &UserClass, spec: &VmSpec, cov: &mut Cov
                     JvmErrorKind::IllegalAccessError,
                     format!(
                         "tried to access class {exc} from class {} (declared thrown by {})",
-                        class.name, m.name
+                        class.name,
+                        m.name()
                     ),
                 ));
             }

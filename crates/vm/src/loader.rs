@@ -10,7 +10,7 @@ use classfuzz_classfile::{ClassAccess, FieldAccess, MethodAccess};
 use crate::cov::Cov;
 use crate::outcome::{JvmErrorKind, Outcome, Phase};
 use crate::spec::VmSpec;
-use crate::world::{MethodSummary, UserClass};
+use crate::world::{Method, UserClass};
 use crate::{probe, probe_branch};
 
 type CheckResult = Result<(), Outcome>;
@@ -108,7 +108,7 @@ fn check_class_shape(class: &UserClass, spec: &VmSpec, cov: &mut Cov) -> CheckRe
         // Problem 4: an interface's superclass must be java/lang/Object —
         // syntactically checkable. GIJ "fails in catching this kind of
         // illegal inheritance structures".
-        let super_ok = class.super_name.as_deref() == Some("java/lang/Object");
+        let super_ok = class.super_name() == Some("java/lang/Object");
         if probe_branch!(cov, spec.interface_must_extend_object && !super_ok) {
             return reject(
                 JvmErrorKind::ClassFormatError,
@@ -120,7 +120,7 @@ fn check_class_shape(class: &UserClass, spec: &VmSpec, cov: &mut Cov) -> CheckRe
         }
     } else if probe_branch!(
         cov,
-        class.super_name.is_none() && class.name != "java/lang/Object"
+        class.super_name().is_none() && class.name != "java/lang/Object"
     ) {
         return reject(JvmErrorKind::ClassFormatError, "missing superclass entry");
     }
@@ -130,9 +130,9 @@ fn check_class_shape(class: &UserClass, spec: &VmSpec, cov: &mut Cov) -> CheckRe
 fn check_fields(class: &UserClass, spec: &VmSpec, cov: &mut Cov) -> CheckResult {
     probe!(cov);
     let is_interface = class.cf.access.contains(ClassAccess::INTERFACE);
-    for (i, f) in class.fields.iter().enumerate() {
+    for (i, f) in class.fields().enumerate() {
         probe!(cov);
-        if probe_branch!(cov, !legal_member_name(&f.name)) {
+        if probe_branch!(cov, !legal_member_name(f.name)) {
             return reject(
                 JvmErrorKind::ClassFormatError,
                 format!("illegal field name {:?}", f.name),
@@ -182,9 +182,10 @@ fn check_fields(class: &UserClass, spec: &VmSpec, cov: &mut Cov) -> CheckResult 
             );
         }
         // Problem 4: duplicate fields — GIJ accepts them.
-        let dup = class.fields[..i]
-            .iter()
-            .any(|g| g.name == f.name && g.desc_text == f.desc_text);
+        let dup = class
+            .fields()
+            .take(i)
+            .any(|g| (g.name, g.desc_text) == (f.name, f.desc_text));
         if probe_branch!(cov, dup && !spec.allow_duplicate_fields) {
             return reject(
                 JvmErrorKind::ClassFormatError,
@@ -197,49 +198,45 @@ fn check_fields(class: &UserClass, spec: &VmSpec, cov: &mut Cov) -> CheckResult 
 
 fn check_methods(class: &UserClass, spec: &VmSpec, cov: &mut Cov) -> CheckResult {
     probe!(cov);
-    let acc = class.cf.access;
-    let is_interface = acc.contains(ClassAccess::INTERFACE);
-    let class_abstract = acc.contains(ClassAccess::ABSTRACT);
-    for (i, m) in class.methods.iter().enumerate() {
+    for m in class.methods() {
         probe!(cov);
-        let dup = class.methods[..i]
-            .iter()
-            .any(|g| g.name == m.name && g.desc_text == m.desc_text);
+        let name = m.name();
+        let dup = class
+            .methods()
+            .take(m.index)
+            .any(|g| g.name() == name && g.desc_text() == m.desc_text());
         if probe_branch!(cov, dup) {
             return reject(
                 JvmErrorKind::ClassFormatError,
-                format!("duplicate method name&signature: {}", m.name),
+                format!("duplicate method name&signature: {name}"),
             );
         }
-        check_one_method(class, m, spec, is_interface, class_abstract, cov)?;
+        check_one_method(class, m, spec, cov)?;
     }
     Ok(())
 }
 
-fn check_one_method(
-    class: &UserClass,
-    m: &MethodSummary,
-    spec: &VmSpec,
-    is_interface: bool,
-    class_abstract: bool,
-    cov: &mut Cov,
-) -> CheckResult {
+fn check_one_method(class: &UserClass, m: Method<'_>, spec: &VmSpec, cov: &mut Cov) -> CheckResult {
     probe!(cov);
-    let named_clinit = m.name == "<clinit>";
+    let is_interface = class.cf.access.contains(ClassAccess::INTERFACE);
+    let class_abstract = class.cf.access.contains(ClassAccess::ABSTRACT);
+    let name = m.name();
+    let named_clinit = name == "<clinit>";
     let is_initializer = named_clinit && m.access.contains(MethodAccess::STATIC);
 
     // Problem 1 (J9): any method *named* <clinit> must carry a Code
     // attribute, whatever its flags.
     if probe_branch!(
         cov,
-        named_clinit && spec.clinit_requires_code && !m.has_code
+        named_clinit && spec.clinit_requires_code && !m.has_code()
     ) {
         return reject(
             JvmErrorKind::ClassFormatError,
             format!(
                 "no Code attribute specified for non-native, non-abstract method; \
                  class={}, method=<clinit>{}, pc=0",
-                class.name, m.desc_text
+                class.name,
+                m.desc_text()
             ),
         );
     }
@@ -254,17 +251,17 @@ fn check_one_method(
 
     if probe_branch!(
         cov,
-        !legal_member_name(&m.name) && !named_clinit && m.name != "<init>"
+        !legal_member_name(name) && !named_clinit && name != "<init>"
     ) {
         return reject(
             JvmErrorKind::ClassFormatError,
-            format!("illegal method name {:?}", m.name),
+            format!("illegal method name {name:?}"),
         );
     }
     if probe_branch!(cov, m.desc.is_none()) {
         return reject(
             JvmErrorKind::ClassFormatError,
-            format!("method {} has invalid descriptor {:?}", m.name, m.desc_text),
+            format!("method {name} has invalid descriptor {:?}", m.desc_text()),
         );
     }
     let visibility = [
@@ -278,7 +275,7 @@ fn check_one_method(
     if probe_branch!(cov, visibility > 1) {
         return reject(
             JvmErrorKind::ClassFormatError,
-            format!("method {} has conflicting visibility flags", m.name),
+            format!("method {name} has conflicting visibility flags"),
         );
     }
 
@@ -295,7 +292,7 @@ fn check_one_method(
         if probe_branch!(cov, m.access.intersects(bad) && !is_initializer) {
             return reject(
                 JvmErrorKind::ClassFormatError,
-                format!("abstract method {} has incompatible flags", m.name),
+                format!("abstract method {name} has incompatible flags"),
             );
         }
         // §3.3: J9/GIJ reject an abstract method in a concrete class at
@@ -308,31 +305,31 @@ fn check_one_method(
                 JvmErrorKind::ClassFormatError,
                 format!(
                     "abstract method {} in non-abstract class {}",
-                    m.name, class.name
+                    name, class.name
                 ),
             );
         }
     }
 
     // Code-presence discipline.
-    if probe_branch!(cov, !m.has_code && !is_abstract && !is_native) {
+    if probe_branch!(cov, !m.has_code() && !is_abstract && !is_native) {
         return reject(
             JvmErrorKind::ClassFormatError,
             format!(
                 "absent Code attribute in method {} that is not native or abstract",
-                m.name
+                name
             ),
         );
     }
-    if probe_branch!(cov, m.has_code && (is_abstract || is_native)) {
+    if probe_branch!(cov, m.has_code() && (is_abstract || is_native)) {
         return reject(
             JvmErrorKind::ClassFormatError,
-            format!("Code attribute in native or abstract method {}", m.name),
+            format!("Code attribute in native or abstract method {name}"),
         );
     }
 
     // Problem 4: <init> signature discipline — GIJ skips it entirely.
-    if probe_branch!(cov, m.name == "<init>" && spec.strict_init_signature) {
+    if probe_branch!(cov, name == "<init>" && spec.strict_init_signature) {
         if probe_branch!(cov, is_interface) {
             return reject(
                 JvmErrorKind::ClassFormatError,
@@ -350,7 +347,7 @@ fn check_one_method(
                 "method <init> must not be static, final, synchronized, native or abstract",
             );
         }
-        let returns_void = m.desc.as_ref().map(|d| d.ret.is_none()).unwrap_or(false);
+        let returns_void = m.desc.map(|d| d.ret.is_none()).unwrap_or(false);
         if probe_branch!(cov, !returns_void) {
             return reject(
                 JvmErrorKind::ClassFormatError,
@@ -369,7 +366,7 @@ fn check_one_method(
     ) {
         return reject(
             JvmErrorKind::ClassFormatError,
-            format!("interface method {} must be public and abstract", m.name),
+            format!("interface method {name} must be public and abstract"),
         );
     }
     Ok(())
@@ -535,5 +532,35 @@ mod tests {
             kind(check(&c, &VmSpec::hotspot9())),
             JvmErrorKind::ClassFormatError
         );
+    }
+
+    #[test]
+    fn unresolvable_member_names_are_illegal_everywhere() {
+        use classfuzz_classfile::{ConstIndex, FieldAccess};
+        let mut c = IrClass::with_hello_main("p/Names", "x");
+        c.fields.push(classfuzz_jimple::IrField {
+            access: FieldAccess::PUBLIC,
+            name: "f".into(),
+            ty: JType::Int,
+            constant_value: None,
+        });
+        let mut field = lower_class(&c);
+        field.fields[0].name = ConstIndex(u16::MAX);
+        c.fields.clear();
+        let mut method = lower_class(&c);
+        let last = method.methods.len() - 1;
+        method.methods[last].name = ConstIndex(u16::MAX);
+        for (cf, what) in [(field, "field"), (method, "method")] {
+            let user = UserClass::summarize(cf);
+            for spec in VmSpec::all_five() {
+                match format_check(&user, &spec, &mut Cov::disabled()) {
+                    Err(Outcome::Rejected { error, .. }) => {
+                        assert_eq!(error.kind, JvmErrorKind::ClassFormatError);
+                        assert_eq!(error.message, format!("illegal {what} name \"$badname\""));
+                    }
+                    other => panic!("{} accepted a dangling {what} name: {other:?}", spec.name),
+                }
+            }
+        }
     }
 }

@@ -19,7 +19,7 @@ use crate::interp::{ExecError, Machine, RtValue};
 use crate::library::{bootstrap_library, shared_library, LibClass};
 use crate::outcome::{JvmErrorKind, Outcome, Phase};
 use crate::spec::VmSpec;
-use crate::world::{MethodSummary, UserClass, World};
+use crate::world::{Method, UserClass, World};
 use crate::{linker, loader, probe, probe_branch, verifier};
 
 /// The result of one startup run. A traced run's coverage lives in the
@@ -297,7 +297,7 @@ impl Jvm {
         machine.prepare_statics(main_class);
         if let Some(clinit) = self.initializer_of(main_class) {
             probe!(cov);
-            match machine.call_static(main_class, &clinit.name, &clinit.desc_text, vec![], cov) {
+            match machine.call_static(main_class, clinit.name(), clinit.desc_text(), vec![], cov) {
                 Ok(_) => {}
                 Err(ExecError::Linkage { kind, message }) => {
                     // Linkage errors surfacing from lazy verification or
@@ -336,7 +336,7 @@ impl Jvm {
             );
         }
         let main = main_class.find_method("main", "([Ljava/lang/String;)V");
-        if !main.is_some_and(|m| m.access.contains(MethodAccess::STATIC) && m.has_code) {
+        if !main.is_some_and(|m| m.access.contains(MethodAccess::STATIC) && m.has_code()) {
             probe!(cov);
             return Outcome::rejected(
                 Phase::Runtime,
@@ -376,12 +376,12 @@ impl Jvm {
     /// `<clinit>`, no arguments, with the static flag (version ≥ 51).
     /// Non-static `<clinit>`s are "of no consequence" here; whether they
     /// were already rejected at load time is the loader's policy.
-    fn initializer_of<'c>(&self, class: &'c UserClass) -> Option<&'c MethodSummary> {
-        class.methods.iter().find(|m| {
-            m.name == "<clinit>"
+    fn initializer_of<'c>(&self, class: &'c UserClass) -> Option<Method<'c>> {
+        class.methods().find(|m| {
+            m.name() == "<clinit>"
                 && m.access.contains(MethodAccess::STATIC)
-                && m.has_code
-                && m.desc_text == "()V"
+                && m.has_code()
+                && m.desc_text() == "()V"
         })
     }
 }

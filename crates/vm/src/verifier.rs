@@ -36,7 +36,7 @@ use crate::decode::{
 pub use crate::decode::{InvokeShape, VType};
 use crate::outcome::{JvmErrorKind, Outcome, Phase};
 use crate::spec::VmSpec;
-use crate::world::{MethodSummary, UserClass, World};
+use crate::world::{Method, UserClass, World};
 use crate::{probe, probe_branch};
 
 /// A dataflow frame: the abstract state at one instruction.
@@ -192,16 +192,18 @@ fn verify_class_with(
     cold: bool,
 ) -> Result<(), Outcome> {
     probe!(cov);
-    for m in &class.methods {
-        if m.has_code {
-            verify_method_with(world, class, m, spec, cov, cold)?;
+    for m in class.methods() {
+        if m.has_code() {
+            verify_method(world, class, m, spec, cov, cold)?;
         }
     }
     Ok(())
 }
 
 /// Verifies a single method (the unit J9 defers until first invocation),
-/// reading the class's shared decoded-method table.
+/// reading the class's shared decoded-method table, or with `fresh`
+/// decoding the method afresh for this call (the cold baseline: same inner
+/// code, same probes, bit-identical traces).
 ///
 /// # Errors
 ///
@@ -209,39 +211,13 @@ fn verify_class_with(
 pub fn verify_method(
     world: &World,
     class: &UserClass,
-    method: &MethodSummary,
+    method: Method<'_>,
     spec: &VmSpec,
     cov: &mut Cov,
-) -> Result<(), Outcome> {
-    verify_method_with(world, class, method, spec, cov, false)
-}
-
-/// [`verify_method`] with the method decoded afresh per call — the bench
-/// baseline. Same inner code, same probes, bit-identical traces.
-///
-/// # Errors
-///
-/// Returns a linking-phase `VerifyError` outcome.
-pub fn verify_method_cold(
-    world: &World,
-    class: &UserClass,
-    method: &MethodSummary,
-    spec: &VmSpec,
-    cov: &mut Cov,
-) -> Result<(), Outcome> {
-    verify_method_with(world, class, method, spec, cov, true)
-}
-
-fn verify_method_with(
-    world: &World,
-    class: &UserClass,
-    method: &MethodSummary,
-    spec: &VmSpec,
-    cov: &mut Cov,
-    cold: bool,
+    fresh: bool,
 ) -> Result<(), Outcome> {
     probe!(cov);
-    let code = match decoded(class, method.index, cold) {
+    let code = match decoded(class, method.index, fresh) {
         Some(code) => code,
         None => return Ok(()), // no Code attribute: nothing to verify
     };
@@ -262,7 +238,7 @@ fn verify_method_with(
         code: &code,
         sig,
         method_static: method.access.contains(MethodAccess::STATIC),
-        is_init: method.name == "<init>",
+        is_init: method.name() == "<init>",
     };
     match v.run() {
         Ok(()) => Ok(()),
@@ -270,19 +246,17 @@ fn verify_method_with(
     }
 }
 
-fn reject(class: &UserClass, method: &MethodSummary, f: VerifyFail) -> Outcome {
+fn reject(class: &UserClass, method: Method<'_>, f: VerifyFail) -> Outcome {
     let (kind, msg) = match f {
         VerifyFail::Reject(msg) => (JvmErrorKind::VerifyError, msg),
         VerifyFail::Internal(msg) => (JvmErrorKind::InternalError, msg),
     };
-    Outcome::rejected(
-        Phase::Linking,
-        kind,
-        format!(
-            "(class: {}, method: {} signature: {}) {msg}",
-            class.name, method.name, method.desc_text
-        ),
-    )
+    let (name, desc) = (method.name(), method.desc_text());
+    let msg = format!(
+        "(class: {}, method: {name} signature: {desc}) {msg}",
+        class.name
+    );
+    Outcome::rejected(Phase::Linking, kind, msg)
 }
 
 /// Records a decoded branch edge, failing when the target was not an
@@ -1439,8 +1413,8 @@ mod tests {
             .build();
         let user = UserClass::summarize(cf);
         let world = World::new(&spec, vec![]);
-        let m = user.methods[0].clone();
-        assert!(verify_method(&world, &user, &m, &spec, &mut Cov::disabled()).is_ok());
+        let m = user.method(0).unwrap();
+        assert!(verify_method(&world, &user, m, &spec, &mut Cov::disabled(), false).is_ok());
         assert!(
             retained_slots() <= WORKSPACE_SLOT_BUDGET,
             "a run past the budget must not stay resident"
@@ -1577,8 +1551,8 @@ mod tests {
         let spec = VmSpec::hotspot9();
         let user = UserClass::summarize(cf);
         let world = World::new(&spec, vec![]);
-        let m = user.methods[0].clone();
-        assert!(verify_method(&world, &user, &m, &spec, &mut Cov::disabled()).is_err());
+        let m = user.method(0).unwrap();
+        assert!(verify_method(&world, &user, m, &spec, &mut Cov::disabled(), false).is_err());
     }
 
     #[test]
@@ -1603,8 +1577,8 @@ mod tests {
         let spec = VmSpec::hotspot9();
         let user = UserClass::summarize(cf);
         let world = World::new(&spec, vec![]);
-        let m = user.methods[0].clone();
-        let err = verify_method(&world, &user, &m, &spec, &mut Cov::disabled());
+        let m = user.method(0).unwrap();
+        let err = verify_method(&world, &user, m, &spec, &mut Cov::disabled(), false);
         assert!(matches!(err, Err(Outcome::Rejected { .. })));
     }
 
@@ -1636,8 +1610,8 @@ mod tests {
         let spec = VmSpec::hotspot9();
         let user = UserClass::summarize(cf);
         let world = World::new(&spec, vec![]);
-        let m = user.methods[0].clone();
-        assert!(verify_method(&world, &user, &m, &spec, &mut Cov::disabled()).is_err());
+        let m = user.method(0).unwrap();
+        assert!(verify_method(&world, &user, m, &spec, &mut Cov::disabled(), false).is_err());
     }
 
     #[test]
@@ -1697,7 +1671,7 @@ mod tests {
         let spec = VmSpec::hotspot9();
         let user = UserClass::summarize(cf);
         let world = World::new(&spec, vec![]);
-        let m = user.methods[0].clone();
-        assert!(verify_method(&world, &user, &m, &spec, &mut Cov::disabled()).is_err());
+        let m = user.method(0).unwrap();
+        assert!(verify_method(&world, &user, m, &spec, &mut Cov::disabled(), false).is_err());
     }
 }

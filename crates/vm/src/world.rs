@@ -4,59 +4,89 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use classfuzz_classfile::{ClassFile, FieldAccess, FieldType, MethodAccess, MethodDescriptor};
+use classfuzz_classfile::{
+    ClassAccess, ClassFile, ConstantPool, FieldAccess, FieldType, MethodAccess, MethodDescriptor,
+    MethodInfo,
+};
 
 use crate::decode::DecodedTable;
 use crate::library::{shared_library, LibClass};
 use crate::spec::VmSpec;
 
-/// Summary of a user-class method, with descriptor pre-parsed.
-#[derive(Debug, Clone)]
-pub struct MethodSummary {
+/// A user-class method as the checkers read it, built on the fly by
+/// [`UserClass::method`]: its name, descriptor text, `Code` presence and
+/// `throws` clause are read from the classfile only when asked for, so a
+/// walk such as [`UserClass::find_method`] reads no more than it compares.
+/// Its descriptor tree comes from the class's parse.
+#[derive(Debug, Clone, Copy)]
+pub struct Method<'c> {
     /// Index into `ClassFile::methods`.
     pub index: usize,
-    /// Method name (may be garbage after mutation).
-    pub name: String,
-    /// Raw descriptor text.
-    pub desc_text: String,
     /// Parsed descriptor, when parseable.
-    pub desc: Option<MethodDescriptor>,
+    pub desc: Option<&'c MethodDescriptor>,
     /// Access flags.
     pub access: MethodAccess,
-    /// Whether a `Code` attribute is present.
-    pub has_code: bool,
-    /// The `throws`-clause class names, dangling entries dropped.
-    pub exceptions: Vec<String>,
+    info: &'c MethodInfo,
+    cp: &'c ConstantPool,
 }
 
-/// Summary of a user-class field.
-#[derive(Debug, Clone)]
-pub struct FieldSummary {
-    /// Field name.
-    pub name: String,
-    /// Raw descriptor text.
-    pub desc_text: String,
+impl<'c> Method<'c> {
+    /// Method name; `$badname` when the name entry does not resolve.
+    pub fn name(&self) -> &'c str {
+        self.cp.utf8_text(self.info.name).unwrap_or("$badname")
+    }
+
+    /// Raw descriptor text; empty when the entry does not resolve.
+    pub fn desc_text(&self) -> &'c str {
+        self.cp.utf8_text(self.info.descriptor).unwrap_or("")
+    }
+
+    /// Whether a `Code` attribute is present.
+    pub fn has_code(&self) -> bool {
+        self.info.code().is_some()
+    }
+
+    /// The `throws`-clause class names, dangling entries skipped.
+    pub fn exceptions(&self) -> impl Iterator<Item = &'c str> {
+        let (cp, names) = (self.cp, self.info.declared_exceptions());
+        names.iter().filter_map(move |&e| cp.class_name_str(e))
+    }
+}
+
+/// A user-class field, built on the fly by [`UserClass::fields`]: its name
+/// and descriptor text borrowed from the constant pool, its type from the
+/// class's parse.
+#[derive(Debug, Clone, Copy)]
+pub struct Field<'c> {
+    /// Field name; `$badname` when the name entry does not resolve.
+    pub name: &'c str,
+    /// Raw descriptor text; empty when the entry does not resolve.
+    pub desc_text: &'c str,
     /// Parsed type, when parseable.
-    pub ty: Option<FieldType>,
+    pub ty: Option<&'c FieldType>,
     /// Access flags.
     pub access: FieldAccess,
 }
 
 /// A user class admitted to the world (parsed, not yet checked).
+///
+/// The classfile is the one copy of the class's member names, descriptor
+/// texts and class references: [`methods`](UserClass::methods),
+/// [`fields`](UserClass::fields), [`super_name`](UserClass::super_name)
+/// and [`interfaces`](UserClass::interfaces) borrow them from its constant
+/// pool. The class keeps only what the pool cannot answer by reference: its
+/// own name, the parsed descriptor trees and the decoded-method table.
 #[derive(Debug, Clone)]
 pub struct UserClass {
     /// The parsed classfile.
     pub cf: ClassFile,
-    /// Binary name (resolved from `this_class`).
+    /// Binary name (resolved from `this_class`; `$badclass{N}` when the
+    /// entry does not resolve).
     pub name: String,
-    /// Superclass name, when resolvable.
-    pub super_name: Option<String>,
-    /// Interface names (dangling entries dropped).
-    pub interfaces: Vec<String>,
-    /// Method summaries, in declaration order.
-    pub methods: Vec<MethodSummary>,
-    /// Field summaries, in declaration order.
-    pub fields: Vec<FieldSummary>,
+    /// Parsed method descriptors, one per `cf.methods` entry.
+    descs: Vec<Option<MethodDescriptor>>,
+    /// Parsed field types, one per `cf.fields` entry.
+    field_types: Vec<Option<FieldType>>,
     /// Per-method decoded-code table, filled lazily on a method's first
     /// verification or execution and read by the verifier and the
     /// interpreter alike. `Arc`-shared: cloning the class (or sharing its
@@ -66,68 +96,80 @@ pub struct UserClass {
 }
 
 impl UserClass {
-    /// Summarizes a parsed classfile. Never fails: unresolvable names
+    /// Summarizes a parsed classfile: resolves the class's own name and
+    /// parses every member descriptor. Never fails: unresolvable names
     /// surface as placeholders for the checkers to reject.
     pub fn summarize(cf: ClassFile) -> UserClass {
         let cp = &cf.constant_pool;
         let name = cf
             .this_class_name()
             .unwrap_or_else(|| format!("$badclass{}", cf.this_class.0));
-        let super_name = cf.super_class_name();
-        let interfaces = cf.interface_names();
-        let methods = cf
+        let descs = cf
             .methods
             .iter()
-            .enumerate()
-            .map(|(index, m)| {
-                let mname = cp.utf8_text(m.name).unwrap_or("$badname").to_string();
-                let desc_text = cp.utf8_text(m.descriptor).unwrap_or("").to_string();
-                MethodSummary {
-                    index,
-                    name: mname,
-                    desc: MethodDescriptor::parse(&desc_text).ok(),
-                    desc_text,
-                    access: m.access,
-                    has_code: m.code().is_some(),
-                    exceptions: m
-                        .declared_exceptions()
-                        .iter()
-                        .filter_map(|&e| cp.class_name(e))
-                        .collect(),
-                }
-            })
+            .map(|m| MethodDescriptor::parse(cp.utf8_text(m.descriptor).unwrap_or("")).ok())
             .collect();
-        let fields = cf
+        let field_types = cf
             .fields
             .iter()
-            .map(|f| {
-                let fname = cp.utf8_text(f.name).unwrap_or("$badname").to_string();
-                let desc_text = cp.utf8_text(f.descriptor).unwrap_or("").to_string();
-                FieldSummary {
-                    name: fname,
-                    ty: FieldType::parse(&desc_text).ok(),
-                    desc_text,
-                    access: f.access,
-                }
-            })
+            .map(|f| FieldType::parse(cp.utf8_text(f.descriptor).unwrap_or("")).ok())
             .collect();
         let decoded = DecodedTable::for_methods(cf.methods.len());
         UserClass {
             cf,
             name,
-            super_name,
-            interfaces,
-            methods,
-            fields,
+            descs,
+            field_types,
             decoded,
         }
     }
 
-    /// Finds a method summary by name and descriptor text.
-    pub fn find_method(&self, name: &str, desc: &str) -> Option<&MethodSummary> {
-        self.methods
+    /// Method `index`, in declaration order; `None` past the last.
+    pub fn method(&self, index: usize) -> Option<Method<'_>> {
+        let info = self.cf.methods.get(index)?;
+        Some(Method {
+            index,
+            desc: self.descs.get(index)?.as_ref(),
+            access: info.access,
+            info,
+            cp: &self.cf.constant_pool,
+        })
+    }
+
+    /// The methods, in declaration order.
+    pub fn methods(&self) -> impl Iterator<Item = Method<'_>> {
+        (0..self.cf.methods.len()).filter_map(|i| self.method(i))
+    }
+
+    /// The fields, in declaration order.
+    pub fn fields(&self) -> impl Iterator<Item = Field<'_>> {
+        let (cp, infos) = (&self.cf.constant_pool, &self.cf.fields);
+        infos
             .iter()
-            .find(|m| m.name == name && m.desc_text == desc)
+            .zip(&self.field_types)
+            .map(move |(info, ty)| Field {
+                name: cp.utf8_text(info.name).unwrap_or("$badname"),
+                desc_text: cp.utf8_text(info.descriptor).unwrap_or(""),
+                ty: ty.as_ref(),
+                access: info.access,
+            })
+    }
+
+    /// Finds a method by name and descriptor text.
+    pub fn find_method(&self, name: &str, desc: &str) -> Option<Method<'_>> {
+        self.methods()
+            .find(|m| m.name() == name && m.desc_text() == desc)
+    }
+
+    /// Superclass name, when resolvable.
+    pub fn super_name(&self) -> Option<&str> {
+        self.cf.constant_pool.class_name_str(self.cf.super_class)
+    }
+
+    /// Interface names, dangling entries skipped.
+    pub fn interfaces(&self) -> impl Iterator<Item = &str> {
+        let (cp, names) = (&self.cf.constant_pool, &self.cf.interfaces);
+        names.iter().filter_map(move |&i| cp.class_name_str(i))
     }
 }
 
@@ -139,8 +181,9 @@ impl UserClass {
 /// [`shared_library`]), so constructing a `World` is an *overlay*
 /// operation — a handful of `UserClass` handles — not a library rebuild.
 ///
-/// Every lookup and hierarchy walk borrows its names from the user-class
-/// summaries and the library's `&'static str`s: a walk copies no name.
+/// Every lookup and hierarchy walk borrows its names from the user
+/// classes' constant pools and the library's `&'static str`s: a walk
+/// copies no name.
 #[derive(Debug)]
 pub struct World {
     /// Bootstrap library for the VM's JRE generation (shared, immutable).
@@ -198,10 +241,7 @@ impl World {
     /// Is `name` declared final? `None` when the class is unknown.
     pub fn is_final(&self, name: &str) -> Option<bool> {
         if let Some(u) = self.user_class(name) {
-            return Some(
-                u.cf.access
-                    .contains(classfuzz_classfile::ClassAccess::FINAL),
-            );
+            return Some(u.cf.access.contains(ClassAccess::FINAL));
         }
         self.library.get(name).map(LibClass::is_final)
     }
@@ -209,10 +249,7 @@ impl World {
     /// Is `name` an interface? `None` when unknown.
     pub fn is_interface(&self, name: &str) -> Option<bool> {
         if let Some(u) = self.user_class(name) {
-            return Some(
-                u.cf.access
-                    .contains(classfuzz_classfile::ClassAccess::INTERFACE),
-            );
+            return Some(u.cf.access.contains(ClassAccess::INTERFACE));
         }
         self.library.get(name).map(LibClass::is_interface)
     }
@@ -225,21 +262,18 @@ impl World {
     /// Direct superclass name, when the class is known.
     pub fn super_of(&self, name: &str) -> Option<&str> {
         if let Some(u) = self.user_class(name) {
-            return u.super_name.as_deref();
+            return u.super_name();
         }
         self.library.get(name).and_then(|c| c.super_class)
     }
 
     /// Direct superinterfaces (empty when the class is unknown).
     pub fn interfaces_of(&self, name: &str) -> impl Iterator<Item = &str> {
-        let (user, lib): (&[String], &[&'static str]) = match self.user_class(name) {
-            Some(u) => (&u.interfaces, &[]),
-            None => match self.library.get(name) {
-                Some(c) => (&[], &c.interfaces),
-                None => (&[], &[]),
-            },
-        };
-        user.iter().map(String::as_str).chain(lib.iter().copied())
+        let user = self.user_class(name);
+        let lib = user.is_none().then(|| self.library.get(name)).flatten();
+        user.into_iter()
+            .flat_map(UserClass::interfaces)
+            .chain(lib.into_iter().flat_map(|c| c.interfaces.iter().copied()))
     }
 
     /// Writes `name` and then its superclasses into `chain`, stopping at
@@ -392,19 +426,78 @@ mod tests {
 
     #[test]
     fn summarize_survives_bad_descriptors() {
+        use classfuzz_classfile::{Attribute, ConstIndex, FieldAccess, MethodAccess};
+        use classfuzz_jimple::{IrField, IrMethod, JType};
         let mut c = IrClass::new("demo/Bad");
-        c.methods.push(classfuzz_jimple::IrMethod::abstract_method(
-            classfuzz_classfile::MethodAccess::PUBLIC | classfuzz_classfile::MethodAccess::ABSTRACT,
-            "m",
-            vec![],
-            None,
-        ));
+        c.interfaces.push("java/lang/Runnable".into());
+        for name in ["m", "n"] {
+            let mut m = IrMethod::abstract_method(
+                MethodAccess::PUBLIC | MethodAccess::ABSTRACT,
+                name,
+                vec![],
+                None,
+            );
+            m.exceptions.push("java/lang/RuntimeException".into());
+            c.methods.push(m);
+        }
+        for name in ["f", "g"] {
+            c.fields.push(IrField {
+                access: FieldAccess::PUBLIC,
+                name: name.into(),
+                ty: JType::Int,
+                constant_value: None,
+            });
+        }
         let mut cf = lower_class(&c);
+        // Two ways for an index not to resolve: past the pool, and to an
+        // entry of the wrong kind (the class's own `Class` constant).
+        let dangling = ConstIndex(u16::MAX);
+        let not_utf8 = cf.this_class;
         // Corrupt the method descriptor.
         let bad = cf.constant_pool.utf8("(((");
         cf.methods[0].descriptor = bad;
+        cf.methods[1].name = dangling;
+        cf.methods[1].descriptor = not_utf8;
+        cf.fields[0].name = not_utf8;
+        cf.fields[1].descriptor = dangling;
+        for a in &mut cf.methods[0].attributes {
+            if let Attribute::Exceptions(e) = a {
+                e.insert(0, dangling);
+            }
+        }
+        cf.interfaces.insert(0, dangling);
+        cf.this_class = dangling;
+        cf.super_class = ConstIndex(0);
         let u = UserClass::summarize(cf);
-        assert!(u.methods[0].desc.is_none());
-        assert_eq!(u.methods[0].desc_text, "(((");
+
+        assert_eq!(u.name, "$badclass65535");
+        assert_eq!(u.super_name(), None);
+        assert_eq!(u.interfaces().collect::<Vec<_>>(), ["java/lang/Runnable"]);
+
+        let m = u.method(0).unwrap();
+        assert_eq!((m.name(), m.desc_text()), ("m", "((("));
+        assert!(m.desc.is_none());
+        assert_eq!(
+            m.exceptions().collect::<Vec<_>>(),
+            ["java/lang/RuntimeException"]
+        );
+        let n = u.method(1).unwrap();
+        assert_eq!((n.name(), n.desc_text()), ("$badname", ""));
+        assert!(n.desc.is_none());
+        assert!(u.method(2).is_none());
+        assert_eq!(u.methods().count(), 2);
+
+        let fields: Vec<_> = u.fields().collect();
+        assert_eq!((fields[0].name, fields[0].desc_text), ("$badname", "I"));
+        assert_eq!(fields[0].ty, Some(&FieldType::Int));
+        assert_eq!((fields[1].name, fields[1].desc_text), ("g", ""));
+        assert!(fields[1].ty.is_none());
+
+        let w = World::new(&VmSpec::hotspot9(), vec![u]);
+        assert_eq!(
+            w.interfaces_of("$badclass65535").collect::<Vec<_>>(),
+            ["java/lang/Runnable"]
+        );
+        assert_eq!(w.super_of("$badclass65535"), None);
     }
 }

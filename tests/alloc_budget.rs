@@ -1,5 +1,5 @@
 //! Allocation budget of a warm profile run, of the first five-profile pass
-//! over a fresh decode, and of one classification.
+//! over a fresh decode, of one classification and of one parse.
 //!
 //! The test binary counts every heap request its thread makes (a global
 //! allocator with a thread-local counter, so the harness's own threads do
@@ -7,8 +7,9 @@
 //! profiles, twice to warm the class's shared decoded-method table and the
 //! thread's verifier workspace and once counted, then counts one
 //! `OutcomeVector` classification. A second test counts the first pass
-//! over a fresh decode, the one that fills the table. Each count must stay
-//! under the ceiling pinned below.
+//! over a fresh decode, the one that fills the table, and a third one
+//! `preparse` of the class's bytes. Each count must stay under the ceiling
+//! pinned below.
 //!
 //! The ceilings hold the per-run allocation budget (DESIGN.md §16): the
 //! verifier reuses its per-thread frames, hierarchy walks and name lookups
@@ -107,6 +108,38 @@ const CLASSIFY_CEILING: u64 = 4;
 /// decodes a method twice again trips it. The ceiling is that count plus
 /// two.
 const FIRST_PASS_CEILING: u64 = 89;
+
+/// Ceiling on one `preparse` of the seed class's bytes, which makes 39
+/// allocations:
+///
+/// * 29 in `ClassFile::from_bytes`: one `String` for each of the 18 Utf8
+///   constants, and the pool's, the methods', the attributes' and the
+///   instructions' vectors;
+/// * 9 in `UserClass::summarize`: the class's own name, the vector of
+///   parsed method descriptors, the 5 allocations of the four descriptor
+///   trees and the 2 of the decoded-method table;
+/// * the `Arc` the five profiles share.
+///
+/// Member names, descriptor texts and class references are read from the
+/// constant pool, not copied; when the summary copied them, a parse took
+/// 48. A change that brings a copy back trips the ceiling, which is the
+/// count plus two.
+const PREPARSE_CEILING: u64 = 41;
+
+#[test]
+fn preparse_copies_no_pool_string() {
+    let seed = SeedCorpus::generate(1, 20_160_613).into_classes().remove(0);
+    let bytes = lower_class(&seed).to_bytes();
+    // The first parse installs the process's panic hook.
+    assert!(preparse(&bytes).is_parsed());
+    let (parsed, count) = allocations(|| preparse(&bytes));
+    assert!(parsed.is_parsed());
+    eprintln!("preparse: {count} allocations (ceiling {PREPARSE_CEILING})");
+    assert!(
+        count <= PREPARSE_CEILING,
+        "one preparse made {count} allocations, over the ceiling of {PREPARSE_CEILING}"
+    );
+}
 
 #[test]
 fn first_pass_decodes_each_method_once() {
