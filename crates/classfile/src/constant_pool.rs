@@ -8,6 +8,7 @@
 use std::error::Error;
 use std::fmt;
 use std::hash::Hasher;
+use std::ops::Range;
 
 use rustc_hash::{FxHashMap, FxHasher};
 
@@ -16,7 +17,8 @@ use rustc_hash::{FxHashMap, FxHasher};
 pub const MAX_POOL_SLOTS: usize = u16::MAX as usize - 1;
 
 /// The pool is full: admitting the entry would push `constant_pool_count`
-/// past `u16::MAX` and silently alias low slot numbers on the wire.
+/// past `u16::MAX` and silently alias low slot numbers on the wire (or,
+/// for a `Utf8` entry, its text past the 4 GiB a [`Utf8Span`] can address).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolFullError {
     /// Slots the rejected entry needed (2 for `Long`/`Double`).
@@ -60,12 +62,47 @@ impl From<ConstIndex> for u16 {
     }
 }
 
+/// Where a `Utf8` entry's text sits in its pool's text buffer: a start
+/// offset and a length.
+///
+/// A span is a handle, not text. Only the pool that made it reads it
+/// ([`ConstantPool::utf8_text`] resolves an entry's index to its text), so
+/// spans are compared by the pool, never with each other: equal text may
+/// sit at different offsets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Utf8Span {
+    start: u32,
+    len: u32,
+}
+
+impl Utf8Span {
+    /// The span of `buf[start..end]`, or `None` past the 4 GiB a span can
+    /// address.
+    pub(crate) fn new(start: usize, end: usize) -> Option<Utf8Span> {
+        let start = u32::try_from(start).ok()?;
+        let len = u32::try_from(end).ok()?.checked_sub(start)?;
+        Some(Utf8Span { start, len })
+    }
+
+    fn range(self) -> Range<usize> {
+        let start = self.start as usize;
+        start..start + self.len as usize
+    }
+
+    /// This span's text in `buf`, or `None` when it does not lie there (a
+    /// span from another pool).
+    fn read(self, buf: &str) -> Option<&str> {
+        buf.get(self.range())
+    }
+}
+
 /// One constant-pool entry (JVMS table 4.4-A, Java SE 7 tag set).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Constant {
-    /// `CONSTANT_Utf8` — modified-UTF-8 text. Stored as a Rust string; the
-    /// (rare) surrogate encodings of real modified UTF-8 are normalized away.
-    Utf8(String),
+    /// `CONSTANT_Utf8` — modified-UTF-8 text, held in the pool's text
+    /// buffer as a Rust string; the (rare) surrogate encodings of real
+    /// modified UTF-8 are normalized away.
+    Utf8(Utf8Span),
     /// `CONSTANT_Integer`.
     Integer(i32),
     /// `CONSTANT_Float`.
@@ -165,6 +202,12 @@ impl Constant {
 #[derive(Debug, Default)]
 pub struct ConstantPool {
     entries: Vec<Constant>,
+    /// The text of every `Utf8` entry, back to back in slot order; each
+    /// entry holds its [`Utf8Span`]. One buffer instead of one `String`
+    /// per entry: a parse decodes into it and interning appends to it, and
+    /// [`clear`](ConstantPool::clear) keeps its capacity for the next
+    /// round.
+    text: String,
     /// How many leading `entries` the two interning maps cover. Only the
     /// interning calls read the maps, and each first catches them up to
     /// the whole pool ([`ConstantPool::sync_index`]), so a parsed pool
@@ -172,20 +215,15 @@ pub struct ConstantPool {
     indexed: usize,
     /// Utf8 interning index: hash of the text → the lowest index of a
     /// `Utf8` entry with that hash. Keyed by hash instead of an owned
-    /// `String` so interning a fresh string allocates it exactly once (the
-    /// copy in `entries`). A candidate whose text differs is a hash
-    /// collision, resolved by scanning `entries`, so a collision costs a
-    /// scan, never a wrong index.
+    /// `String` so interning a fresh string copies it exactly once (into
+    /// `text`). A candidate whose text differs is a hash collision,
+    /// resolved by scanning `entries`, so a collision costs a scan, never
+    /// a wrong index.
     utf8_index: FxHashMap<u64, ConstIndex>,
     /// Index of every other entry kind: (tag, payload bits) → the lowest
     /// index holding exactly that entry. Bit keys make `Float`/`Double`
     /// interning bit-exact (NaN payloads and `-0.0` stay distinct).
     bits_index: FxHashMap<(u8, u64), ConstIndex>,
-    /// String buffers salvaged by [`ConstantPool::clear`], reused by the
-    /// next interning misses. Transient scratch, not pool value: cleared
-    /// pools re-intern mostly the same names, so the buffers cycle instead
-    /// of being freed and reallocated every iteration.
-    recycled: Vec<String>,
 }
 
 /// FxHash of a Utf8 entry's text: the `utf8_index` key. Any hash is
@@ -219,19 +257,29 @@ fn bits_key(constant: &Constant) -> Option<(u8, u64)> {
 }
 
 impl PartialEq for ConstantPool {
-    /// Pools are equal when their slots are: the interning index is a
-    /// cache derived from `entries`, not part of the pool's value.
+    /// Pools are equal when their slots are, `Utf8` slots by their text:
+    /// where a text sits in the buffer and the interning index are not
+    /// part of the pool's value.
     fn eq(&self, other: &ConstantPool) -> bool {
-        self.entries == other.entries
+        self.entries.len() == other.entries.len()
+            && self
+                .entries
+                .iter()
+                .zip(&other.entries)
+                .all(|(a, b)| match (a, b) {
+                    (Constant::Utf8(x), Constant::Utf8(y)) => {
+                        x.read(&self.text) == y.read(&other.text)
+                    }
+                    _ => a == b,
+                })
     }
 }
 
 impl Clone for ConstantPool {
-    /// Clones the pool's value, its entries. The interning index is a
-    /// cache the copy rebuilds on its first interning call, and the
-    /// salvage list is per-instance scratch that starts empty.
+    /// Clones the pool's value, its entries and their text. The interning
+    /// index is a cache the copy rebuilds on its first interning call.
     fn clone(&self) -> Self {
-        ConstantPool::from_entries(self.entries.clone())
+        ConstantPool::from_parts(self.entries.clone(), self.text.clone())
     }
 }
 
@@ -241,13 +289,15 @@ impl ConstantPool {
         ConstantPool::default()
     }
 
-    /// A pool over `entries` as laid out on the wire: each wide entry
-    /// already followed by its padding slot. No index is built; the first
-    /// interning call builds it.
-    pub(crate) fn from_entries(entries: Vec<Constant>) -> Self {
+    /// A pool over `entries` as laid out on the wire, each wide entry
+    /// already followed by its padding slot, with the `Utf8` entries'
+    /// spans pointing into `text`. No index is built; the first interning
+    /// call builds it.
+    pub(crate) fn from_parts(entries: Vec<Constant>, text: String) -> Self {
         debug_assert!(entries.len() <= MAX_POOL_SLOTS);
         ConstantPool {
             entries,
+            text,
             ..ConstantPool::default()
         }
     }
@@ -281,7 +331,9 @@ impl ConstantPool {
 
     /// Appends an entry verbatim (no deduplication) and returns its index.
     ///
-    /// Wide entries automatically append their padding slot.
+    /// Wide entries automatically append their padding slot. A `Utf8`
+    /// entry pushed here reuses the text its span already points at in this
+    /// pool; new text goes through [`push_utf8`](Self::push_utf8).
     ///
     /// When the pool is at [`MAX_POOL_SLOTS`] the entry is *not* added and
     /// the null index `ConstIndex(0)` comes back — the one index that is
@@ -313,6 +365,28 @@ impl ConstantPool {
         Ok(index)
     }
 
+    /// Appends a `Utf8` entry for `text` verbatim (no deduplication) and
+    /// returns its index, or the null index when the pool is full, like
+    /// [`push`](Self::push).
+    pub fn push_utf8(&mut self, text: &str) -> ConstIndex {
+        self.try_push_utf8(text).unwrap_or(ConstIndex(0))
+    }
+
+    /// Appends a `Utf8` entry for `text` verbatim, failing with
+    /// [`PoolFullError`] when the pool is at [`MAX_POOL_SLOTS`] or its text
+    /// would pass the 4 GiB a [`Utf8Span`] addresses. The pool is
+    /// unchanged on failure.
+    fn try_push_utf8(&mut self, text: &str) -> Result<ConstIndex, PoolFullError> {
+        let start = self.text.len();
+        let span = start
+            .checked_add(text.len())
+            .and_then(|end| Utf8Span::new(start, end))
+            .ok_or(PoolFullError { needed: 1 })?;
+        let index = self.try_push(Constant::Utf8(span))?;
+        self.text.push_str(text);
+        Ok(index)
+    }
+
     /// Extends the interning maps over the entries appended since they
     /// were last caught up, in slot order, so each key keeps its lowest
     /// index.
@@ -320,7 +394,8 @@ impl ConstantPool {
         for (i, constant) in self.entries.iter().enumerate().skip(self.indexed) {
             let index = ConstIndex(i as u16 + 1);
             match constant {
-                Constant::Utf8(text) => {
+                Constant::Utf8(span) => {
+                    let text = span.read(&self.text).unwrap_or_default();
                     self.utf8_index.entry(utf8_hash(text)).or_insert(index);
                 }
                 other => {
@@ -345,15 +420,7 @@ impl ConstantPool {
                 return found;
             }
         }
-        let owned = match self.recycled.pop() {
-            Some(mut buf) => {
-                buf.clear();
-                buf.push_str(text);
-                buf
-            }
-            None => text.to_string(),
-        };
-        let index = self.push(Constant::Utf8(owned));
+        let index = self.push_utf8(text);
         if index.0 != 0 {
             self.utf8_index.entry(hash).or_insert(index);
             self.indexed = self.entries.len();
@@ -365,20 +432,18 @@ impl ConstantPool {
     /// when the index's candidate for the hash is a collision.
     fn scan_utf8(&self, text: &str) -> Option<ConstIndex> {
         self.iter()
-            .find(|(_, c)| matches!(c, Constant::Utf8(s) if s == text))
+            .find(|(_, c)| matches!(c, Constant::Utf8(s) if s.read(&self.text) == Some(text)))
             .map(|(i, _)| i)
     }
 
     /// Empties the pool while retaining its allocated capacity — the
     /// between-iterations reset of the scratch-lowering pool
-    /// (`classfuzz_jimple::lower::LowerScratch`). `Utf8` string buffers
-    /// are salvaged for the next round's interning misses.
+    /// (`classfuzz_jimple::lower::LowerScratch`). The text buffer keeps
+    /// its capacity too, so the next round's interning misses copy their
+    /// text into it without allocating.
     pub fn clear(&mut self) {
-        self.recycled
-            .extend(self.entries.drain(..).filter_map(|c| match c {
-                Constant::Utf8(s) => Some(s),
-                _ => None,
-            }));
+        self.entries.clear();
+        self.text.clear();
         self.utf8_index.clear();
         self.bits_index.clear();
         self.indexed = 0;
@@ -471,9 +536,15 @@ impl ConstantPool {
     /// Resolves a `Utf8` entry to its text.
     pub fn utf8_text(&self, index: ConstIndex) -> Option<&str> {
         match self.entry(index)? {
-            Constant::Utf8(s) => Some(s),
+            Constant::Utf8(span) => span.read(&self.text),
             _ => None,
         }
+    }
+
+    /// The text a `Utf8` entry's span points at, for the serializer and
+    /// the printer; empty for a span that does not lie in this pool.
+    pub(crate) fn span_text(&self, span: Utf8Span) -> &str {
+        span.read(&self.text).unwrap_or_default()
     }
 
     /// Resolves a `Class` entry to its binary name, borrowed from the pool.
@@ -527,10 +598,13 @@ impl fmt::Display for ConstantPool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Constant pool:")?;
         for (idx, c) in self.iter() {
-            if matches!(c, Constant::Unusable) {
-                continue;
+            match c {
+                Constant::Unusable => {}
+                Constant::Utf8(span) => {
+                    writeln!(f, "  {idx} = Utf8 Utf8({:?})", self.span_text(*span))?
+                }
+                _ => writeln!(f, "  {idx} = {} {c:?}", c.kind_name())?,
             }
-            writeln!(f, "  {idx} = {} {c:?}", c.kind_name())?;
         }
         Ok(())
     }
@@ -597,10 +671,7 @@ mod tests {
         // Full: further pushes saturate to the null index (never wrap back
         // to slot 1) and leave the pool untouched.
         assert_eq!(cp.push(Constant::Integer(-1)), ConstIndex(0));
-        assert_eq!(
-            cp.try_push(Constant::Utf8("late".into())),
-            Err(PoolFullError { needed: 1 })
-        );
+        assert_eq!(cp.try_push_utf8("late"), Err(PoolFullError { needed: 1 }));
         assert_eq!(cp.slot_count() as usize, MAX_POOL_SLOTS);
         // The rejected Utf8 was not interned either.
         assert_eq!(cp.utf8_text(ConstIndex(1)), None);
@@ -625,7 +696,7 @@ mod tests {
         let mut cp = ConstantPool::new();
         let a = cp.utf8("dup");
         // A verbatim duplicate pushed around the interner...
-        let b = cp.push(Constant::Utf8("dup".into()));
+        let b = cp.push_utf8("dup");
         assert_ne!(a, b);
         // ...does not disturb interning: the lowest index still wins.
         assert_eq!(cp.utf8("dup"), a);
@@ -646,19 +717,88 @@ mod tests {
         a.utf8("x");
         a.utf8("x");
         let mut b = ConstantPool::new();
-        b.push(Constant::Utf8("x".into()));
+        b.push_utf8("x");
         assert_eq!(a, b);
         b.utf8("y");
         assert_ne!(a, b);
     }
 
     #[test]
+    fn equal_text_at_other_offsets_is_equal() {
+        let span = |start, end| Constant::Utf8(Utf8Span::new(start, end).unwrap());
+        // The same two texts, laid out in the buffer in either order.
+        let ab = ConstantPool::from_parts(vec![span(0, 1), span(1, 3)], "abb".into());
+        let ba = ConstantPool::from_parts(vec![span(2, 3), span(0, 2)], "bba".into());
+        assert_ne!(ab.entries, ba.entries);
+        assert_eq!(ab, ba);
+        // A verbatim push of an entry shares its text: slot 2 reads the
+        // bytes of slot 1, where a second `push_utf8` would copy them.
+        let mut shared = ConstantPool::new();
+        let first = shared.push_utf8("xy");
+        let alias = shared.entry(first).unwrap().clone();
+        shared.push(alias);
+        let mut copied = ConstantPool::new();
+        copied.push_utf8("xy");
+        copied.push_utf8("xy");
+        assert_eq!(shared.text, "xy");
+        assert_eq!(copied.text, "xyxy");
+        assert_eq!(shared, copied);
+        copied.push_utf8("z");
+        shared.push_utf8("w");
+        assert_ne!(shared, copied);
+        // A Utf8 slot never equals another kind, and a span that does not
+        // lie in the pool reads as no text.
+        let int = ConstantPool::from_parts(vec![Constant::Integer(0)], String::new());
+        assert_ne!(
+            ConstantPool::from_parts(vec![span(0, 0)], String::new()),
+            int
+        );
+        let stray = ConstantPool::from_parts(vec![span(5, 9)], "x".into());
+        assert_eq!(stray.utf8_text(ConstIndex(1)), None);
+        assert_eq!(stray.span_text(Utf8Span::new(5, 9).unwrap()), "");
+    }
+
+    #[test]
+    fn clear_keeps_the_text_buffer() {
+        let names = ["java/lang/Object", "<init>", "()V", "Code", "main"];
+        let mut cp = ConstantPool::new();
+        for name in names {
+            cp.utf8(name);
+        }
+        let (capacity, at) = (cp.text.capacity(), cp.text.as_ptr());
+        for _ in 0..3 {
+            cp.clear();
+            assert!(cp.text.is_empty());
+            for name in names {
+                cp.utf8(name);
+            }
+            // The same text fits the kept buffer: no reallocation.
+            assert_eq!((cp.text.capacity(), cp.text.as_ptr()), (capacity, at));
+            assert_eq!(cp.utf8_text(ConstIndex(2)), Some("<init>"));
+        }
+    }
+
+    #[test]
+    fn display_prints_utf8_text() {
+        let mut cp = ConstantPool::new();
+        cp.class("java/lang/Object");
+        cp.integer(7);
+        assert_eq!(
+            cp.to_string(),
+            "Constant pool:\n  #1 = Utf8 Utf8(\"java/lang/Object\")\n  #2 = Class Class(ConstIndex(1))\n  #3 = Integer Integer(7)\n"
+        );
+    }
+
+    #[test]
     fn parsed_pools_index_on_first_intern() {
-        let mut cp = ConstantPool::from_entries(vec![
-            Constant::Utf8("x".into()),
-            Constant::Long(1),
-            Constant::Unusable,
-        ]);
+        let mut cp = ConstantPool::from_parts(
+            vec![
+                Constant::Utf8(Utf8Span::new(0, 1).unwrap()),
+                Constant::Long(1),
+                Constant::Unusable,
+            ],
+            "x".into(),
+        );
         // Lookups never build the index.
         assert_eq!(cp.utf8_text(ConstIndex(1)), Some("x"));
         assert_eq!(cp.entry(ConstIndex(2)), Some(&Constant::Long(1)));

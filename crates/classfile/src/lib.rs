@@ -41,7 +41,9 @@ mod writer;
 
 pub use attributes::{Attribute, CodeAttribute, ExceptionTableEntry, InnerClassEntry};
 pub use class::{ClassBuilder, ClassFile, FieldInfo, MethodInfo, MAGIC};
-pub use constant_pool::{ConstIndex, Constant, ConstantPool, PoolFullError, MAX_POOL_SLOTS};
+pub use constant_pool::{
+    ConstIndex, Constant, ConstantPool, PoolFullError, Utf8Span, MAX_POOL_SLOTS,
+};
 pub use descriptor::{FieldType, MethodDescriptor};
 pub use error::{ClassReadError, DescriptorError};
 pub use flags::{ClassAccess, FieldAccess, MethodAccess};

@@ -53,17 +53,35 @@ pub(crate) fn encode_into(s: &str, out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes modified UTF-8 bytes into a Rust string.
-///
-/// Returns `None` on malformed input (truncated sequences, bad continuation
-/// bytes, or an unpaired surrogate).
+/// Decodes modified UTF-8 bytes into a Rust string. The parser uses the
+/// allocation-free [`decode_into`]; this owned form remains for the
+/// round-trip tests.
+#[cfg(test)]
 pub(crate) fn decode(bytes: &[u8]) -> Option<String> {
+    let mut out = String::new();
+    decode_into(bytes, &mut out).then_some(out)
+}
+
+/// Appends the decoding of modified UTF-8 `bytes` to `out`.
+///
+/// Returns `false`, with `out` as it was, on malformed input (truncated
+/// sequences, bad continuation bytes, or an unpaired surrogate).
+pub(crate) fn decode_into(bytes: &[u8], out: &mut String) -> bool {
+    let start = out.len();
+    let ok = decode_chars(bytes, out).is_some();
+    if !ok {
+        out.truncate(start);
+    }
+    ok
+}
+
+fn decode_chars(bytes: &[u8], out: &mut String) -> Option<()> {
     // The mirror of `encode_into`'s fast path: NUL-free ASCII decodes to
     // itself, so it is copied once instead of pushed char by char.
     if bytes.is_ascii() && !bytes.contains(&0) {
-        return std::str::from_utf8(bytes).ok().map(str::to_owned);
+        out.push_str(std::str::from_utf8(bytes).ok()?);
+        return Some(());
     }
-    let mut out = String::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
         let b0 = bytes[i];
@@ -114,7 +132,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Option<String> {
             return None; // 4-byte standard UTF-8 is illegal in modified UTF-8
         }
     }
-    Some(out)
+    Some(())
 }
 
 #[cfg(test)]

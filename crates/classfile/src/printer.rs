@@ -44,7 +44,7 @@ pub fn disassemble(class: &ClassFile) -> String {
             continue;
         }
         let rendered = match c {
-            Constant::Utf8(s) => s.clone(),
+            Constant::Utf8(span) => cp.span_text(*span).to_string(),
             Constant::Integer(v) => v.to_string(),
             Constant::Float(v) => format!("{v}f"),
             Constant::Long(v) => format!("{v}l"),

@@ -2,7 +2,7 @@
 
 use crate::attributes::{Attribute, CodeAttribute, ExceptionTableEntry, InnerClassEntry};
 use crate::class::{ClassFile, FieldInfo, MethodInfo, MAGIC};
-use crate::constant_pool::{ConstIndex, Constant, ConstantPool};
+use crate::constant_pool::{ConstIndex, Constant, ConstantPool, Utf8Span};
 use crate::error::ClassReadError;
 use crate::flags::{ClassAccess, FieldAccess, MethodAccess};
 use crate::instruction::decode_instructions;
@@ -103,6 +103,10 @@ fn read_constant_pool(c: &mut Cursor<'_>) -> Result<ConstantPool, ClassReadError
     // reserve more than the input could fill.
     let remaining = c.bytes.len().saturating_sub(c.pos);
     let mut entries = Vec::with_capacity(count.saturating_sub(1).min(remaining / 3));
+    // Every Utf8 entry's text decodes straight into this one buffer. The
+    // text is no longer than its encoding, and that lies in the rest of
+    // the input, so one reservation covers the whole pool.
+    let mut text = String::with_capacity(remaining);
     // Slots run 1..count with count <= u16::MAX, so every slot number fits
     // a u16 and the parsed pool never exceeds MAX_POOL_SLOTS.
     let mut index = 1usize;
@@ -113,8 +117,14 @@ fn read_constant_pool(c: &mut Cursor<'_>) -> Result<ConstantPool, ClassReadError
             1 => {
                 let len = c.u2("Utf8 length")? as usize;
                 let raw = c.take(len, "Utf8 bytes")?;
-                let text = mutf8::decode(raw).ok_or(ClassReadError::InvalidUtf8 { index: slot })?;
-                Constant::Utf8(text)
+                let start = text.len();
+                let invalid = ClassReadError::InvalidUtf8 { index: slot };
+                if !mutf8::decode_into(raw, &mut text) {
+                    return Err(invalid);
+                }
+                // Under 65535 slots of under 65536 bytes each: the text
+                // stays below the 4 GiB a span addresses, so this is Some.
+                Constant::Utf8(Utf8Span::new(start, text.len()).ok_or(invalid)?)
             }
             3 => Constant::Integer(c.u4("Integer")? as i32),
             4 => Constant::Float(f32::from_bits(c.u4("Float")?)),
@@ -173,7 +183,7 @@ fn read_constant_pool(c: &mut Cursor<'_>) -> Result<ConstantPool, ClassReadError
             index += 1;
         }
     }
-    Ok(ConstantPool::from_entries(entries))
+    Ok(ConstantPool::from_parts(entries, text))
 }
 
 fn read_field(c: &mut Cursor<'_>, cp: &ConstantPool) -> Result<FieldInfo, ClassReadError> {

@@ -142,7 +142,7 @@ fn estimate_pool_size(cp: &ConstantPool) -> usize {
     2 + cp
         .iter()
         .map(|(_, c)| match c {
-            Constant::Utf8(s) => 3 + s.len(),
+            Constant::Utf8(span) => 3 + cp.span_text(*span).len(),
             Constant::Long(_) | Constant::Double(_) => 9,
             Constant::Unusable => 0,
             _ => 5,
@@ -154,13 +154,13 @@ fn write_constant_pool(out: &mut Vec<u8>, cp: &ConstantPool) {
     push_u2(out, cp.slot_count() + 1);
     for (_, entry) in cp.iter() {
         match entry {
-            Constant::Utf8(s) => {
+            Constant::Utf8(span) => {
                 out.push(1);
                 // Length-backpatched so the (usually ASCII) text is encoded
                 // straight into `out` with no intermediate allocation.
                 let len_at = out.len();
                 push_u2(out, 0);
-                mutf8::encode_into(s, out);
+                mutf8::encode_into(cp.span_text(*span), out);
                 let n = (out.len() - len_at - 2) as u16;
                 out[len_at..len_at + 2].copy_from_slice(&n.to_be_bytes());
             }

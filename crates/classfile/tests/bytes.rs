@@ -5,8 +5,8 @@
 use classfuzz_classfile::attributes::{Attribute, CodeAttribute, ExceptionTableEntry};
 use classfuzz_classfile::instruction::{decode_code, encode_code};
 use classfuzz_classfile::{
-    ClassAccess, ClassFile, ConstIndex, Constant, ConstantPool, FieldAccess, Instruction,
-    LookupSwitch, MethodAccess, Opcode, TableSwitch, MAGIC,
+    printer, ClassAccess, ClassFile, ClassReadError, ConstIndex, Constant, ConstantPool,
+    FieldAccess, Instruction, LookupSwitch, MethodAccess, Opcode, TableSwitch, MAGIC,
 };
 use proptest::prelude::*;
 
@@ -247,6 +247,90 @@ fn wide_entry_at_the_u16_ceiling_is_rejected_without_overflow() {
     assert!(err.to_string().contains("index 65534"), "{err}");
 }
 
+#[test]
+fn parsed_pool_equals_the_pool_it_was_written_from() {
+    let mut builder = ClassFile::builder("demo/Pool")
+        .super_class("java/lang/Object")
+        .interface("java/lang/Runnable")
+        .field(FieldAccess::PUBLIC, "f", "I")
+        .method_without_code(MethodAccess::PUBLIC | MethodAccess::ABSTRACT, "run", "()V");
+    let cp = builder.constant_pool_mut();
+    // Non-ASCII text, an embedded NUL, a supplementary character and the
+    // empty string take the slow decoding path; a verbatim duplicate and a
+    // wide entry sit between them.
+    cp.string("héllo\0wörld \u{1F600}");
+    cp.utf8("");
+    cp.push_utf8("f");
+    cp.long(-1);
+    cp.utf8("日本語");
+    let class = builder.build();
+    let parsed = ClassFile::from_bytes(&class.to_bytes()).unwrap();
+    assert_eq!(parsed.constant_pool, class.constant_pool);
+    assert_eq!(parsed, class);
+    for (index, entry) in class.constant_pool.iter() {
+        if matches!(entry, Constant::Utf8(_)) {
+            assert!(parsed.constant_pool.utf8_text(index).is_some());
+            assert_eq!(
+                parsed.constant_pool.utf8_text(index),
+                class.constant_pool.utf8_text(index)
+            );
+        }
+    }
+}
+
+#[test]
+fn malformed_utf8_fails_with_its_slot() {
+    // Slot 1 is always the valid Utf8 "ok"; slot 2 holds the bytes.
+    let with_second = |bytes: &[u8]| {
+        let mut entries = vec![1, 0, 2, b'o', b'k', 1];
+        entries.extend_from_slice(&(bytes.len() as u16).to_be_bytes());
+        entries.extend_from_slice(bytes);
+        ClassFile::from_bytes(&class_with_raw_pool(3, &entries))
+    };
+    let invalid = ClassReadError::InvalidUtf8 { index: 2 };
+    for bad in [
+        &[0xC0][..],                           // truncated two-byte sequence
+        &[b'a', 0xE0, 0x80],                   // truncated three-byte sequence
+        &[0xC0, 0x00],                         // bad continuation byte
+        &[b'a', b'b', 0x00],                   // raw NUL after ASCII
+        &[0xF0, 0x90, 0x80, 0x80],             // four-byte standard UTF-8
+        &[0xED, 0xB0, 0x80],                   // lone low surrogate
+        &[0xED, 0xA0, 0x80, b'x', b'y', b'z'], // high surrogate, no low one
+    ] {
+        assert_eq!(with_second(bad), Err(invalid.clone()), "{bad:x?}");
+    }
+    assert_eq!(
+        invalid.to_string(),
+        "invalid modified UTF-8 in constant-pool entry 2"
+    );
+    // A length past the end of the input is a truncation, not bad text:
+    // the tag is at byte 10, the length at 11 and the text would start at 13.
+    assert_eq!(
+        ClassFile::from_bytes(&class_with_raw_pool(2, &[1, 0xFF, 0xFF, b'a'])),
+        Err(ClassReadError::UnexpectedEof {
+            offset: 13,
+            context: "Utf8 bytes"
+        })
+    );
+    // Well-formed multi-byte text in the same slot parses.
+    let good = with_second(&[0xC3, 0xA9, 0xC0, 0x80]).unwrap();
+    assert_eq!(good.constant_pool.utf8_text(ConstIndex(2)), Some("é\0"));
+}
+
+#[test]
+fn printers_show_utf8_text() {
+    let class = ClassFile::builder("demo/Printed")
+        .super_class("java/lang/Object")
+        .build();
+    let listing = printer::disassemble(&class);
+    assert!(
+        listing.contains("= Utf8               java/lang/Object\n"),
+        "{listing}"
+    );
+    let pool = class.constant_pool.to_string();
+    assert!(pool.contains(" = Utf8 Utf8(\"demo/Printed\")\n"), "{pool}");
+}
+
 /// One interning call, replayed identically on several pools.
 #[derive(Debug, Clone)]
 enum Intern {
@@ -333,19 +417,39 @@ fn text() -> &'static str {
     "[ab]{0,2}"
 }
 
-fn entry_strategy() -> impl Strategy<Value = Constant> {
+/// One verbatim push: a `Utf8` entry's text, or any other entry.
+#[derive(Debug, Clone)]
+enum Push {
+    Utf8(String),
+    Other(Constant),
+}
+
+impl Push {
+    fn apply(&self, pool: &mut ConstantPool) -> ConstIndex {
+        match self {
+            Push::Utf8(text) => pool.push_utf8(text),
+            Push::Other(entry) => pool.push(entry.clone()),
+        }
+    }
+}
+
+fn entry_strategy() -> impl Strategy<Value = Push> {
     let index = || (0u16..6).prop_map(ConstIndex);
     prop_oneof![
-        text().prop_map(Constant::Utf8),
-        (-2i32..3).prop_map(Constant::Integer),
-        (0usize..5).prop_map(|i| Constant::Float(f32::from_bits(FLOAT_BITS[i]))),
-        (-2i64..3).prop_map(Constant::Long),
-        (0usize..5).prop_map(|i| Constant::Double(f64::from_bits(DOUBLE_BITS[i]))),
-        index().prop_map(Constant::Class),
-        index().prop_map(Constant::String),
-        (index(), index()).prop_map(|(a, b)| Constant::NameAndType(a, b)),
-        (index(), index()).prop_map(|(a, b)| Constant::MethodRef(a, b)),
-        (0u8..10, index()).prop_map(|(k, i)| Constant::MethodHandle(k, i)),
+        text().prop_map(Push::Utf8),
+        (-2i32..3).prop_map(Constant::Integer).prop_map(Push::Other),
+        (0usize..5)
+            .prop_map(|i| Constant::Float(f32::from_bits(FLOAT_BITS[i])))
+            .prop_map(Push::Other),
+        (-2i64..3).prop_map(Constant::Long).prop_map(Push::Other),
+        (0usize..5)
+            .prop_map(|i| Constant::Double(f64::from_bits(DOUBLE_BITS[i])))
+            .prop_map(Push::Other),
+        index().prop_map(Constant::Class).prop_map(Push::Other),
+        index().prop_map(Constant::String).prop_map(Push::Other),
+        (index(), index()).prop_map(|(a, b)| Push::Other(Constant::NameAndType(a, b))),
+        (index(), index()).prop_map(|(a, b)| Push::Other(Constant::MethodRef(a, b))),
+        (0u8..10, index()).prop_map(|(k, i)| Push::Other(Constant::MethodHandle(k, i))),
     ]
 }
 
@@ -365,21 +469,20 @@ fn intern_strategy() -> impl Strategy<Value = Intern> {
     ]
 }
 
-/// Entry identity as interning sees it: floats compare by bits.
-fn same_entry(a: &Constant, b: &Constant) -> bool {
-    match (a, b) {
-        (Constant::Float(x), Constant::Float(y)) => x.to_bits() == y.to_bits(),
-        (Constant::Double(x), Constant::Double(y)) => x.to_bits() == y.to_bits(),
-        _ => a == b,
+/// Entry identity as interning sees it: `Utf8` entries compare by text,
+/// floats by bits.
+fn same_entry(a: &ConstantPool, i: ConstIndex, b: &ConstantPool, j: ConstIndex) -> bool {
+    match (a.entry(i), b.entry(j)) {
+        (Some(Constant::Utf8(_)), Some(Constant::Utf8(_))) => a.utf8_text(i) == b.utf8_text(j),
+        (Some(Constant::Float(x)), Some(Constant::Float(y))) => x.to_bits() == y.to_bits(),
+        (Some(Constant::Double(x)), Some(Constant::Double(y))) => x.to_bits() == y.to_bits(),
+        (x, y) => x == y,
     }
 }
 
 /// Slot-by-slot [`same_entry`]: pool equality that holds across NaNs.
 fn same_pool(a: &ConstantPool, b: &ConstantPool) -> bool {
-    a.slot_count() == b.slot_count()
-        && a.iter()
-            .zip(b.iter())
-            .all(|((_, x), (_, y))| same_entry(x, y))
+    a.slot_count() == b.slot_count() && a.iter().all(|(i, _)| same_entry(a, i, b, i))
 }
 
 proptest! {
@@ -397,8 +500,8 @@ proptest! {
         // index is caught up piecemeal.
         let mut grown = ConstantPool::new();
         for (i, entry) in entries.iter().enumerate() {
-            pushed.push(entry.clone());
-            grown.push(entry.clone());
+            entry.apply(&mut pushed);
+            entry.apply(&mut grown);
             if let Some(call) = calls.get(i % calls.len()).filter(|_| i % 3 == 0) {
                 call.apply(&mut grown);
             }
@@ -414,14 +517,20 @@ proptest! {
             let from_parsed = call.apply(&mut parsed);
             let from_pushed = call.apply(&mut pushed);
             prop_assert_eq!(from_parsed, from_pushed, "{:?}", call);
-            let entry = parsed.entry(from_parsed).expect("interning returns a live index");
-            let lowest = parsed.iter().find(|(_, c)| same_entry(c, entry)).map(|(i, _)| i);
+            prop_assert!(parsed.entry(from_parsed).is_some(), "interning returns a live index");
+            let lowest = parsed
+                .iter()
+                .find(|&(i, _)| same_entry(&parsed, i, &parsed, from_parsed))
+                .map(|(i, _)| i);
             prop_assert_eq!(lowest, Some(from_parsed), "{:?} is not the lowest match", call);
             prop_assert!(call.resolves(&parsed, from_parsed), "{:?}", call);
             let from_grown = call.apply(&mut grown);
             prop_assert!(call.resolves(&grown, from_grown), "{:?}", call);
-            let grown_entry = grown.entry(from_grown).expect("interning returns a live index");
-            let lowest = grown.iter().find(|(_, c)| same_entry(c, grown_entry)).map(|(i, _)| i);
+            prop_assert!(grown.entry(from_grown).is_some(), "interning returns a live index");
+            let lowest = grown
+                .iter()
+                .find(|&(i, _)| same_entry(&grown, i, &grown, from_grown))
+                .map(|(i, _)| i);
             prop_assert_eq!(lowest, Some(from_grown), "{:?} is not the lowest match", call);
         }
         prop_assert!(same_pool(&parsed, &pushed));

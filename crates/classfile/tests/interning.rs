@@ -24,44 +24,73 @@ enum Op {
     /// A verbatim push around the interner, which plants duplicates so the
     /// lowest-index rule is exercised.
     Push(Constant),
+    /// The same for a `Utf8` entry.
+    PushUtf8(String),
     Clear,
+}
+
+/// A reference slot: a `Utf8` entry's text, or any other entry as is.
+#[derive(Debug, Clone)]
+enum Slot {
+    Utf8(String),
+    Other(Constant),
+}
+
+impl Slot {
+    /// Slot `index` of `pool`, its `Utf8` text read through the pool.
+    fn of(pool: &ConstantPool, index: ConstIndex, entry: &Constant) -> Slot {
+        match entry {
+            Constant::Utf8(_) => Slot::Utf8(pool.utf8_text(index).unwrap().to_string()),
+            other => Slot::Other(other.clone()),
+        }
+    }
 }
 
 /// The reference: entries in slot layout, every lookup a scan from slot 1.
 #[derive(Default)]
 struct ScanPool {
-    entries: Vec<Constant>,
+    entries: Vec<Slot>,
 }
 
-/// Entry identity as interning defines it: floats compare by bits.
-fn same(a: &Constant, b: &Constant) -> bool {
+/// Entry identity as interning defines it: text by text, floats by bits.
+fn same(a: &Slot, b: &Slot) -> bool {
     match (a, b) {
-        (Constant::Float(x), Constant::Float(y)) => x.to_bits() == y.to_bits(),
-        (Constant::Double(x), Constant::Double(y)) => x.to_bits() == y.to_bits(),
-        _ => a == b,
+        (Slot::Utf8(x), Slot::Utf8(y)) => x == y,
+        (Slot::Other(Constant::Float(x)), Slot::Other(Constant::Float(y))) => {
+            x.to_bits() == y.to_bits()
+        }
+        (Slot::Other(Constant::Double(x)), Slot::Other(Constant::Double(y))) => {
+            x.to_bits() == y.to_bits()
+        }
+        (Slot::Other(x), Slot::Other(y)) => x == y,
+        _ => false,
     }
 }
 
 impl ScanPool {
-    fn push(&mut self, constant: Constant) -> ConstIndex {
-        let wide = constant.is_wide();
-        self.entries.push(constant);
+    fn push(&mut self, slot: Slot) -> ConstIndex {
+        let wide = matches!(&slot, Slot::Other(c) if c.is_wide());
+        self.entries.push(slot);
         let index = ConstIndex(self.entries.len() as u16);
         if wide {
-            self.entries.push(Constant::Unusable);
+            self.entries.push(Slot::Other(Constant::Unusable));
         }
         index
     }
 
-    fn find_or_push(&mut self, constant: Constant) -> ConstIndex {
-        match self.entries.iter().position(|c| same(c, &constant)) {
+    fn find_or_push_slot(&mut self, slot: Slot) -> ConstIndex {
+        match self.entries.iter().position(|c| same(c, &slot)) {
             Some(i) => ConstIndex(i as u16 + 1),
-            None => self.push(constant),
+            None => self.push(slot),
         }
     }
 
+    fn find_or_push(&mut self, constant: Constant) -> ConstIndex {
+        self.find_or_push_slot(Slot::Other(constant))
+    }
+
     fn utf8(&mut self, text: &str) -> ConstIndex {
-        self.find_or_push(Constant::Utf8(text.to_string()))
+        self.find_or_push_slot(Slot::Utf8(text.to_string()))
     }
 
     fn class(&mut self, name: &str) -> ConstIndex {
@@ -104,7 +133,8 @@ impl ScanPool {
                 let (c, nt) = self.member(c, n, d);
                 self.find_or_push(Constant::InterfaceMethodRef(c, nt))
             }
-            Op::Push(c) => self.push(c.clone()),
+            Op::Push(c) => self.push(Slot::Other(c.clone())),
+            Op::PushUtf8(s) => self.push(Slot::Utf8(s.clone())),
             Op::Clear => {
                 self.entries.clear();
                 return None;
@@ -127,6 +157,7 @@ fn apply(pool: &mut ConstantPool, op: &Op) -> Option<ConstIndex> {
         Op::MethodRef(c, n, d) => pool.method_ref(c, n, d),
         Op::InterfaceMethodRef(c, n, d) => pool.interface_method_ref(c, n, d),
         Op::Push(c) => pool.push(c.clone()),
+        Op::PushUtf8(s) => pool.push_utf8(s),
         Op::Clear => {
             pool.clear();
             return None;
@@ -182,7 +213,7 @@ fn op() -> BoxedStrategy<Op> {
         member().prop_map(|(c, n, d)| Op::FieldRef(c, n, d)),
         member().prop_map(|(c, n, d)| Op::MethodRef(c, n, d)),
         member().prop_map(|(c, n, d)| Op::InterfaceMethodRef(c, n, d)),
-        text().prop_map(|s| Op::Push(Constant::Utf8(s))),
+        text().prop_map(Op::PushUtf8),
         (-2i32..3).prop_map(|v| Op::Push(Constant::Integer(v))),
         double_bits().prop_map(|b| Op::Push(Constant::Double(f64::from_bits(b)))),
         (1u16..6).prop_map(|i| Op::Push(Constant::Class(ConstIndex(i)))),
@@ -201,7 +232,7 @@ proptest! {
         for (step, op) in ops.iter().enumerate() {
             prop_assert_eq!(apply(&mut pool, op), reference.apply(op), "step {} ({:?})", step, op);
         }
-        let slots: Vec<&Constant> = pool.iter().map(|(_, c)| c).collect();
+        let slots: Vec<Slot> = pool.iter().map(|(i, c)| Slot::of(&pool, i, c)).collect();
         prop_assert_eq!(slots.len(), reference.entries.len());
         for (i, (got, want)) in slots.iter().zip(&reference.entries).enumerate() {
             prop_assert!(same(got, want), "slot {}: {:?} != {:?}", i + 1, got, want);

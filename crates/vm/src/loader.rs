@@ -182,10 +182,7 @@ fn check_fields(class: &UserClass, spec: &VmSpec, cov: &mut Cov) -> CheckResult 
             );
         }
         // Problem 4: duplicate fields — GIJ accepts them.
-        let dup = class
-            .fields()
-            .take(i)
-            .any(|g| (g.name, g.desc_text) == (f.name, f.desc_text));
+        let dup = class.duplicate_field() == Some(i);
         if probe_branch!(cov, dup && !spec.allow_duplicate_fields) {
             return reject(
                 JvmErrorKind::ClassFormatError,
@@ -201,10 +198,7 @@ fn check_methods(class: &UserClass, spec: &VmSpec, cov: &mut Cov) -> CheckResult
     for m in class.methods() {
         probe!(cov);
         let name = m.name();
-        let dup = class
-            .methods()
-            .take(m.index)
-            .any(|g| g.name() == name && g.desc_text() == m.desc_text());
+        let dup = class.duplicate_method() == Some(m.index);
         if probe_branch!(cov, dup) {
             return reject(
                 JvmErrorKind::ClassFormatError,

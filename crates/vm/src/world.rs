@@ -5,8 +5,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use classfuzz_classfile::{
-    ClassAccess, ClassFile, ConstantPool, FieldAccess, FieldType, MethodAccess, MethodDescriptor,
-    MethodInfo,
+    ClassAccess, ClassFile, ConstIndex, ConstantPool, FieldAccess, FieldType, MethodAccess,
+    MethodDescriptor, MethodInfo,
 };
 
 use crate::decode::DecodedTable;
@@ -33,12 +33,12 @@ pub struct Method<'c> {
 impl<'c> Method<'c> {
     /// Method name; `$badname` when the name entry does not resolve.
     pub fn name(&self) -> &'c str {
-        self.cp.utf8_text(self.info.name).unwrap_or("$badname")
+        member_name(self.cp, self.info.name)
     }
 
     /// Raw descriptor text; empty when the entry does not resolve.
     pub fn desc_text(&self) -> &'c str {
-        self.cp.utf8_text(self.info.descriptor).unwrap_or("")
+        member_desc(self.cp, self.info.descriptor)
     }
 
     /// Whether a `Code` attribute is present.
@@ -51,6 +51,35 @@ impl<'c> Method<'c> {
         let (cp, names) = (self.cp, self.info.declared_exceptions());
         names.iter().filter_map(move |&e| cp.class_name_str(e))
     }
+}
+
+/// A member's name: `$badname` when the entry does not resolve.
+fn member_name(cp: &ConstantPool, index: ConstIndex) -> &str {
+    cp.utf8_text(index).unwrap_or("$badname")
+}
+
+/// A member's descriptor text: empty when the entry does not resolve.
+fn member_desc(cp: &ConstantPool, index: ConstIndex) -> &str {
+    cp.utf8_text(index).unwrap_or("")
+}
+
+/// The index of the first key equal to an earlier one. Reads each key once
+/// into `seen` (cleared first), which allocates only for two or more keys.
+fn first_repeat<'a>(
+    keys: impl ExactSizeIterator<Item = (&'a str, &'a str)>,
+    seen: &mut Vec<(&'a str, &'a str)>,
+) -> Option<usize> {
+    if keys.len() < 2 {
+        return None;
+    }
+    seen.clear();
+    for (i, key) in keys.enumerate() {
+        if seen.contains(&key) {
+            return Some(i);
+        }
+        seen.push(key);
+    }
+    None
 }
 
 /// A user-class field, built on the fly by [`UserClass::fields`]: its name
@@ -75,7 +104,8 @@ pub struct Field<'c> {
 /// [`fields`](UserClass::fields), [`super_name`](UserClass::super_name)
 /// and [`interfaces`](UserClass::interfaces) borrow them from its constant
 /// pool. The class keeps only what the pool cannot answer by reference: its
-/// own name, the parsed descriptor trees and the decoded-method table.
+/// own name, the parsed descriptor trees, the duplicate-member facts and the
+/// decoded-method table.
 #[derive(Debug, Clone)]
 pub struct UserClass {
     /// The parsed classfile.
@@ -87,6 +117,11 @@ pub struct UserClass {
     descs: Vec<Option<MethodDescriptor>>,
     /// Parsed field types, one per `cf.fields` entry.
     field_types: Vec<Option<FieldType>>,
+    /// The first field whose (name, descriptor) text repeats an earlier
+    /// field's; see [`duplicate_field`](UserClass::duplicate_field).
+    duplicate_field: Option<usize>,
+    /// The same for methods.
+    duplicate_method: Option<usize>,
     /// Per-method decoded-code table, filled lazily on a method's first
     /// verification or execution and read by the verifier and the
     /// interpreter alike. `Arc`-shared: cloning the class (or sharing its
@@ -96,9 +131,10 @@ pub struct UserClass {
 }
 
 impl UserClass {
-    /// Summarizes a parsed classfile: resolves the class's own name and
-    /// parses every member descriptor. Never fails: unresolvable names
-    /// surface as placeholders for the checkers to reject.
+    /// Summarizes a parsed classfile: resolves the class's own name,
+    /// parses every member descriptor and finds the first repeated field
+    /// and method. Never fails: unresolvable names surface as placeholders
+    /// for the checkers to reject.
     pub fn summarize(cf: ClassFile) -> UserClass {
         let cp = &cf.constant_pool;
         let name = cf
@@ -114,14 +150,47 @@ impl UserClass {
             .iter()
             .map(|f| FieldType::parse(cp.utf8_text(f.descriptor).unwrap_or("")).ok())
             .collect();
+        let (duplicate_field, duplicate_method) = {
+            // One key buffer serves both scans; it allocates only when a
+            // class has two fields or two methods.
+            let widest = cf.fields.len().max(cf.methods.len());
+            let mut seen = Vec::with_capacity(if widest < 2 { 0 } else { widest });
+            let key = |name, desc| (member_name(cp, name), member_desc(cp, desc));
+            (
+                first_repeat(
+                    cf.fields.iter().map(|f| key(f.name, f.descriptor)),
+                    &mut seen,
+                ),
+                first_repeat(
+                    cf.methods.iter().map(|m| key(m.name, m.descriptor)),
+                    &mut seen,
+                ),
+            )
+        };
         let decoded = DecodedTable::for_methods(cf.methods.len());
         UserClass {
             cf,
             name,
             descs,
             field_types,
+            duplicate_field,
+            duplicate_method,
             decoded,
         }
+    }
+
+    /// The index of the first field whose (name, descriptor) text equals
+    /// an earlier field's, unresolvable names and descriptors read as
+    /// their placeholders. A pure function of the classfile, found once by
+    /// [`summarize`](UserClass::summarize); each profile decides what a
+    /// repeat means.
+    pub fn duplicate_field(&self) -> Option<usize> {
+        self.duplicate_field
+    }
+
+    /// [`duplicate_field`](UserClass::duplicate_field) for methods.
+    pub fn duplicate_method(&self) -> Option<usize> {
+        self.duplicate_method
     }
 
     /// Method `index`, in declaration order; `None` past the last.
@@ -148,8 +217,8 @@ impl UserClass {
             .iter()
             .zip(&self.field_types)
             .map(move |(info, ty)| Field {
-                name: cp.utf8_text(info.name).unwrap_or("$badname"),
-                desc_text: cp.utf8_text(info.descriptor).unwrap_or(""),
+                name: member_name(cp, info.name),
+                desc_text: member_desc(cp, info.descriptor),
                 ty: ty.as_ref(),
                 access: info.access,
             })
@@ -422,6 +491,76 @@ mod tests {
         let w = world_with(vec![a, b]);
         assert!(w.has_circularity("cyc/A"));
         assert!(!w.has_circularity("java/lang/String"));
+    }
+
+    #[test]
+    fn duplicate_facts_compare_text_and_placeholders() {
+        use classfuzz_classfile::{ConstIndex, FieldAccess, MethodAccess};
+        use classfuzz_jimple::{IrField, IrMethod, JType};
+        let field = |name: &str| IrField {
+            access: FieldAccess::PUBLIC,
+            name: name.into(),
+            ty: JType::Int,
+            constant_value: None,
+        };
+        let method = |name: &str, params| {
+            IrMethod::abstract_method(MethodAccess::PUBLIC, name, params, None)
+        };
+        let class = |fields: Vec<IrField>, methods: Vec<IrMethod>| {
+            let mut c = IrClass::new("dup/C");
+            for f in fields {
+                c.fields.push(f);
+            }
+            for m in methods {
+                c.methods.push(m);
+            }
+            lower_class(&c)
+        };
+        let facts = |cf: ClassFile| {
+            let u = UserClass::summarize(cf);
+            (u.duplicate_field(), u.duplicate_method())
+        };
+
+        // Fewer than two members repeat nothing.
+        assert_eq!(facts(class(vec![], vec![])), (None, None));
+        assert_eq!(
+            facts(class(vec![field("a")], vec![method("m", vec![])])),
+            (None, None)
+        );
+        // The first repeat, not the first member repeated; an overload is
+        // no repeat.
+        let fields = vec![field("a"), field("b"), field("b"), field("a")];
+        let methods = vec![
+            method("m", vec![]),
+            method("m", vec![JType::Int]),
+            method("n", vec![]),
+            method("m", vec![JType::Int]),
+        ];
+        assert_eq!(facts(class(fields, methods)), (Some(2), Some(3)));
+
+        // Two Utf8 entries with equal text are one name.
+        let mut cf = class(vec![field("a"), field("b")], vec![]);
+        cf.fields[1].name = cf.constant_pool.push_utf8("a");
+        assert_ne!(cf.fields[0].name, cf.fields[1].name);
+        assert_eq!(facts(cf), (Some(1), None));
+
+        // Names that do not resolve, past the pool, at the null index or
+        // at a non-Utf8 entry, all read as `$badname`.
+        let mut cf = class(
+            vec![field("a"), field("b")],
+            vec![method("m", vec![]), method("n", vec![])],
+        );
+        cf.fields[0].name = ConstIndex(u16::MAX);
+        cf.fields[1].name = cf.this_class;
+        cf.methods[0].name = ConstIndex(0);
+        cf.methods[1].name = ConstIndex(u16::MAX);
+        assert_eq!(facts(cf.clone()), (Some(1), Some(1)));
+        // Under different descriptors they differ; two descriptors that do
+        // not resolve both read as empty and match again.
+        cf.fields[1].descriptor = ConstIndex(u16::MAX);
+        assert_eq!(facts(cf.clone()), (None, Some(1)));
+        cf.fields[0].descriptor = cf.this_class;
+        assert_eq!(facts(cf), (Some(1), Some(1)));
     }
 
     #[test]

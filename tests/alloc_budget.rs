@@ -109,22 +109,24 @@ const CLASSIFY_CEILING: u64 = 4;
 /// two.
 const FIRST_PASS_CEILING: u64 = 89;
 
-/// Ceiling on one `preparse` of the seed class's bytes, which makes 39
+/// Ceiling on one `preparse` of the seed class's bytes, which makes 23
 /// allocations:
 ///
-/// * 29 in `ClassFile::from_bytes`: one `String` for each of the 18 Utf8
-///   constants, and the pool's, the methods', the attributes' and the
-///   instructions' vectors;
-/// * 9 in `UserClass::summarize`: the class's own name, the vector of
+/// * 12 in `ClassFile::from_bytes`: the pool's entry vector and its one
+///   text buffer, which holds all 18 Utf8 constants, and the methods',
+///   the attributes' and the instructions' vectors;
+/// * 10 in `UserClass::summarize`: the class's own name, the vector of
 ///   parsed method descriptors, the 5 allocations of the four descriptor
-///   trees and the 2 of the decoded-method table;
+///   trees, the key buffer of the duplicate-member scan and the 2 of the
+///   decoded-method table;
 /// * the `Arc` the five profiles share.
 ///
 /// Member names, descriptor texts and class references are read from the
-/// constant pool, not copied; when the summary copied them, a parse took
-/// 48. A change that brings a copy back trips the ceiling, which is the
-/// count plus two.
-const PREPARSE_CEILING: u64 = 41;
+/// constant pool, and the pool's text is one buffer. When the summary
+/// copied the names, a parse took 48; when each Utf8 constant was its own
+/// `String`, 39. A change that brings a copy back trips the ceiling, which
+/// is the count plus two.
+const PREPARSE_CEILING: u64 = 25;
 
 #[test]
 fn preparse_copies_no_pool_string() {
